@@ -16,12 +16,9 @@ import json
 import sys
 from dataclasses import fields as dataclass_fields
 
-import numpy as np
-
 from . import experiments, fileio, scc
 from .learning import FitConfig, NumericError, fit_voter
 from .pipeline import decide, summarize
-from .processes import ProcessSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +108,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
     records, _ = fileio.load_voter_models(args.models)
-    model = summarize([np.asarray(record.beta) for record in records])
+    model = summarize([record.beta for record in records])
     fileio.save_summary_model(args.out, model)
     print(
         f"summarized {model.n_voters} voters -> {args.out}", file=sys.stderr
@@ -144,9 +141,15 @@ def _config_from_json(path: str | None, seed: int | None) -> experiments.Synthet
             raise fileio.ParseError(f"unknown config keys: {unknown}")
         for key, value in loaded.items():
             if key in ("comparisons_grid", "voters_grid"):
-                overrides[key] = tuple(int(v) for v in value)
+                if not isinstance(value, list):
+                    raise fileio.ParseError(
+                        f"config {key} must be a list of integers, got {value!r}"
+                    )
+                overrides[key] = tuple(
+                    fileio._parse_int(v, f"config {key}") for v in value
+                )
             else:
-                overrides[key] = int(value)
+                overrides[key] = fileio._parse_int(value, f"config {key}")
     if seed is not None:
         overrides["master_seed"] = seed
     return experiments.SyntheticConfig(**overrides)
@@ -191,9 +194,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     with open(args.alternatives, "r", encoding="utf-8", newline="") as handle:
         alternatives = fileio.parse_alternatives(handle)
     subset = [token.strip() for token in args.subset.split(",") if token.strip()]
-    spec = ProcessSpec(family=args.family, beta=tuple(model.beta_hat.tolist()))
     report = scc.check_stability(
-        spec,
+        model.as_process(args.family),
         args.scc,
         alternatives,
         subset,

@@ -25,11 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import processes
 from .learning import FitConfig, PairwiseComparison, fit_voter
-from .pipeline import decide, summarize
+from .pipeline import as_population, decide, summarize
 from .profiles import Alternative
-
-_TM_NOISE_SCALE = math.sqrt(0.5)
 
 # Stream codes keep the per-run generators of different experiment kinds
 # disjoint under one master seed.
@@ -125,11 +124,14 @@ def run_rng(master_seed: int, stream: int, run_index: int) -> np.random.Generato
     return np.random.default_rng(seq)
 
 
-def gen_population(config: SyntheticConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """Draw voter weight vectors: a shared uniform center plus unit noise."""
+def gen_population(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw voter weight vectors: a shared uniform center plus unit noise.
+
+    Returns one ``(n_voters, d)`` array, a row per voter.
+    """
     center = rng.uniform(-1.0, 1.0, size=config.d)
     offsets = rng.standard_normal((config.n_voters, config.d))
-    return [center + row for row in offsets]
+    return center + offsets
 
 
 def gen_voter_comparisons(
@@ -144,19 +146,15 @@ def gen_voter_comparisons(
     if n < 1:
         raise ValueError("need at least one comparison")
     pairs = rng.standard_normal((n, 2, beta.shape[0]))
-    utilities = pairs @ beta + rng.normal(0.0, _TM_NOISE_SCALE, size=(n, 2))
-    first_wins = utilities[:, 0] >= utilities[:, 1]
-    out = []
-    for k in range(n):
-        chosen, rejected = (0, 1) if first_wins[k] else (1, 0)
-        out.append(
-            PairwiseComparison(chosen=pairs[k, chosen], rejected=pairs[k, rejected])
-        )
-    return out
+    orders = processes._draw_orders(processes.TM, pairs @ beta, n, rng)
+    return [
+        PairwiseComparison(chosen=pairs[k, chosen], rejected=pairs[k, rejected])
+        for k, (chosen, rejected) in enumerate(orders.tolist())
+    ]
 
 
 def ground_truth_winner(
-    betas: Sequence[np.ndarray],
+    betas: np.ndarray | Sequence[np.ndarray],
     alternatives: Sequence[Alternative],
     n_samples: int,
     rng: np.random.Generator,
@@ -164,6 +162,7 @@ def ground_truth_winner(
 ) -> Alternative:
     """Borda winner of the population's sampled ranking profile.
 
+    ``betas`` is the ``(N, d)`` population (a list of vectors also works).
     Each sample picks a voter uniformly and draws one noisy ranking from
     that voter's process.  Borda scores are integer position counts, so
     the only tolerance in play is the sampling itself; score ties break
@@ -171,36 +170,15 @@ def ground_truth_winner(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if not betas:
-        raise ValueError("population must be nonempty")
-    alts = sorted(alternatives, key=lambda alt: alt.id)
-    ids = [alt.id for alt in alts]
-    if len(set(ids)) != len(ids):
-        raise ValueError("alternative ids must be unique within a set")
-    m = len(alts)
-    if m == 1:
+    population = as_population(betas)
+    alts = processes._sorted_alternatives(alternatives, population.shape[1])
+    if len(alts) == 1:
         return alts[0]
-    stacked = np.stack([np.asarray(b, dtype=float) for b in betas])
     features = np.array([alt.features for alt in alts], dtype=float)
-    if stacked.shape[1] != features.shape[1]:
-        raise ValueError(
-            f"voter dimension {stacked.shape[1]} does not match alternative "
-            f"dimension {features.shape[1]}"
-        )
-    mode = stacked @ features.T
-    voter_idx = rng.integers(0, stacked.shape[0], size=n_samples)
-    mu = mode[voter_idx]
-    if family == "tm":
-        utilities = mu + rng.normal(0.0, _TM_NOISE_SCALE, size=mu.shape)
-    elif family == "pl":
-        utilities = rng.gumbel(mu, 1.0)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    order = np.argsort(-utilities, axis=1, kind="stable")
-    scores = np.zeros(m, dtype=np.int64)
-    for k in range(m):
-        scores += np.bincount(order[:, k], minlength=m) * (m - 1 - k)
-    return alts[int(np.argmax(scores))]
+    mode = population @ features.T
+    voter_idx = rng.integers(0, population.shape[0], size=n_samples)
+    orders = processes._draw_orders(family, mode[voter_idx], n_samples, rng)
+    return alts[int(np.argmax(processes._borda_counts(orders)))]
 
 
 def _instance_alternatives(
@@ -219,12 +197,12 @@ def _step2_run(config: SyntheticConfig, run_index: int) -> tuple[float, ...]:
     true_betas = gen_population(config, rng)
     pool_size = max(config.comparisons_grid)
     pools = [gen_voter_comparisons(b, pool_size, rng) for b in true_betas]
-    fitted: dict[int, list[np.ndarray]] = {}
+    fitted: dict[int, np.ndarray] = {}
     fit_config = FitConfig()
     for count in config.comparisons_grid:
-        fitted[count] = [
-            fit_voter(pool[:count], fit_config).beta for pool in pools
-        ]
+        fitted[count] = np.array(
+            [fit_voter(pool[:count], fit_config).beta for pool in pools]
+        )
     matches = {count: 0 for count in config.comparisons_grid}
     for _ in range(config.n_test_instances):
         alts = _instance_alternatives(config, rng)

@@ -97,16 +97,6 @@ def _format_real(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _read_real(token: object) -> float:
-    try:
-        value = float(token)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ParseError(f"non-numeric value {token!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite value {token!r}")
-    return value
-
-
 def _expect_header(row: list[str] | None, expected: list[str]) -> None:
     if row is None:
         raise ParseError("missing header row", line=1)
@@ -118,13 +108,32 @@ def _expect_header(row: list[str] | None, expected: list[str]) -> None:
         )
 
 
-def _parse_float(token: str, line: int) -> float:
+def _parse_float(token: object, line: int | None = None) -> float:
+    """One finite real from a CSV field or a model-file value."""
     try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"non-numeric field {token.strip()!r}", line=line) from None
+        value = float(token)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ParseError(f"non-numeric value {token!r}", line=line) from None
     if not math.isfinite(value):
-        raise ParseError(f"non-finite field {token.strip()!r}", line=line)
+        raise ParseError(f"non-finite value {token!r}", line=line)
+    return value
+
+
+def _require(entry: object, key: str, where: str) -> object:
+    if not isinstance(entry, dict) or key not in entry:
+        raise ParseError(f"{where} has no {key!r}")
+    return entry[key]
+
+
+def _parse_beta(values: object, where: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ParseError(f"{where}: beta must be a list of reals")
+    return tuple(_parse_float(v) for v in values)
+
+
+def _parse_int(value: object, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where} must be an integer, got {value!r}")
     return value
 
 
@@ -331,27 +340,33 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
     payload = _load_json(path, VOTER_MODELS_FORMAT)
     d = payload.get("d")
     records = []
-    for entry in payload.get("voters", []):
-        beta = tuple(_read_real(v) for v in entry["beta"])
+    voters = payload.get("voters", [])
+    if not isinstance(voters, list):
+        raise ParseError("voters must be a list")
+    for entry in voters:
+        voter_id = str(_require(entry, "voter_id", "voter entry"))
+        where = f"voter {voter_id!r}"
+        beta = _parse_beta(_require(entry, "beta", where), where)
         if len(beta) != d:
             raise ParseError(
-                f"voter {entry.get('voter_id')!r} has dimension {len(beta)}, "
-                f"file declares {d}"
+                f"{where} has dimension {len(beta)}, file declares {d}"
             )
         records.append(
             VoterModelRecord(
-                voter_id=str(entry["voter_id"]),
+                voter_id=voter_id,
                 beta=beta,
                 converged=bool(entry.get("converged", True)),
-                iterations=int(entry.get("iterations", 0)),
+                iterations=_parse_int(entry.get("iterations", 0), "iterations"),
             )
         )
     if not records:
         raise ParseError("voter-models file has no voters")
-    fit = dict(payload.get("fit", {}))
+    fit = payload.get("fit", {})
+    if not isinstance(fit, dict):
+        raise ParseError("fit metadata must be a JSON object")
     for key in ("l2_penalty", "gradient_tolerance"):
         if key in fit:
-            fit[key] = _read_real(fit[key])
+            fit[key] = _parse_float(fit[key])
     return records, fit
 
 
@@ -371,12 +386,13 @@ def save_summary_model(path: str, model: SummaryModel) -> None:
 
 def load_summary_model(path: str) -> SummaryModel:
     payload = _load_json(path, SUMMARY_MODEL_FORMAT)
-    beta = [_read_real(v) for v in payload["beta"]]
+    beta = _parse_beta(_require(payload, "beta", "summary model"), "summary model")
     if len(beta) != payload.get("d"):
         raise ParseError(
             f"beta has dimension {len(beta)}, file declares {payload.get('d')}"
         )
-    return SummaryModel(beta_hat=np.asarray(beta), n_voters=int(payload["n_voters"]))
+    n_voters = _parse_int(_require(payload, "n_voters", "summary model"), "n_voters")
+    return SummaryModel(beta_hat=np.asarray(beta), n_voters=n_voters)
 
 
 def _load_json(path: str, expected_format: str) -> dict:

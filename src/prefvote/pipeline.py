@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from .profiles import Alternative
-from .processes import ProcessSpec, mode_utility
+from .processes import ProcessSpec, _sorted_alternatives
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,30 @@ class SummaryModel:
         )
 
 
-def summarize(betas: Iterable[np.ndarray]) -> SummaryModel:
-    """Average per-voter weight vectors into a summary model."""
-    rows = [np.asarray(b, dtype=float) for b in betas]
-    if not rows:
-        raise ValueError("need at least one voter model to summarize")
-    dims = {row.shape for row in rows}
-    if len(dims) > 1 or rows[0].ndim != 1:
-        raise ValueError(f"voter models disagree on dimension: {sorted(dims)}")
-    stacked = np.stack(rows)
-    return SummaryModel(beta_hat=stacked.mean(axis=0), n_voters=len(rows))
+def as_population(betas: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    """Voter weight vectors as one ``(N, d)`` float array.
+
+    A float array passes through uncopied; a list of equal-length vectors
+    is stacked.
+    """
+    try:
+        population = np.asarray(betas, dtype=float)
+    except ValueError:
+        raise ValueError("voter models disagree on dimension") from None
+    if population.ndim != 2 or population.shape[0] == 0:
+        raise ValueError("need a nonempty (N, d) population of voter models")
+    return population
+
+
+def summarize(betas: np.ndarray | Sequence[np.ndarray]) -> SummaryModel:
+    """Average per-voter weight vectors into a summary model.
+
+    ``betas`` is the ``(N, d)`` population; a list of vectors also works.
+    """
+    population = as_population(betas)
+    return SummaryModel(
+        beta_hat=population.mean(axis=0), n_voters=population.shape[0]
+    )
 
 
 def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
@@ -74,28 +88,11 @@ def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
 def decide(model: SummaryModel, alternatives: Sequence[Alternative]) -> Alternative:
     """Pick the alternative with the highest summary utility.
 
-    Exact ties go to the lexicographically smallest id.  Runs in one pass
-    over the alternatives.
+    Exact ties go to the lexicographically smallest id.
     """
-    alts = list(alternatives)
-    if not alts:
-        raise ValueError("alternative set must be nonempty")
-    ids = [alt.id for alt in alts]
-    if len(set(ids)) != len(ids):
-        raise ValueError("alternative ids must be unique within a set")
-    spec = model.as_process()
-    best = None
-    best_utility = -math.inf
-    for alt in alts:
-        utility = mode_utility(spec, alt)
-        if (
-            best is None
-            or utility > best_utility
-            or (utility == best_utility and alt.id < best.id)
-        ):
-            best = alt
-            best_utility = utility
-    return best
+    alts = _sorted_alternatives(alternatives, model.dim)
+    features = np.array([alt.features for alt in alts], dtype=float)
+    return alts[int(np.argmax(features @ model.beta_hat))]
 
 
 def predict_pairwise(model, a, b) -> float:

@@ -26,6 +26,7 @@ class Alternative:
 
     Ids double as the deterministic tie-break key everywhere: when scores
     or utilities tie exactly, the lexicographically smallest id wins.
+    Features must be finite.
     """
 
     id: str
@@ -34,9 +35,10 @@ class Alternative:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("alternative id must be a nonempty string")
-        object.__setattr__(
-            self, "features", tuple(float(v) for v in self.features)
-        )
+        features = tuple(float(v) for v in self.features)
+        if not all(map(math.isfinite, features)):
+            raise ValueError(f"alternative {self.id!r} has a non-finite feature")
+        object.__setattr__(self, "features", features)
 
 
 @dataclass(frozen=True)

@@ -146,28 +146,28 @@ def _bucklin_scores(profile: AnonymousProfile) -> dict[str, tuple[int, float]]:
     return out
 
 
+def _real_scores(kind: str, profile: AnonymousProfile) -> dict[str, float]:
+    """Plurality, Borda or maximin score of every alternative."""
+    m = len(profile.alternatives)
+    if kind == PLURALITY:
+        return positional_scores(profile, [1.0] + [0.0] * (m - 1))
+    if kind == BORDA:
+        return positional_scores(profile, [float(m - 1 - k) for k in range(m)])
+    return _maximin_scores(profile)
+
+
 def apply_scc(kind: str, profile: AnonymousProfile) -> frozenset[str]:
     """Winner set of the named rule; never empty."""
     if kind not in SCC_KINDS:
         raise ValueError(f"unknown rule {kind!r}; expected one of {SCC_KINDS}")
-    alts = sorted(profile.alternatives)
-    m = len(alts)
-    if m == 1:
-        return frozenset(alts)
-    if kind == PLURALITY:
-        vector = [1.0] + [0.0] * (m - 1)
-        scores = positional_scores(profile, vector)
-        return _best_within_tol(scores)
-    if kind == BORDA:
-        vector = [float(m - 1 - k) for k in range(m)]
-        scores = positional_scores(profile, vector)
-        return _best_within_tol(scores)
+    if len(profile.alternatives) == 1:
+        return profile.alternatives
+    if kind in (PLURALITY, BORDA, MAXIMIN):
+        return _best_within_tol(_real_scores(kind, profile))
     if kind == COPELAND:
         scores = copeland_scores(profile)
         best = max(scores.values())
         return frozenset(a for a, s in scores.items() if s == best)
-    if kind == MAXIMIN:
-        return _best_within_tol(_maximin_scores(profile))
     ranks = _bucklin_scores(profile)
     best_rank = min(rank for rank, _ in ranks.values())
     at_best = {a: mass for a, (rank, mass) in ranks.items() if rank == best_rank}
@@ -274,15 +274,9 @@ def _winner_margin(kind: str, profile: AnonymousProfile) -> float:
     m = len(alts)
     if m == 1:
         return 1.0
-    if kind == PLURALITY:
-        scores = positional_scores(profile, [1.0] + [0.0] * (m - 1))
-        scale = 1.0
-    elif kind == BORDA:
-        scores = positional_scores(profile, [float(m - 1 - k) for k in range(m)])
-        scale = float(m - 1)
-    elif kind == MAXIMIN:
-        scores = _maximin_scores(profile)
-        scale = 1.0
+    if kind in (PLURALITY, BORDA, MAXIMIN):
+        scores = _real_scores(kind, profile)
+        scale = float(m - 1) if kind == BORDA else 1.0
     elif kind == COPELAND:
         # Margin lives in the pairwise supports, not the integer scores.
         gap = min(

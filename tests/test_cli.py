@@ -168,6 +168,36 @@ def test_simulate_rejects_unknown_config_keys(workdir, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"comparisons_grid": 5},
+        {"voters_grid": "1,2"},
+        {"voters_grid": [1, 2.5]},
+        {"n_runs": 1.7},
+        {"n_runs": 2.0},
+        {"n_runs": True},
+        {"d": "3"},
+    ],
+)
+def test_simulate_rejects_non_integer_config_values(workdir, capsys, override):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, **override}))
+    assert main(["simulate", "step2", "--config", str(config)]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_decide_on_summary_without_n_voters_exits_2(workdir, capsys):
+    summary = workdir / "summary.json"
+    summary.write_text(json.dumps(
+        {"format": "summary-model", "version": 1, "d": 2, "beta": ["1", "0"]}
+    ))
+    code = main(["decide", "--summary", str(summary),
+                 "--alternatives", str(workdir / "alternatives.csv")])
+    assert code == 2
+    assert "n_voters" in capsys.readouterr().err
+
+
 def test_axioms_swd_output(workdir, capsys):
     assert main(["axioms", "--check", "swd", "--scc", "plurality",
                  "--profile", str(workdir / "profile.csv")]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from prefvote.experiments import (
     AccuracyCurve,
@@ -81,6 +82,7 @@ def test_gen_population_shared_center_and_determinism():
     assert len(pop) == 6
     assert all(b.shape == (4,) for b in pop)
     assert all(np.array_equal(x, y) for x, y in zip(pop, again))
+    assert isinstance(pop, np.ndarray) and pop.shape == (6, 4)
 
 
 def test_gen_population_mean_tracks_center():
@@ -180,6 +182,56 @@ def test_ground_truth_borda_matches_scc_module_on_single_voter():
     exact_winners = apply_scc("borda", profile)
     sampled = ground_truth_winner([np.array(beta)], alts, 100_000, rng, family="pl")
     assert sampled.id in exact_winners
+
+
+def expected_borda_winner(betas, alts, family):
+    """Closed-form winner: the voter mean of sum_b P(a before b).
+
+    P is Phi(u_a - u_b) for tm and expit(u_a - u_b) for pl (Azari
+    Soufiani, Parkes & Xia, NeurIPS 2012).
+    """
+    alts = sorted(alts, key=lambda a: a.id)
+    utilities = np.asarray(betas) @ np.array([a.features for a in alts]).T
+    gaps = utilities[:, :, None] - utilities[:, None, :]
+    pairwise = special.ndtr(gaps) if family == "tm" else special.expit(gaps)
+    # the diagonal adds the same 1/2 to every alternative
+    scores = pairwise.sum(axis=2).mean(axis=0)
+    return alts[int(np.argmax(scores))]
+
+
+@pytest.mark.parametrize("family", ["tm", "pl"])
+def test_ground_truth_matches_expected_borda_oracle(family):
+    config = SyntheticConfig()
+    rng = run_rng(5, 9, 0 if family == "tm" else 1)
+    instances = 200
+    agree = 0
+    for _ in range(instances):
+        betas = gen_population(config, rng)
+        alts = [
+            Alternative(id=f"a{j:02d}", features=tuple(row))
+            for j, row in enumerate(rng.standard_normal((5, config.d)))
+        ]
+        sampled = ground_truth_winner(betas, alts, 10_000, rng, family=family)
+        agree += sampled.id == expected_borda_winner(betas, alts, family).id
+    assert agree >= 0.97 * instances
+
+
+def test_ground_truth_same_for_list_and_array_population():
+    config = SyntheticConfig(d=3, n_voters=7)
+    betas = gen_population(config, run_rng(6, 9, 0))
+    alts = [
+        Alternative(id=f"x{k}", features=tuple(row))
+        for k, row in enumerate(run_rng(6, 9, 1).standard_normal((4, 3)))
+    ]
+    for family in ("tm", "pl"):
+        for seed in range(20):
+            from_array = ground_truth_winner(
+                betas, alts, 50, run_rng(seed, 9, 2), family=family
+            )
+            from_list = ground_truth_winner(
+                list(betas), alts, 50, run_rng(seed, 9, 2), family=family
+            )
+            assert from_array is from_list
 
 
 def test_identical_voters_collapse_to_single_model():

@@ -246,6 +246,55 @@ def test_model_file_errors(tmp_path):
         load_voter_models(path)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"beta": ["1.0"]}, "voter_id"),
+        ({"voter_id": "v"}, "beta"),
+        ({"voter_id": "v", "beta": "1.0"}, "list"),
+        ({"voter_id": "v", "beta": ["1.0"], "iterations": None}, "integer"),
+        ("v", "voter_id"),
+    ],
+)
+def test_voter_models_missing_or_mistyped_fields(tmp_path, entry, message):
+    path = str(tmp_path / "models.json")
+    payload = {"format": "voter-models", "version": 1, "d": 1, "voters": [entry]}
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(ParseError, match=message):
+        load_voter_models(path)
+
+
+def test_voter_models_mistyped_containers(tmp_path):
+    path = str(tmp_path / "models.json")
+    voter = {"voter_id": "v", "beta": ["1.0"]}
+    for payload, message in (
+        ({"voters": {"v": voter}}, "voters must be a list"),
+        ({"voters": [voter], "fit": [1]}, "fit metadata"),
+    ):
+        payload.update(format="voter-models", version=1, d=1)
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(ParseError, match=message):
+            load_voter_models(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_voters": 3}, "beta"),
+        ({"beta": ["1.0"]}, "n_voters"),
+        ({"beta": 1.0, "n_voters": 3}, "list"),
+        ({"beta": ["1.0"], "n_voters": 2.5}, "integer"),
+        ({"beta": ["1.0"], "n_voters": True}, "integer"),
+    ],
+)
+def test_summary_model_missing_or_mistyped_fields(tmp_path, fields, message):
+    path = str(tmp_path / "summary.json")
+    payload = {"format": "summary-model", "version": 1, "d": 1, **fields}
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(ParseError, match=message):
+        load_summary_model(path)
+
+
 def test_format_curve_golden():
     curve = AccuracyCurve.from_runs((10, 30), [(0.8, 0.9), (0.9, 1.0)])
     expected = (

@@ -26,6 +26,9 @@ def test_summarize_means_and_validates():
     assert model.beta_hat == pytest.approx([2.0, 4.0])
     assert model.n_voters == 2
     assert model.dim == 2
+    from_array = summarize(np.array([[1.0, 3.0], [3.0, 5.0]]))
+    assert np.array_equal(from_array.beta_hat, model.beta_hat)
+    assert from_array.n_voters == 2
     with pytest.raises(ValueError):
         summarize([])
     with pytest.raises(ValueError, match="dimension"):
@@ -93,6 +96,14 @@ def test_decide_breaks_ties_lexicographically():
     assert decide(model, alts).id == "b"
     mirrored = SummaryModel(beta_hat=np.array([1.0, 0.0]), n_voters=1)
     assert decide(mirrored, [alt("q", 2.0, 9.9), alt("k", 2.0, -1.0)]).id == "k"
+
+
+def test_non_finite_features_rejected_before_decide():
+    # a NaN utility never compares greater, so a NaN-featured alternative
+    # listed first used to win; Alternative now refuses to exist
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            alt("a", bad, 0.0)
 
 
 def test_decide_invariant_to_positive_rescaling():
