@@ -18,10 +18,11 @@ parallelism.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,15 +60,32 @@ class SyntheticConfig:
             "n_runs",
             "profile_sample_count",
         ):
-            if getattr(self, name) < 1:
+            value = _as_int(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
         for name in ("comparisons_grid", "voters_grid"):
-            grid = tuple(int(v) for v in getattr(self, name))
+            values = getattr(self, name)
+            if not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be a sequence, got {values!r}")
+            grid = tuple(_as_int(v, f"{name} entry") for v in values)
             if not grid or any(v < 1 for v in grid):
                 raise ValueError(f"{name} must be a nonempty tuple of positive ints")
             object.__setattr__(self, name, grid)
-        if self.master_seed < 0:
+        seed = _as_int(self.master_seed, "master_seed")
+        if seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        object.__setattr__(self, "master_seed", seed)
+
+
+def _as_int(value: object, name: str) -> int:
+    """``value`` as a Python int; floats and booleans are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

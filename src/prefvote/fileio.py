@@ -18,14 +18,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .experiments import AccuracyCurve
 from .learning import FitConfig, PairwiseComparison
 from .pipeline import SummaryModel
 from .profiles import Alternative, AnonymousProfile, Ranking
+
+if TYPE_CHECKING:
+    from .experiments import AccuracyCurve
 
 FILE_VERSION = 1
 VOTER_MODELS_FORMAT = "voter-models"
@@ -134,6 +136,12 @@ def _parse_beta(values: object, where: str) -> tuple[float, ...]:
 def _parse_int(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_bool(value: object, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{where} must be true or false, got {value!r}")
     return value
 
 
@@ -355,7 +363,7 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
             VoterModelRecord(
                 voter_id=voter_id,
                 beta=beta,
-                converged=bool(entry.get("converged", True)),
+                converged=_parse_bool(entry.get("converged", True), "converged"),
                 iterations=_parse_int(entry.get("iterations", 0), "iterations"),
             )
         )

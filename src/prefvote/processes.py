@@ -194,14 +194,14 @@ def exact_profile(
         )
     mu = _mode_utilities(spec, alts)
     weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
-    support: dict[Ranking, float] = {}
-    for perm in itertools.permutations(range(m)):
-        w = weights[list(perm)]
-        denom = np.cumsum(w[::-1])[::-1]
-        support[Ranking(tuple(ids[j] for j in perm))] = float(
-            np.prod(w / denom)
-        )
-    return AnonymousProfile(support)
+    perms = np.array(list(itertools.permutations(range(m))))
+    w = weights[perms]
+    denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    probs = np.prod(w / denom, axis=1)
+    # permutations() yields id tuples in the same order as the index rows.
+    return AnonymousProfile(
+        dict(zip(map(Ranking, itertools.permutations(ids)), probs.tolist()))
+    )
 
 
 def estimate_profile(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 #: Absolute slack allowed on a profile's weight sum before normalization.
 WEIGHT_SUM_TOL = 1e-9
 
@@ -51,7 +53,7 @@ class Ranking:
         order = tuple(self.order)
         if not order:
             raise ValueError("ranking must cover at least one alternative")
-        if any(not name for name in order):
+        if not all(order):
             raise ValueError(f"ranking contains an empty id: {order!r}")
         if len(set(order)) != len(order):
             raise ValueError(f"ranking repeats an alternative: {order!r}")
@@ -84,6 +86,49 @@ class Ranking:
         return len(self.order)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row of a 2-D array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def _dominance_relation(
+    positions: np.ndarray, weights: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Swap dominance between all columns of a key-sorted position matrix.
+
+    Column i dominates column j exactly when every support row that ranks
+    j above i weighs no more than its swap image, the row with columns i
+    and j exchanged; an image outside the support weighs zero.  Rankings
+    outside the support that rank i above j need no check: they weigh
+    zero, and their images are support rows checked here.  Each pass of
+    the loop looks up the images for one i and every j > i at once.
+    """
+    n_rows, m = positions.shape
+    relation = np.eye(m, dtype=bool)
+    for i in range(m - 1):
+        js = np.arange(i + 1, m)
+        cols = np.arange(len(js))
+        images = np.repeat(positions[:, None, :], len(js), axis=1)
+        images[:, cols, i] = positions[:, js]
+        images[:, cols, js] = positions[:, i, None]
+        image_keys = _row_keys(images.reshape(-1, m))
+        found = np.minimum(np.searchsorted(keys, image_keys), n_rows - 1)
+        image_weights = np.where(
+            keys[found] == image_keys, weights[found], 0.0
+        ).reshape(n_rows, len(js))
+        holds = image_weights >= weights[:, None]
+        j_above_i = positions[:, js] < positions[:, i, None]
+        relation[i, js] = np.all(holds | ~j_above_i, axis=0)
+        relation[js, i] = np.all(holds | j_above_i, axis=0)
+    return relation
+
+
 class AnonymousProfile:
     """A weighted distribution over rankings of one alternative set.
 
@@ -94,7 +139,16 @@ class AnonymousProfile:
     support.
     """
 
-    __slots__ = ("_support", "_alternatives")
+    __slots__ = (
+        "_support",
+        "_alternatives",
+        "_ids",
+        "_positions",
+        "_weights",
+        "_keys",
+        "_dominance",
+        "_pairwise",
+    )
 
     def __init__(
         self,
@@ -125,6 +179,9 @@ class AnonymousProfile:
             ranking: weight / total for ranking, weight in items if weight > 0
         }
         self._alternatives = alts
+        self._ids = tuple(sorted(alts))
+        self._positions = self._weights = self._keys = None
+        self._dominance = self._pairwise = None
 
     @property
     def support(self) -> Mapping[Ranking, float]:
@@ -135,8 +192,81 @@ class AnonymousProfile:
     def alternatives(self) -> frozenset[str]:
         return self._alternatives
 
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """The alternatives in id order; rows and columns of the matrices."""
+        return self._ids
+
     def weight(self, ranking: Ranking) -> float:
         return self._support.get(ranking, 0.0)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions, weights and row keys of the support, sorted by key.
+
+        Row k of the ``(K, m)`` position matrix holds the 0-based rank of
+        every alternative (columns in id order) in one support ranking.
+        Its key is that row's bytes: any m fits, and ordering keys by
+        their bytes is a total order that ``searchsorted`` can use.
+        """
+        if self._positions is None:
+            ids = self._ids
+            m = len(ids)
+            index = {alt: j for j, alt in enumerate(ids)}
+            orders = np.fromiter(
+                map(index.__getitem__, itertools.chain.from_iterable(
+                    ranking.order for ranking in self._support
+                )),
+                dtype=np.intp,
+                count=len(self._support) * m,
+            ).reshape(-1, m)
+            positions = np.empty(orders.shape, dtype=np.min_scalar_type(m - 1))
+            positions[np.arange(len(orders))[:, None], orders] = np.arange(m)
+            keys = _row_keys(positions)
+            by_key = np.argsort(keys, kind="stable")
+            weights = np.fromiter(self._support.values(), dtype=float)
+            self._positions = _frozen(positions[by_key])
+            self._weights = _frozen(weights[by_key])
+            self._keys = _frozen(keys[by_key])
+        return self._positions, self._weights, self._keys
+
+    def position_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support as read-only arrays ``(positions, weights)``.
+
+        Row k of the ``(K, m)`` position matrix holds the 0-based rank of
+        every alternative (columns in ``ids`` order) in one support
+        ranking, whose weight is ``weights[k]``.
+        """
+        positions, weights, _ = self._arrays()
+        return positions, weights
+
+    def dominance_matrix(self) -> np.ndarray:
+        """Swap-dominance relation as a read-only ``(m, m)`` boolean matrix.
+
+        Entry ``[i, j]`` is true when ``ids[i]`` swap-dominates ``ids[j]``
+        (see :func:`swap_dominates`); the diagonal holds vacuously.  It is
+        computed once per profile object.
+        """
+        if self._dominance is None:
+            self._dominance = _frozen(_dominance_relation(*self._arrays()))
+        return self._dominance
+
+    def pairwise_matrix(self) -> np.ndarray:
+        """Pairwise supports as a read-only ``(m, m)`` float matrix.
+
+        Entry ``[i, j]`` is the total weight of the rankings that place
+        ``ids[i]`` above ``ids[j]``, summed with ``math.fsum`` so that it
+        is exactly rounded whatever the order of the support; the
+        diagonal is zero.  It is computed once per profile object.
+        """
+        if self._pairwise is None:
+            positions, weights, _ = self._arrays()
+            m = len(self._ids)
+            support = np.zeros((m, m))
+            for i, j in itertools.permutations(range(m), 2):
+                above = positions[:, i] < positions[:, j]
+                support[i, j] = math.fsum(weights[above].tolist())
+            self._pairwise = _frozen(support)
+        return self._pairwise
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnonymousProfile):
@@ -212,13 +342,8 @@ def swap_dominates(profile: AnonymousProfile, a: str, b: str) -> bool:
         raise ValueError("swap dominance needs two distinct alternatives")
     if a not in profile.alternatives or b not in profile.alternatives:
         raise ValueError(f"both {a!r} and {b!r} must be in the profile")
-    candidates = set(profile.support)
-    candidates.update(swap_ranking(r, a, b) for r in profile.support)
-    for ranking in candidates:
-        if ranking.prefers(a, b):
-            if profile.weight(ranking) < profile.weight(swap_ranking(ranking, a, b)):
-                return False
-    return True
+    ids = profile.ids
+    return bool(profile.dominance_matrix()[ids.index(a), ids.index(b)])
 
 
 @dataclass(frozen=True)
@@ -237,28 +362,18 @@ class PreorderReport:
 
 def check_total_preorder(profile: AnonymousProfile) -> PreorderReport:
     """Compute the swap-dominance relation and test it for total preorder."""
-    alts = sorted(profile.alternatives)
-    if len(alts) < 2:
+    ids = profile.ids
+    if len(ids) < 2:
         raise ValueError("need at least two alternatives")
-    relation = {(a, a) for a in alts}
-    for a, b in itertools.permutations(alts, 2):
-        if swap_dominates(profile, a, b):
-            relation.add((a, b))
-    is_total = all(
-        (a, b) in relation or (b, a) in relation
-        for a, b in itertools.combinations(alts, 2)
-    )
-    is_transitive = True
-    for a, b in relation:
-        for b2, c in relation:
-            if b == b2 and (a, c) not in relation:
-                is_transitive = False
-                break
-        if not is_transitive:
-            break
+    dominance = profile.dominance_matrix()
+    is_total = bool(np.all(dominance | dominance.T))
+    steps = dominance.astype(np.int64)
+    is_transitive = not np.any((steps @ steps > 0) & ~dominance)
     return PreorderReport(
         is_total_preorder=is_total and is_transitive,
         is_total=is_total,
         is_transitive=is_transitive,
-        relation=frozenset(relation),
+        relation=frozenset(
+            (ids[i], ids[j]) for i, j in zip(*np.nonzero(dominance))
+        ),
     )

@@ -19,12 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import processes
-from .profiles import (
-    Alternative,
-    AnonymousProfile,
-    marginalize_profile,
-    swap_dominates,
-)
+from .profiles import Alternative, AnonymousProfile, marginalize_profile
 from .processes import ProcessSpec
 
 PLURALITY = "plurality"
@@ -58,11 +53,11 @@ def positional_scores(
         )
     if any(vector[k] < vector[k + 1] for k in range(m - 1)):
         raise ValueError("score vector must be non-increasing")
-    terms: dict[str, list[float]] = {alt: [] for alt in profile.alternatives}
-    for ranking, weight in profile.support.items():
-        for k, alt in enumerate(ranking.order):
-            terms[alt].append(weight * vector[k])
-    return {alt: math.fsum(parts) for alt, parts in terms.items()}
+    positions, weights = profile.position_matrix()
+    terms = weights[:, None] * np.array(vector)[positions]
+    return {
+        alt: math.fsum(column) for alt, column in zip(profile.ids, terms.T.tolist())
+    }
 
 
 def pairwise_support(profile: AnonymousProfile, a: str, b: str) -> float:
@@ -71,11 +66,8 @@ def pairwise_support(profile: AnonymousProfile, a: str, b: str) -> float:
         raise ValueError("pairwise support needs two distinct alternatives")
     if a not in profile.alternatives or b not in profile.alternatives:
         raise ValueError(f"both {a!r} and {b!r} must be in the profile")
-    return math.fsum(
-        weight
-        for ranking, weight in profile.support.items()
-        if ranking.prefers(a, b)
-    )
+    ids = profile.ids
+    return float(profile.pairwise_matrix()[ids.index(a), ids.index(b)])
 
 
 def copeland_scores(profile: AnonymousProfile) -> dict[str, int]:
@@ -84,46 +76,40 @@ def copeland_scores(profile: AnonymousProfile) -> dict[str, int]:
     A majority must clear one half by more than ``SCORE_TIE_TOL``; exact
     half-half splits count for neither side.
     """
-    alts = sorted(profile.alternatives)
-    if len(alts) < 2:
+    ids = profile.ids
+    if len(ids) < 2:
         raise ValueError("copeland scores need at least two alternatives")
-    scores = {alt: 0 for alt in alts}
-    for a, b in itertools.combinations(alts, 2):
-        support = pairwise_support(profile, a, b)
-        if support > 0.5 + SCORE_TIE_TOL:
-            scores[a] += 1
-        elif support < 0.5 - SCORE_TIE_TOL:
-            scores[b] += 1
+    support = profile.pairwise_matrix().tolist()
+    scores = {alt: 0 for alt in ids}
+    for i, j in itertools.combinations(range(len(ids)), 2):
+        if support[i][j] > 0.5 + SCORE_TIE_TOL:
+            scores[ids[i]] += 1
+        elif support[i][j] < 0.5 - SCORE_TIE_TOL:
+            scores[ids[j]] += 1
     return scores
 
 
 def _maximin_scores(profile: AnonymousProfile) -> dict[str, float]:
-    alts = sorted(profile.alternatives)
+    support = profile.pairwise_matrix().tolist()
     return {
-        a: min(pairwise_support(profile, a, b) for b in alts if b != a)
-        for a in alts
+        a: min(row[:i] + row[i + 1 :])
+        for i, (a, row) in enumerate(zip(profile.ids, support))
     }
 
 
 def _bucklin_cumulative(profile: AnonymousProfile) -> dict[str, list[float]]:
     """Cumulative top-k weight per alternative, for k = 1..m."""
-    alts = sorted(profile.alternatives)
-    m = len(alts)
-    per_rank: dict[str, list[list[float]]] = {
-        alt: [[] for _ in range(m)] for alt in alts
+    positions, weights = profile.position_matrix()
+    m = len(profile.ids)
+    by_rank = np.argsort(positions, axis=0, kind="stable")
+    # ends[j, k]: how many rankings put column j within the top k + 1.
+    ends = np.sum(positions[:, :, None] <= np.arange(m), axis=0)
+    return {
+        alt: [math.fsum(column[:end]) for end in column_ends]
+        for alt, column, column_ends in zip(
+            profile.ids, weights[by_rank].T.tolist(), ends.tolist()
+        )
     }
-    for ranking, weight in profile.support.items():
-        for k, alt in enumerate(ranking.order):
-            per_rank[alt][k].append(weight)
-    table: dict[str, list[float]] = {}
-    for alt in alts:
-        running: list[float] = []
-        masses = []
-        for k in range(m):
-            running.extend(per_rank[alt][k])
-            masses.append(math.fsum(running))
-        table[alt] = masses
-    return table
 
 
 def _bucklin_scores(profile: AnonymousProfile) -> dict[str, tuple[int, float]]:
@@ -193,12 +179,19 @@ class EfficiencyReport:
     notes: tuple[str, ...] = ()
 
 
-def _dominance_pairs(profile: AnonymousProfile) -> list[tuple[str, str]]:
-    alts = sorted(profile.alternatives)
+def _dominance_pairs(profile: AnonymousProfile) -> list[tuple[str, str, bool]]:
+    """Every (a, b, mutual) with ``a`` swap-dominating ``b != a``.
+
+    ``mutual`` tells whether ``b`` dominates ``a`` back.
+    """
+    ids = profile.ids
+    dominance = profile.dominance_matrix()
+    first, second = np.nonzero(dominance)
+    mutual = dominance[second, first].tolist()
     return [
-        (a, b)
-        for a, b in itertools.permutations(alts, 2)
-        if swap_dominates(profile, a, b)
+        (ids[i], ids[j], back)
+        for i, j, back in zip(first.tolist(), second.tolist(), mutual)
+        if i != j
     ]
 
 
@@ -211,7 +204,7 @@ def check_swd_efficiency(kind: str, profile: AnonymousProfile) -> EfficiencyRepo
     winners = apply_scc(kind, profile)
     violations = [
         (a, b)
-        for a, b in _dominance_pairs(profile)
+        for a, b, _ in _dominance_pairs(profile)
         if b in winners and a not in winners
     ]
     notes = (_BUCKLIN_NOTE,) if kind == BUCKLIN else ()
@@ -233,8 +226,7 @@ def check_strong_swd_efficiency(
     """
     winners = apply_scc(kind, profile)
     violations = []
-    for a, b in _dominance_pairs(profile):
-        mutual = swap_dominates(profile, b, a)
+    for a, b, mutual in _dominance_pairs(profile):
         if not mutual and b in winners:
             violations.append((a, b))
         elif mutual and (a in winners) != (b in winners):
@@ -270,8 +262,7 @@ class StabilityReport:
 
 def _winner_margin(kind: str, profile: AnonymousProfile) -> float:
     """Smallest score gap separating winners from losers (1.0 if none)."""
-    alts = sorted(profile.alternatives)
-    m = len(alts)
+    m = len(profile.alternatives)
     if m == 1:
         return 1.0
     if kind in (PLURALITY, BORDA, MAXIMIN):
@@ -279,11 +270,11 @@ def _winner_margin(kind: str, profile: AnonymousProfile) -> float:
         scale = float(m - 1) if kind == BORDA else 1.0
     elif kind == COPELAND:
         # Margin lives in the pairwise supports, not the integer scores.
-        gap = min(
-            abs(pairwise_support(profile, a, b) - 0.5)
-            for a, b in itertools.combinations(alts, 2)
+        support = profile.pairwise_matrix().tolist()
+        return 2.0 * min(
+            abs(support[i][j] - 0.5)
+            for i, j in itertools.combinations(range(m), 2)
         )
-        return 2.0 * gap
     else:
         table = _bucklin_cumulative(profile)
         return 2.0 * min(

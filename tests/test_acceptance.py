@@ -33,7 +33,12 @@ from prefvote.learning import (
     objective_and_gradient,
 )
 from prefvote.pipeline import decide, gaussian_kl, summarize
-from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
+from prefvote.processes import (
+    EXACT_PROFILE_MAX_SIZE,
+    ProcessSpec,
+    estimate_profile,
+    exact_profile,
+)
 from prefvote.profiles import (
     Alternative,
     AnonymousProfile,
@@ -447,4 +452,31 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
         11,
         ok,
         "step2 and step3 curve tables byte-identical across two executions",
+    )
+
+
+def test_criterion_12_strong_audit_at_exact_profile_limit():
+    rng = np.random.default_rng(1212)
+    m = EXACT_PROFILE_MAX_SIZE
+    mus = rng.normal(0.0, 1.0, m)
+    start = time.perf_counter()
+    profile = exact_profile(ProcessSpec(family="pl", beta=(1.0,)), _scalar_alts(mus))
+    best = _best_id(mus)
+    slowest = 0.0
+    checks = []
+    for kind in SCC_KINDS:
+        audit_start = time.perf_counter()
+        winners = apply_scc(kind, profile)
+        report = check_strong_swd_efficiency(kind, profile)
+        slowest = max(slowest, time.perf_counter() - audit_start)
+        checks.append(best in winners)
+        if kind in ("borda", "copeland"):
+            checks.append(report.holds)
+    elapsed = time.perf_counter() - start
+    ok = all(checks) and elapsed < 5.0
+    _report(
+        12,
+        ok,
+        f"m={m}: {sum(checks)}/{len(checks)} checks, slowest rule+audit "
+        f"{slowest:.2f} s, {elapsed:.2f} s in total (budget 5 s)",
     )

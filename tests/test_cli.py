@@ -198,6 +198,18 @@ def test_decide_on_summary_without_n_voters_exits_2(workdir, capsys):
     assert "n_voters" in capsys.readouterr().err
 
 
+def test_summarize_on_string_converged_flag_exits_2(workdir, capsys):
+    models = workdir / "models.json"
+    models.write_text(json.dumps({
+        "format": "voter-models", "version": 1, "d": 2,
+        "voters": [{"voter_id": "v1", "beta": ["1", "0"], "converged": "false"}],
+    }))
+    code = main(["summarize", "--models", str(models),
+                 "--out", str(workdir / "summary.json")])
+    assert code == 2
+    assert "converged" in capsys.readouterr().err
+
+
 def test_axioms_swd_output(workdir, capsys):
     assert main(["axioms", "--check", "swd", "--scc", "plurality",
                  "--profile", str(workdir / "profile.csv")]) == 0

@@ -71,8 +71,32 @@ def test_config_validation():
         SyntheticConfig(comparisons_grid=())
     with pytest.raises(ValueError):
         SyntheticConfig(voters_grid=(0, 2))
-    coerced = SyntheticConfig(comparisons_grid=[10.0, 30.0])
+    coerced = SyntheticConfig(comparisons_grid=[np.int64(10), 30])
     assert coerced.comparisons_grid == (10, 30)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("comparisons_grid", [10.7]),
+        ("comparisons_grid", [10.0, 30.0]),
+        ("voters_grid", [True, 2]),
+        ("voters_grid", 5),
+        ("n_runs", 1.5),
+        ("n_runs", True),
+        ("d", np.float64(3.0)),
+        ("master_seed", 0.0),
+    ],
+)
+def test_config_rejects_non_integer_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SyntheticConfig(**{field: value})
+
+
+def test_config_normalizes_numpy_integers():
+    config = SyntheticConfig(n_runs=np.int64(2), master_seed=np.uint8(7))
+    assert (config.n_runs, config.master_seed) == (2, 7)
+    assert type(config.n_runs) is int and type(config.master_seed) is int
 
 
 def test_gen_population_shared_center_and_determinism():

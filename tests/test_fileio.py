@@ -253,6 +253,8 @@ def test_model_file_errors(tmp_path):
         ({"voter_id": "v"}, "beta"),
         ({"voter_id": "v", "beta": "1.0"}, "list"),
         ({"voter_id": "v", "beta": ["1.0"], "iterations": None}, "integer"),
+        ({"voter_id": "v", "beta": ["1.0"], "converged": "false"}, "converged"),
+        ({"voter_id": "v", "beta": ["1.0"], "converged": 0}, "converged"),
         ("v", "voter_id"),
     ],
 )

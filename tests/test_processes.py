@@ -15,7 +15,12 @@ from prefvote.processes import (
     sample_ranking,
     utility_dominance,
 )
-from prefvote.profiles import Alternative, Ranking, marginalize_profile
+from prefvote.profiles import (
+    Alternative,
+    AnonymousProfile,
+    Ranking,
+    marginalize_profile,
+)
 
 # reference: mpmath ncdf(1) at 40 digits
 PHI_1 = 0.8413447460685429
@@ -107,6 +112,24 @@ def test_exact_profile_pl_golden():
         1 / 21, abs=1e-12
     )
     assert math.fsum(profile.support.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, seed", [(5, 0), (5, 1), (6, 2), (7, 3), (8, 4)])
+def test_exact_profile_matches_per_permutation_formula(m, seed):
+    rng = np.random.default_rng(seed)
+    spec = ProcessSpec(
+        family="pl", beta=(1.0, -0.5), gumbel_scale=float(rng.uniform(0.5, 2.0))
+    )
+    alts = [alt("abcdefgh"[k], *rng.standard_normal(2)) for k in range(m)]
+    profile = exact_profile(spec, alts)
+    mu = np.array([mode_utility(spec, a) for a in alts])
+    weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
+    expected = {}
+    for perm in itertools.permutations(range(m)):
+        w = weights[list(perm)]
+        denom = np.cumsum(w[::-1])[::-1]
+        expected[Ranking(tuple(alts[j].id for j in perm))] = float(np.prod(w / denom))
+    assert profile.support == AnonymousProfile(expected).support
 
 
 def test_exact_profile_pl_uniform():

@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
 from prefvote.profiles import (
+    Alternative,
     AnonymousProfile,
     Ranking,
     check_total_preorder,
@@ -222,3 +225,75 @@ def test_restrict_commutes_with_swap(perm, data):
     assert restrict_ranking(swap_ranking(ranking, a, b), subset) == swap_ranking(
         restrict_ranking(ranking, subset), a, b
     )
+
+
+def candidate_set_swap_dominates(profile, a, b):
+    """Reference: the per-call scan over the support and its swap images."""
+    candidates = set(profile.support)
+    candidates.update(swap_ranking(r, a, b) for r in profile.support)
+    for ranking in candidates:
+        if ranking.prefers(a, b):
+            if profile.weight(ranking) < profile.weight(swap_ranking(ranking, a, b)):
+                return False
+    return True
+
+
+def _seeded_profiles():
+    rng = np.random.default_rng(41)
+    out = []
+    for m, tm_samples in ((5, 300), (6, 2_000), (7, 400)):
+        alts = [
+            Alternative(id="abcdefg"[j], features=tuple(rng.standard_normal(2)))
+            for j in range(m)
+        ]
+        beta = tuple(rng.standard_normal(2))
+        if m < 7:
+            out.append(exact_profile(ProcessSpec("pl", beta), alts))
+        out.append(estimate_profile(ProcessSpec("tm", beta), alts, tm_samples, rng))
+    return out
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_dominance_matrix_matches_brute_force(index):
+    profile = _seeded_profiles()[index]
+    relation = profile.dominance_matrix()
+    ids = profile.ids
+    for i, j in itertools.permutations(range(len(ids)), 2):
+        assert relation[i, j] == brute_force_swap_dominates(profile, ids[i], ids[j])
+    assert relation.diagonal().all()
+
+
+def test_dominance_on_sixteen_alternatives_matches_candidate_scan():
+    rng = np.random.default_rng(16)
+    ids = [f"x{k:02d}" for k in range(16)]
+    base = list(rng.permutation(ids))
+    support = {Ranking(tuple(base)): 0.3}
+    # swap images of the base ranking and of each other, plus strangers
+    for _ in range(12):
+        order = list(rng.choice(list(support)).order)
+        i, j = rng.choice(16, size=2, replace=False)
+        order[i], order[j] = order[j], order[i]
+        support[Ranking(tuple(order))] = float(rng.choice([0.3, 0.2, 0.1]))
+    for _ in range(3):
+        support[Ranking(tuple(rng.permutation(ids)))] = 0.2
+    total = sum(support.values())
+    profile = AnonymousProfile({r: w / total for r, w in support.items()})
+    assert len(profile.ids) == 16
+    for a, b in itertools.permutations(ids, 2):
+        assert swap_dominates(profile, a, b) == candidate_set_swap_dominates(
+            profile, a, b
+        )
+
+
+def test_profile_caches_are_per_object(split_majority_profile):
+    relation = split_majority_profile.dominance_matrix()
+    assert split_majority_profile.dominance_matrix() is relation
+    assert not relation.flags.writeable
+    twin = AnonymousProfile(dict(split_majority_profile.support))
+    assert twin == split_majority_profile
+    assert twin.dominance_matrix() is not relation
+    assert (twin.dominance_matrix() == relation).all()
+    marginal = marginalize_profile(split_majority_profile, {"b", "c"})
+    assert marginal.ids == ("b", "c")
+    assert marginal.dominance_matrix().tolist() == [[True, True], [False, True]]
+    assert split_majority_profile.dominance_matrix().shape == (3, 3)

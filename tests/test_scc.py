@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from prefvote.processes import ProcessSpec
+from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
 from prefvote.profiles import Alternative, AnonymousProfile, Ranking
 from prefvote.scc import (
     SCC_KINDS,
+    _bucklin_cumulative,
     apply_scc,
     check_profile_stability,
     check_stability,
@@ -44,6 +45,48 @@ def test_pairwise_support(split_majority_profile):
     assert pairwise_support(p, "c", "a") == pytest.approx(0.20, abs=1e-12)
     with pytest.raises(ValueError):
         pairwise_support(p, "a", "a")
+
+
+def _array_oracle_profiles(bloc_profile, split_majority_profile):
+    rng = np.random.default_rng(12)
+    alts = [Alternative("abcdef"[k], tuple(rng.standard_normal(2))) for k in range(6)]
+    beta = tuple(rng.standard_normal(2))
+    return [
+        bloc_profile,
+        split_majority_profile,
+        exact_profile(ProcessSpec("pl", beta), alts),
+        estimate_profile(ProcessSpec("tm", beta), alts, 500, rng),
+    ]
+
+
+def test_pairwise_matrix_equals_fsum_scan(bloc_profile, split_majority_profile):
+    for profile in _array_oracle_profiles(bloc_profile, split_majority_profile):
+        matrix = profile.pairwise_matrix()
+        for i, j in itertools.permutations(range(len(profile.ids)), 2):
+            a, b = profile.ids[i], profile.ids[j]
+            scan = math.fsum(
+                w for r, w in profile.support.items() if r.prefers(a, b)
+            )
+            assert matrix[i, j] == scan
+            assert pairwise_support(profile, a, b) == scan
+
+
+def test_positional_and_bucklin_equal_fsum_scans(
+    bloc_profile, split_majority_profile
+):
+    for profile in _array_oracle_profiles(bloc_profile, split_majority_profile):
+        m = len(profile.ids)
+        vector = [float(m - 1 - k) ** 1.5 for k in range(m)]
+        scores = positional_scores(profile, vector)
+        table = _bucklin_cumulative(profile)
+        for alt in profile.ids:
+            ranks = [
+                (r.position(alt) - 1, w) for r, w in profile.support.items()
+            ]
+            assert scores[alt] == math.fsum(w * vector[k] for k, w in ranks)
+            assert table[alt] == [
+                math.fsum(w for k, w in ranks if k <= top) for top in range(m)
+            ]
 
 
 def test_copeland_scores_golden(bloc_profile):
