@@ -16,7 +16,7 @@ from .learning import (
     log_std_normal_cdf,
     objective_and_gradient,
 )
-from .pipeline import SummaryModel, decide, gaussian_kl, predict_pairwise, summarize
+from .pipeline import SummaryModel, decide, gaussian_kl, summarize
 from .processes import (
     ExactProfileUnsupported,
     ProcessSpec,
@@ -88,7 +88,6 @@ __all__ = [
     "pairwise_prob",
     "pairwise_support",
     "positional_scores",
-    "predict_pairwise",
     "restrict_ranking",
     "sample_ranking",
     "summarize",

@@ -139,17 +139,8 @@ def _config_from_json(path: str | None, seed: int | None) -> experiments.Synthet
         unknown = sorted(set(loaded) - known)
         if unknown:
             raise fileio.ParseError(f"unknown config keys: {unknown}")
-        for key, value in loaded.items():
-            if key in ("comparisons_grid", "voters_grid"):
-                if not isinstance(value, list):
-                    raise fileio.ParseError(
-                        f"config {key} must be a list of integers, got {value!r}"
-                    )
-                overrides[key] = tuple(
-                    fileio._parse_int(v, f"config {key}") for v in value
-                )
-            else:
-                overrides[key] = fileio._parse_int(value, f"config {key}")
+        # SyntheticConfig refuses non-integer values with a ValueError.
+        overrides = loaded
     if seed is not None:
         overrides["master_seed"] = seed
     return experiments.SyntheticConfig(**overrides)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .profiles import Alternative
 from .processes import ProcessSpec, _sorted_alternatives
@@ -94,22 +93,3 @@ def decide(model: SummaryModel, alternatives: Sequence[Alternative]) -> Alternat
     features = np.array([alt.features for alt in alts], dtype=float)
     return alts[int(np.argmax(features @ model.beta_hat))]
 
-
-def predict_pairwise(model, a, b) -> float:
-    """Probability the summary model prefers ``a`` over ``b``.
-
-    ``model`` may be a SummaryModel or a raw weight vector; ``a`` and
-    ``b`` may be Alternatives or feature vectors.  Equal features give
-    exactly one half.
-    """
-    if isinstance(model, SummaryModel):
-        beta = model.beta_hat
-    else:
-        beta = np.asarray(model, dtype=float)
-    fa = np.asarray(a.features if isinstance(a, Alternative) else a, dtype=float)
-    fb = np.asarray(b.features if isinstance(b, Alternative) else b, dtype=float)
-    if fa.shape != fb.shape or fa.shape != beta.shape:
-        raise ValueError(
-            f"dimension mismatch: beta {beta.shape}, a {fa.shape}, b {fb.shape}"
-        )
-    return float(special.ndtr(beta @ (fa - fb)))

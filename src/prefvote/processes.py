@@ -178,7 +178,7 @@ def exact_profile(
         )
     ids = [alt.id for alt in alts]
     if m == 1:
-        return AnonymousProfile({Ranking((ids[0],)): 1.0})
+        return AnonymousProfile.from_orders(ids, [[0]], [1.0])
     if spec.family == TM:
         if m > 2:
             raise ExactProfileUnsupported(
@@ -186,22 +186,13 @@ def exact_profile(
                 f"beyond pairs (got {m} alternatives); use estimate_profile"
             )
         p = pairwise_prob(spec, alts[0], alts[1])
-        return AnonymousProfile(
-            {
-                Ranking((ids[0], ids[1])): p,
-                Ranking((ids[1], ids[0])): 1.0 - p,
-            }
-        )
+        return AnonymousProfile.from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
     mu = _mode_utilities(spec, alts)
     weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
     perms = np.array(list(itertools.permutations(range(m))))
     w = weights[perms]
     denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    probs = np.prod(w / denom, axis=1)
-    # permutations() yields id tuples in the same order as the index rows.
-    return AnonymousProfile(
-        dict(zip(map(Ranking, itertools.permutations(ids)), probs.tolist()))
-    )
+    return AnonymousProfile.from_orders(ids, perms, np.prod(w / denom, axis=1))
 
 
 def estimate_profile(
@@ -217,28 +208,15 @@ def estimate_profile(
     m = len(alts)
     ids = [alt.id for alt in alts]
     if m == 1:
-        return AnonymousProfile({Ranking((ids[0],)): 1.0})
+        return AnonymousProfile.from_orders(ids, [[0]], [1.0])
     mu = _mode_utilities(spec, alts)
     orders = _draw_orders(spec.family, mu, n_samples, rng, spec.gumbel_scale)
-    if m <= 15:
-        # Encode each permutation row as a single integer for fast counting.
-        powers = (m ** np.arange(m, dtype=np.int64))[::-1]
-        codes = orders.astype(np.int64) @ powers
-        unique_codes, counts = np.unique(codes, return_counts=True)
-        support = {}
-        for code, count in zip(unique_codes.tolist(), counts.tolist()):
-            perm = []
-            for p in powers.tolist():
-                perm.append(code // p)
-                code %= p
-            support[Ranking(tuple(ids[j] for j in perm))] = count / n_samples
-    else:
-        unique_rows, counts = np.unique(orders, axis=0, return_counts=True)
-        support = {
-            Ranking(tuple(ids[j] for j in row)): count / n_samples
-            for row, count in zip(unique_rows.tolist(), counts.tolist())
-        }
-    return AnonymousProfile(support, alternatives=ids)
+    # Count equal rows by sorting them; small integer columns sort by radix.
+    rows = orders.astype(np.min_scalar_type(m - 1))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    counts = np.diff(np.r_[starts, n_samples])
+    return AnonymousProfile.from_orders(ids, rows[starts], counts / n_samples)
 
 
 def utility_dominance(spec: ProcessSpec, a: Alternative, b: Alternative) -> bool:

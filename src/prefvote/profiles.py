@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -92,14 +92,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row of a 2-D array."""
-    rows = np.ascontiguousarray(rows)
+    """One opaque byte-string key per row of a C-contiguous 2-D array."""
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
-def _dominance_relation(
-    positions: np.ndarray, weights: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
+def _dominance_relation(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Swap dominance between all columns of a key-sorted position matrix.
 
     Column i dominates column j exactly when every support row that ranks
@@ -110,6 +107,7 @@ def _dominance_relation(
     the loop looks up the images for one i and every j > i at once.
     """
     n_rows, m = positions.shape
+    keys = _row_keys(positions)
     relation = np.eye(m, dtype=bool)
     for i in range(m - 1):
         js = np.arange(i + 1, m)
@@ -133,60 +131,109 @@ class AnonymousProfile:
     """A weighted distribution over rankings of one alternative set.
 
     Weights are voter fractions.  The constructor checks that every
-    ranking covers the same alternatives, that weights are nonnegative,
-    and that they sum to one within ``WEIGHT_SUM_TOL``; it then
-    renormalizes exactly and drops zero-weight rankings from the stored
-    support.
+    ranking covers the same alternatives, that weights are finite and
+    nonnegative, and that they sum to one within ``WEIGHT_SUM_TOL``; it
+    then renormalizes exactly and drops zero-weight rankings.  Only the
+    key-sorted arrays of :meth:`position_matrix` are stored.
     """
 
-    __slots__ = (
-        "_support",
-        "_alternatives",
-        "_ids",
-        "_positions",
-        "_weights",
-        "_keys",
-        "_dominance",
-        "_pairwise",
-    )
+    __slots__ = ("_alternatives", "_ids", "_positions", "_weights", "_support",
+                 "_dominance", "_pairwise")
 
     def __init__(
         self,
         support: Mapping[Ranking, float],
         alternatives: Iterable[str] | None = None,
     ) -> None:
-        items = [(ranking, float(weight)) for ranking, weight in support.items()]
-        if not items:
+        rankings = list(support)
+        if not rankings:
             raise ValueError("profile needs at least one ranking")
-        if alternatives is None:
-            alts = items[0][0].alternatives
-        else:
-            alts = frozenset(alternatives)
-        for ranking, weight in items:
+        alts = frozenset(rankings[0].order if alternatives is None else alternatives)
+        for ranking in rankings:
             if ranking.alternatives != alts:
                 raise ValueError(
                     f"ranking {ranking.to_string()!r} does not cover the "
                     f"alternative set {sorted(alts)}"
                 )
-            if weight < 0:
-                raise ValueError(
-                    f"negative weight {weight} on {ranking.to_string()!r}"
-                )
-        total = math.fsum(weight for _, weight in items)
+        ids = tuple(sorted(alts))
+        index = {alt: j for j, alt in enumerate(ids)}
+        orders = np.array([[index[alt] for alt in r.order] for r in rankings])
+        self._build(ids, orders, np.array([float(w) for w in support.values()]))
+
+    @classmethod
+    def from_orders(cls, ids: Sequence[str], orders, weights) -> "AnonymousProfile":
+        """A profile from index rows and their weights.
+
+        ``ids`` are the alternatives in increasing order.  Row k of the
+        ``(K, m)`` integer array ``orders`` ranks them by column index,
+        most preferred first, and weighs ``weights[k]``.  Equal rows are
+        merged, their weights summed with ``math.fsum``; the weights are
+        checked and renormalized as in the constructor.
+        """
+        ids, m = tuple(ids), len(ids)
+        orders, weights = np.asarray(orders), np.asarray(weights, dtype=float)
+        if (
+            not ids or not all(ids) or list(ids) != sorted(set(ids))
+            or orders.dtype.kind not in "iu" or orders.shape[1:] != (m,)
+            or weights.shape != orders.shape[:1] or not len(weights)
+        ):
+            raise ValueError(
+                f"need sorted distinct ids, K > 0 integer rows of length {m}, K weights"
+            )
+        misplaced = np.sort(orders, axis=1) != np.arange(m)
+        if np.count_nonzero(misplaced):
+            row = orders[misplaced.any(axis=1).argmax()].tolist()
+            raise ValueError(f"order row {row} does not rank each of {list(ids)} once")
+        return cls.__new__(cls)._build(ids, orders, weights)
+
+    def _build(self, ids: tuple[str, ...], orders, weights) -> "AnonymousProfile":
+        """Check and renormalize the weights; store the key-sorted arrays."""
+        values = weights.tolist()
+        total = math.fsum(values)
+        if not (min(values) > 0 and math.isfinite(total)):
+            # Some weight is zero, negative, NaN or infinite.
+            for k, weight in enumerate(values):
+                if not 0.0 <= weight < math.inf:
+                    kind = "negative" if weight < 0 else "non-finite"
+                    ranking = ">".join(ids[j] for j in orders[k].tolist())
+                    raise ValueError(f"{kind} weight {weight} on {ranking!r}")
+            orders, weights = orders[weights > 0], weights[weights > 0]
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"profile weights sum to {total}, expected 1")
-        self._support = {
-            ranking: weight / total for ranking, weight in items if weight > 0
-        }
-        self._alternatives = alts
-        self._ids = tuple(sorted(alts))
-        self._positions = self._weights = self._keys = None
-        self._dominance = self._pairwise = None
+        # The inverse of each order row holds every column's position.
+        positions = np.argsort(orders, axis=1).astype(np.min_scalar_type(len(ids) - 1))
+        keys = _row_keys(positions)
+        by_key = np.argsort(keys, kind="stable")
+        positions, weights, keys = positions[by_key], weights[by_key], keys[by_key]
+        repeats = keys[1:] == keys[:-1]
+        if np.count_nonzero(repeats):
+            # Equal rows are adjacent in key order: merge them.
+            starts = np.flatnonzero(np.concatenate(([True], ~repeats))).tolist()
+            values = weights.tolist()
+            weights = np.array([
+                math.fsum(values[lo:hi]) for lo, hi in zip(starts, starts[1:] + [None])
+            ])
+            positions = positions[starts]
+        if total != 1.0:
+            weights = weights / total
+        self._alternatives = frozenset(ids)
+        self._ids = ids
+        self._positions = _frozen(positions)
+        self._weights = _frozen(weights)
+        self._support = self._dominance = self._pairwise = None
+        return self
 
     @property
     def support(self) -> Mapping[Ranking, float]:
-        """Read-only view of the positive-weight rankings."""
-        return MappingProxyType(self._support)
+        """Read-only view of the positive-weight rankings, in key order."""
+        if self._support is None:
+            ids = self._ids
+            orders = np.argsort(self._positions, axis=1).tolist()
+            self._support = MappingProxyType({
+                Ranking(tuple(ids[j] for j in order)): weight
+                for order, weight in zip(orders, self._weights.tolist())
+            })
+        return self._support
 
     @property
     def alternatives(self) -> frozenset[str]:
@@ -198,46 +245,17 @@ class AnonymousProfile:
         return self._ids
 
     def weight(self, ranking: Ranking) -> float:
-        return self._support.get(ranking, 0.0)
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions, weights and row keys of the support, sorted by key.
-
-        Row k of the ``(K, m)`` position matrix holds the 0-based rank of
-        every alternative (columns in id order) in one support ranking.
-        Its key is that row's bytes: any m fits, and ordering keys by
-        their bytes is a total order that ``searchsorted`` can use.
-        """
-        if self._positions is None:
-            ids = self._ids
-            m = len(ids)
-            index = {alt: j for j, alt in enumerate(ids)}
-            orders = np.fromiter(
-                map(index.__getitem__, itertools.chain.from_iterable(
-                    ranking.order for ranking in self._support
-                )),
-                dtype=np.intp,
-                count=len(self._support) * m,
-            ).reshape(-1, m)
-            positions = np.empty(orders.shape, dtype=np.min_scalar_type(m - 1))
-            positions[np.arange(len(orders))[:, None], orders] = np.arange(m)
-            keys = _row_keys(positions)
-            by_key = np.argsort(keys, kind="stable")
-            weights = np.fromiter(self._support.values(), dtype=float)
-            self._positions = _frozen(positions[by_key])
-            self._weights = _frozen(weights[by_key])
-            self._keys = _frozen(keys[by_key])
-        return self._positions, self._weights, self._keys
+        return self.support.get(ranking, 0.0)
 
     def position_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """The support as read-only arrays ``(positions, weights)``.
 
         Row k of the ``(K, m)`` position matrix holds the 0-based rank of
         every alternative (columns in ``ids`` order) in one support
-        ranking, whose weight is ``weights[k]``.
+        ranking, whose weight is ``weights[k]``.  Rows are in key order: by
+        their bytes, which order rows totally for any m.
         """
-        positions, weights, _ = self._arrays()
-        return positions, weights
+        return self._positions, self._weights
 
     def dominance_matrix(self) -> np.ndarray:
         """Swap-dominance relation as a read-only ``(m, m)`` boolean matrix.
@@ -247,7 +265,8 @@ class AnonymousProfile:
         computed once per profile object.
         """
         if self._dominance is None:
-            self._dominance = _frozen(_dominance_relation(*self._arrays()))
+            relation = _dominance_relation(self._positions, self._weights)
+            self._dominance = _frozen(relation)
         return self._dominance
 
     def pairwise_matrix(self) -> np.ndarray:
@@ -259,7 +278,7 @@ class AnonymousProfile:
         diagonal is zero.  It is computed once per profile object.
         """
         if self._pairwise is None:
-            positions, weights, _ = self._arrays()
+            positions, weights = self._positions, self._weights
             m = len(self._ids)
             support = np.zeros((m, m))
             for i, j in itertools.permutations(range(m), 2):
@@ -271,15 +290,17 @@ class AnonymousProfile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnonymousProfile):
             return NotImplemented
+        # Rows are in key order, so equal supports give equal arrays.
         return (
-            self._alternatives == other._alternatives
-            and self._support == other._support
+            self._ids == other._ids
+            and np.array_equal(self._positions, other._positions)
+            and np.array_equal(self._weights, other._weights)
         )
 
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{r.to_string()}: {w:.6g}" for r, w in sorted(
-                self._support.items(), key=lambda item: item[0].order
+                self.support.items(), key=lambda item: item[0].order
             )
         )
         return f"AnonymousProfile({{{parts}}})"
@@ -301,9 +322,9 @@ def marginalize_profile(
 ) -> AnonymousProfile:
     """Project a profile onto a subset of its alternatives.
 
-    The weight of a restricted ranking is the total weight of all full
-    rankings that restrict to it, so marginalizing to the full set is the
-    identity and marginalizing in stages equals marginalizing directly.
+    The weight of a restricted ranking is the ``math.fsum`` total of all
+    full rankings that restrict to it, so marginalizing to the full set is
+    the identity and marginalizing in stages equals marginalizing directly.
     """
     subset = frozenset(subset)
     if not subset:
@@ -311,11 +332,12 @@ def marginalize_profile(
     if not subset <= profile.alternatives:
         extra = sorted(subset - profile.alternatives)
         raise ValueError(f"subset is not contained in the profile: {extra}")
-    out: dict[Ranking, float] = {}
-    for ranking, weight in profile.support.items():
-        restricted = restrict_ranking(ranking, subset)
-        out[restricted] = out.get(restricted, 0.0) + weight
-    return AnonymousProfile(out, alternatives=subset)
+    columns = [j for j, alt in enumerate(profile.ids) if alt in subset]
+    positions, weights = profile.position_matrix()
+    orders = np.argsort(positions[:, columns], axis=1)
+    # Rows from argsort are valid orders, so from_orders' checks are skipped.
+    blank = AnonymousProfile.__new__(AnonymousProfile)
+    return blank._build(tuple(sorted(subset)), orders, weights)
 
 
 def swap_ranking(ranking: Ranking, a: str, b: str) -> Ranking:

@@ -7,15 +7,11 @@ from prefvote.pipeline import (
     SummaryModel,
     decide,
     gaussian_kl,
-    predict_pairwise,
     summarize,
 )
 from prefvote.processes import ProcessSpec, exact_profile
 from prefvote.profiles import Alternative
 from prefvote.scc import SCC_KINDS, apply_scc
-
-PHI_1 = 0.8413447460685429
-
 
 def alt(name, *features):
     return Alternative(id=name, features=tuple(features))
@@ -141,30 +137,6 @@ def test_decide_agrees_with_every_scc_on_summary_profile():
         profile = exact_profile(spec, alts)
         for kind in SCC_KINDS:
             assert chosen.id in apply_scc(kind, profile)
-
-
-def test_predict_pairwise_forms():
-    model = SummaryModel(beta_hat=np.array([1.0]), n_voters=2)
-    a, b = alt("a", 1.0), alt("b", 0.0)
-    assert predict_pairwise(model, a, b) == pytest.approx(PHI_1, abs=1e-12)
-    assert predict_pairwise(model, b, a) == pytest.approx(1 - PHI_1, abs=1e-12)
-    # raw vector forms
-    assert predict_pairwise(np.array([1.0]), [1.0], [0.0]) == pytest.approx(
-        PHI_1, abs=1e-12
-    )
-    assert predict_pairwise(model, [2.0], [2.0]) == 0.5
-    with pytest.raises(ValueError, match="mismatch"):
-        predict_pairwise(model, [1.0, 2.0], [0.0])
-
-
-def test_predict_pairwise_antisymmetry():
-    rng = np.random.default_rng(44)
-    beta = rng.normal(0, 1, 5)
-    for _ in range(10):
-        fa, fb = rng.normal(0, 1, (2, 5))
-        p = predict_pairwise(beta, fa, fb)
-        q = predict_pairwise(beta, fb, fa)
-        assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_summary_as_process_roundtrip():

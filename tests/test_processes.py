@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from prefvote.pipeline import SummaryModel
 from prefvote.processes import (
     EXACT_PROFILE_MAX_SIZE,
     ExactProfileUnsupported,
@@ -14,6 +15,8 @@ from prefvote.processes import (
     pairwise_prob,
     sample_ranking,
     utility_dominance,
+    _draw_orders,
+    _mode_utilities,
 )
 from prefvote.profiles import (
     Alternative,
@@ -58,13 +61,25 @@ def test_mode_utility():
 
 
 def test_pairwise_prob_tm_golden():
-    spec = ProcessSpec(family="tm", beta=(1.0,))
+    spec = SummaryModel(beta_hat=np.array([1.0]), n_voters=2).as_process()
     assert pairwise_prob(spec, alt("a", 1.0), alt("b", 0.0)) == pytest.approx(
         PHI_1, abs=1e-12
+    )
+    assert pairwise_prob(spec, alt("b", 0.0), alt("a", 1.0)) == pytest.approx(
+        1 - PHI_1, abs=1e-12
     )
     assert pairwise_prob(spec, alt("a", 2.0), alt("b", 2.0)) == 0.5
     with pytest.raises(ValueError):
         pairwise_prob(spec, alt("a", 1.0), alt("a", 0.0))
+    with pytest.raises(ValueError, match="dimension"):
+        pairwise_prob(spec, alt("a", 1.0, 2.0), alt("b", 0.0, 0.0))
+    # antisymmetry on random five-feature instances
+    rng = np.random.default_rng(44)
+    spec5 = SummaryModel(beta_hat=rng.normal(0, 1, 5), n_voters=3).as_process()
+    for _ in range(10):
+        a, b = alt("a", *rng.normal(0, 1, 5)), alt("b", *rng.normal(0, 1, 5))
+        p, q = pairwise_prob(spec5, a, b), pairwise_prob(spec5, b, a)
+        assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pairwise_prob_pl_golden():
@@ -256,3 +271,90 @@ def test_utility_dominance_rejects_same_id():
     spec = ProcessSpec(family="tm", beta=(1.0,))
     with pytest.raises(ValueError):
         utility_dominance(spec, alt("a", 1.0), alt("a", 2.0))
+
+
+def _renormalized(items):
+    """The previous profile constructor: fsum total, exact divide, no zeros."""
+    total = math.fsum(weight for _, weight in items)
+    return {ranking: weight / total for ranking, weight in items if weight > 0}
+
+
+def reference_exact_weights(spec, alternatives):
+    """Copy of the previous exact_profile, which built one Ranking per row."""
+    alts = sorted(alternatives, key=lambda a: a.id)
+    ids = [a.id for a in alts]
+    m = len(ids)
+    if m == 1:
+        return {Ranking((ids[0],)): 1.0}
+    if spec.family == "tm":
+        p = pairwise_prob(spec, alts[0], alts[1])
+        return _renormalized(
+            [(Ranking((ids[0], ids[1])), p), (Ranking((ids[1], ids[0])), 1.0 - p)]
+        )
+    mu = _mode_utilities(spec, alts)
+    weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
+    perms = np.array(list(itertools.permutations(range(m))))
+    w = weights[perms]
+    denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    probs = np.prod(w / denom, axis=1)
+    return _renormalized(
+        list(zip(map(Ranking, itertools.permutations(ids)), probs.tolist()))
+    )
+
+
+def reference_estimate_weights(spec, alternatives, n_samples, rng, branch):
+    """Copy of the previous estimate_profile's two counting branches."""
+    alts = sorted(alternatives, key=lambda a: a.id)
+    ids = [a.id for a in alts]
+    m = len(ids)
+    if m == 1:
+        return {Ranking((ids[0],)): 1.0}
+    mu = _mode_utilities(spec, alts)
+    orders = _draw_orders(spec.family, mu, n_samples, rng, spec.gumbel_scale)
+    items = []
+    if branch == "codes":
+        powers = (m ** np.arange(m, dtype=np.int64))[::-1]
+        codes = orders.astype(np.int64) @ powers
+        unique_codes, counts = np.unique(codes, return_counts=True)
+        for code, count in zip(unique_codes.tolist(), counts.tolist()):
+            perm = []
+            for p in powers.tolist():
+                perm.append(code // p)
+                code %= p
+            items.append((Ranking(tuple(ids[j] for j in perm)), count / n_samples))
+    else:
+        unique_rows, counts = np.unique(orders, axis=0, return_counts=True)
+        for row, count in zip(unique_rows.tolist(), counts.tolist()):
+            items.append((Ranking(tuple(ids[j] for j in row)), count / n_samples))
+    return _renormalized(items)
+
+
+def _seeded_instance(seed, m):
+    rng = np.random.default_rng(seed)
+    alts = [alt(f"x{k:02d}", *rng.standard_normal(2)) for k in range(m)]
+    beta = tuple(rng.standard_normal(2))
+    return alts, beta, float(rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exact_profile_weights_equal_previous_builder(m):
+    alts, beta, scale = _seeded_instance(100 + m, m)
+    families = ("pl", "tm") if m <= 2 else ("pl",)
+    for family in families:
+        spec = ProcessSpec(family, beta, gumbel_scale=scale)
+        expected = reference_exact_weights(spec, alts)
+        assert dict(exact_profile(spec, alts).support) == expected
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 16])
+def test_estimate_profile_weights_equal_previous_branches(m):
+    alts, beta, scale = _seeded_instance(200 + m, m)
+    branches = ("codes", "rows") if m <= 15 else ("rows",)
+    for family in ("pl", "tm"):
+        spec = ProcessSpec(family, beta, gumbel_scale=scale)
+        profile = estimate_profile(spec, alts, 3_000, np.random.default_rng(m))
+        for branch in branches:
+            expected = reference_estimate_weights(
+                spec, alts, 3_000, np.random.default_rng(m), branch
+            )
+            assert dict(profile.support) == expected

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -297,3 +298,107 @@ def test_profile_caches_are_per_object(split_majority_profile):
     assert marginal.ids == ("b", "c")
     assert marginal.dominance_matrix().tolist() == [[True, True], [False, True]]
     assert split_majority_profile.dominance_matrix().shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(math.nan, "non-finite"), (math.inf, "non-finite"), (-math.inf, "negative")],
+)
+def test_profile_rejects_non_finite_weights(bad, message):
+    # A NaN weight used to pass the weight-sum check and leave rules
+    # with an empty winner set.
+    a_b, b_a = Ranking.from_string("a>b"), Ranking.from_string("b>a")
+    with pytest.raises(ValueError, match=message):
+        AnonymousProfile({a_b: bad, b_a: 1.0})
+    with pytest.raises(ValueError, match=message):
+        AnonymousProfile.from_orders(("a", "b"), [[0, 1], [1, 0]], [bad, 1.0])
+
+
+def test_from_orders_validation():
+    ids = ("a", "b", "c")
+    for rows in ([[0, 1, 1]], [[0, 1, 3]], [[-1, 0, 1]]):
+        with pytest.raises(ValueError, match="does not rank"):
+            AnonymousProfile.from_orders(ids, rows, [1.0])
+    for bad_ids in (("b", "a", "c"), ("a", "a", "c"), ("", "b", "c"), ()):
+        with pytest.raises(ValueError, match="sorted distinct ids"):
+            AnonymousProfile.from_orders(bad_ids, [[0, 1, 2]], [1.0])
+    for rows, weights in (
+        ([[0.0, 1.0, 2.0]], [1.0]),
+        ([[0, 1]], [1.0]),
+        ([[0, 1, 2]], [0.5, 0.5]),
+        (np.zeros((0, 3), dtype=int), []),
+    ):
+        with pytest.raises(ValueError, match="integer rows of length 3"):
+            AnonymousProfile.from_orders(ids, rows, weights)
+    with pytest.raises(ValueError, match="sum"):
+        AnonymousProfile.from_orders(ids, [[0, 1, 2]], [0.5])
+
+
+def test_from_orders_merges_equal_rows_and_drops_zeros():
+    profile = AnonymousProfile.from_orders(
+        ("a", "b", "c"),
+        np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 0, 2]]),
+        [0.25, 0.5, 0.25, 0.0],
+    )
+    expected = {Ranking.from_string("a>b>c"): 0.5, Ranking.from_string("c>b>a"): 0.5}
+    assert dict(profile.support) == expected
+    assert profile == AnonymousProfile(expected)
+    positions, weights = profile.position_matrix()
+    assert positions.shape == (2, 3) and weights.tolist() == [0.5, 0.5]
+
+
+def test_profile_equality_ignores_insertion_order(split_majority_profile):
+    items = list(split_majority_profile.support.items())
+    reordered = AnonymousProfile(dict(reversed(items)))
+    assert reordered == split_majority_profile
+    assert list(reordered.support) == list(split_majority_profile.support)
+    shifted = dict(items)
+    shifted[items[0][0]] += 0.05
+    shifted[items[1][0]] -= 0.05
+    assert AnonymousProfile(shifted) != split_majority_profile
+
+
+def test_support_view_is_cached_read_only_and_in_key_order(split_majority_profile):
+    view = split_majority_profile.support
+    assert split_majority_profile.support is view
+    with pytest.raises(TypeError):
+        view[Ranking.from_string("a>b>c")] = 1.0
+    positions, weights = split_majority_profile.position_matrix()
+    keys = [row.tobytes() for row in positions]
+    assert keys == sorted(keys)
+    ids = split_majority_profile.ids
+    assert [r.order for r in view] == [
+        tuple(ids[j] for j in np.argsort(row)) for row in positions
+    ]
+    assert list(view.values()) == weights.tolist()
+
+
+def reference_marginal(profile, subset):
+    """Restrict each support ranking and ``fsum`` the weights per image."""
+    groups = {}
+    for ranking, weight in profile.support.items():
+        groups.setdefault(restrict_ranking(ranking, subset), []).append(weight)
+    total = math.fsum(profile.support.values())
+    return {r: math.fsum(ws) / total for r, ws in groups.items()}
+
+
+def test_marginals_match_restrict_and_sum():
+    rng = np.random.default_rng(29)
+    for case in range(24):
+        m = 3 + case % 5
+        alts = [
+            Alternative(id="abcdefg"[j], features=tuple(rng.standard_normal(2)))
+            for j in range(m)
+        ]
+        spec = ProcessSpec("pl" if case % 2 else "tm", tuple(rng.standard_normal(2)))
+        if case % 2:
+            profile = exact_profile(spec, alts)
+        else:
+            profile = estimate_profile(spec, alts, 3_000, rng)
+        ids = [a.id for a in alts]
+        subset = rng.choice(ids, size=int(rng.integers(1, m + 1)), replace=False)
+        marginal = marginalize_profile(profile, subset.tolist())
+        expected = reference_marginal(profile, subset.tolist())
+        assert set(marginal.support) == set(expected)
+        for ranking, weight in expected.items():
+            assert abs(marginal.weight(ranking) - weight) <= 1e-15
