@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -163,11 +164,15 @@ def gen_voter_comparisons(
     beta = np.asarray(beta, dtype=float)
     if n < 1:
         raise ValueError("need at least one comparison")
+    if not np.isfinite(beta).all():
+        raise ValueError("voter weights must be finite")
     pairs = rng.standard_normal((n, 2, beta.shape[0]))
-    orders = processes._draw_orders(processes.TM, pairs @ beta, n, rng)
+    utilities = processes._draw_utilities(processes.TM, pairs @ beta, n, rng)
+    # A utility tie goes to the first vector, as in a stable sort.
+    chosen = np.where(utilities[:, 0] >= utilities[:, 1], 0, 1).tolist()
     return [
-        PairwiseComparison(chosen=pairs[k, chosen], rejected=pairs[k, rejected])
-        for k, (chosen, rejected) in enumerate(orders.tolist())
+        PairwiseComparison(chosen=pairs[k, c], rejected=pairs[k, 1 - c])
+        for k, c in enumerate(chosen)
     ]
 
 
@@ -195,8 +200,10 @@ def ground_truth_winner(
     features = np.array([alt.features for alt in alts], dtype=float)
     mode = population @ features.T
     voter_idx = rng.integers(0, population.shape[0], size=n_samples)
-    orders = processes._draw_orders(family, mode[voter_idx], n_samples, rng)
-    return alts[int(np.argmax(processes._borda_counts(orders)))]
+    utilities = processes._draw_utilities(
+        family, np.take(mode, voter_idx, axis=0), n_samples, rng
+    )
+    return alts[int(np.argmax(processes._borda_scores(utilities)))]
 
 
 def _instance_alternatives(
@@ -272,9 +279,15 @@ def _collect_runs(
     n_jobs: int,
 ) -> list[tuple[float, ...]]:
     indices = range(config.n_runs)
-    if n_jobs <= 1:
+    # More workers than usable CPUs or runs only adds start-up cost.
+    if hasattr(os, "sched_getaffinity"):
+        n_cpus = len(os.sched_getaffinity(0))
+    else:
+        n_cpus = os.cpu_count() or 1
+    n_workers = min(n_jobs, n_cpus, config.n_runs)
+    if n_workers <= 1:
         return [worker(config, k) for k in indices]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(partial(worker, config), indices))
 
 

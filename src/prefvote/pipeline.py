@@ -23,7 +23,7 @@ from .processes import ProcessSpec, _sorted_alternatives
 
 @dataclass(frozen=True)
 class SummaryModel:
-    """Mean voter weights plus the population size they summarize."""
+    """Mean voter weights, all finite, plus the population size they summarize."""
 
     beta_hat: np.ndarray
     n_voters: int
@@ -32,6 +32,8 @@ class SummaryModel:
         beta = np.asarray(self.beta_hat, dtype=float)
         if beta.ndim != 1:
             raise ValueError("beta_hat must be one-dimensional")
+        if not np.isfinite(beta).all():
+            raise ValueError("beta_hat must be finite")
         if self.n_voters < 1:
             raise ValueError("n_voters must be at least 1")
         object.__setattr__(self, "beta_hat", beta)
@@ -53,7 +55,7 @@ def as_population(betas: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     """Voter weight vectors as one ``(N, d)`` float array.
 
     A float array passes through uncopied; a list of equal-length vectors
-    is stacked.
+    is stacked.  Every weight must be finite.
     """
     try:
         population = np.asarray(betas, dtype=float)
@@ -61,6 +63,8 @@ def as_population(betas: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("voter models disagree on dimension") from None
     if population.ndim != 2 or population.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) population of voter models")
+    if not np.isfinite(population).all():
+        raise ValueError("voter models must be finite")
     return population
 
 

@@ -112,17 +112,21 @@ def pairwise_prob(spec: ProcessSpec, a: Alternative, b: Alternative) -> float:
     return float(special.expit(gap / spec.gumbel_scale))
 
 
-def _draw_orders(
+def _draw_utilities(
     family: str,
     mu: np.ndarray,
     n: int,
     rng: np.random.Generator,
     gumbel_scale: float = 1.0,
 ) -> np.ndarray:
-    """Sample ``n`` rankings as index rows into the columns of ``mu``.
+    """Sample ``n`` rows of noisy utilities, shape ``(n, m)``.
 
     ``mu`` holds mode utilities: one row of shape ``(m,)`` shared by every
-    sample, or one row per sample, shape ``(n, m)``.
+    sample, or one row per sample, shape ``(n, m)``.  Ranking a row ranks
+    its columns by decreasing utility; an exact tie goes to the smaller
+    column, so column j is above column k > j exactly when
+    ``u[j] >= u[k]``, the same rule a stable argsort of ``-u`` applies,
+    ±0.0 and ±inf included.
     """
     size = (n, mu.shape[-1])
     # Zero-centred noise plus mu equals a draw around loc=mu bit for bit;
@@ -134,18 +138,40 @@ def _draw_orders(
         noise = rng.gumbel(0.0, gumbel_scale, size=size)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    noise += mu
+    return noise
+
+
+def _draw_orders(
+    family: str,
+    mu: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
+    gumbel_scale: float = 1.0,
+) -> np.ndarray:
+    """Sample ``n`` rankings as index rows into the columns of ``mu``."""
+    utilities = _draw_utilities(family, mu, n, rng, gumbel_scale)
     # Stable sort: exact utility ties resolve toward the smaller column,
     # which is the smaller id when columns are in id order.
-    return np.argsort(-(mu + noise), axis=1, kind="stable")
+    return np.argsort(-utilities, axis=1, kind="stable")
 
 
-def _borda_counts(orders: np.ndarray) -> np.ndarray:
-    """Integer Borda score of every column index over rows of orders."""
-    m = orders.shape[1]
-    scores = np.zeros(m, dtype=np.int64)
-    for k in range(m):
-        scores += np.bincount(orders[:, k], minlength=m) * (m - 1 - k)
-    return scores
+def _borda_scores(utilities: np.ndarray) -> np.ndarray:
+    """Integer Borda score of every column over rows of utilities.
+
+    Equal to counting the positions of the rows' stable argsort orders:
+    for each pair j < k, j beats k in the rows where ``u[j] >= u[k]``.
+    Utilities must not be NaN.
+    """
+    n, m = utilities.shape
+    columns = list(np.ascontiguousarray(utilities.T))
+    scores = [0] * m
+    for j in range(m - 1):
+        for k in range(j + 1, m):
+            wins = int(np.count_nonzero(columns[j] >= columns[k]))
+            scores[j] += wins
+            scores[k] += n - wins
+    return np.array(scores)
 
 
 def sample_ranking(

@@ -245,7 +245,14 @@ class AnonymousProfile:
         return self._ids
 
     def weight(self, ranking: Ranking) -> float:
-        return self.support.get(ranking, 0.0)
+        """Weight of ``ranking``; 0.0 outside the support or the alternative set."""
+        if ranking.alternatives != self._alternatives:
+            return 0.0
+        rank = {alt: r for r, alt in enumerate(ranking.order)}
+        row = np.array([[rank[alt] for alt in self._ids]], dtype=self._positions.dtype)
+        keys, key = _row_keys(self._positions), _row_keys(row)[0]
+        k = int(np.searchsorted(keys, key))
+        return float(self._weights[k]) if k < len(keys) and keys[k] == key else 0.0
 
     def position_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """The support as read-only arrays ``(positions, weights)``.

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special
 
+from prefvote import experiments
 from prefvote.experiments import (
     AccuracyCurve,
     SyntheticConfig,
@@ -137,6 +140,9 @@ def test_comparisons_follow_strong_preferences():
 def test_comparisons_validation():
     with pytest.raises(ValueError):
         gen_voter_comparisons(np.zeros(2), 0, run_rng(0, 9, 0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gen_voter_comparisons(np.array([bad, 0.0]), 5, run_rng(0, 9, 0))
 
 
 def test_ground_truth_trivial_cases():
@@ -270,6 +276,110 @@ def test_identical_voters_collapse_to_single_model():
     ]
     assert ground_truth_winner(betas, alts, 2000, rng).id == "a"
     assert decide(summary, alts).id == "a"
+
+
+def reference_ground_truth_winner(betas, alternatives, n_samples, rng, family):
+    """Copy of the previous ground truth: sort every sample, count positions."""
+    population = np.asarray(betas, dtype=float)
+    alts = sorted(alternatives, key=lambda a: a.id)
+    if len(alts) == 1:
+        return alts[0]
+    mode = population @ np.array([a.features for a in alts]).T
+    voter_idx = rng.integers(0, population.shape[0], size=n_samples)
+    size = (n_samples, len(alts))
+    if family == "tm":
+        noise = rng.normal(0.0, math.sqrt(0.5), size=size)
+    else:
+        noise = rng.gumbel(0.0, 1.0, size=size)
+    orders = np.argsort(-(mode[voter_idx] + noise), axis=1, kind="stable")
+    m = len(alts)
+    scores = np.zeros(m, dtype=np.int64)
+    for k in range(m):
+        scores += np.bincount(orders[:, k], minlength=m) * (m - 1 - k)
+    return alts[int(np.argmax(scores))]
+
+
+def reference_voter_comparisons(beta, n, rng):
+    """Copy of the previous comparison generator, as (chosen, rejected) pairs."""
+    pairs = rng.standard_normal((n, 2, len(beta)))
+    noise = rng.normal(0.0, math.sqrt(0.5), size=(n, 2))
+    orders = np.argsort(-(pairs @ beta + noise), axis=1, kind="stable")
+    return [(pairs[k, c], pairs[k, r]) for k, (c, r) in enumerate(orders.tolist())]
+
+
+@pytest.mark.parametrize("family", ["tm", "pl"])
+@pytest.mark.parametrize("n_voters", [1, 20, 2000])
+def test_ground_truth_equals_previous_sort_and_count(family, n_voters):
+    config = SyntheticConfig(d=4, n_voters=n_voters)
+    for m in range(1, 11):
+        rng = run_rng(m, 8, n_voters)
+        betas = gen_population(config, rng)
+        alts = [
+            Alternative(id=f"a{j:02d}", features=tuple(row))
+            for j, row in enumerate(rng.standard_normal((m, config.d)))
+        ]
+        new_rng, old_rng = run_rng(m, 7, 0), run_rng(m, 7, 0)
+        winner = ground_truth_winner(betas, alts, 10_000, new_rng, family=family)
+        expected = reference_ground_truth_winner(betas, alts, 10_000, old_rng, family)
+        assert winner.id == expected.id
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 20, 2000])
+def test_voter_comparisons_equal_previous_generator(n):
+    # A huge weight overflows most utilities to +-inf: exact ties.
+    betas = [run_rng(seed, 8, 1).standard_normal(3) for seed in range(5)]
+    for seed, beta in enumerate([*betas, np.array([1e308])]):
+        new_rng, old_rng = run_rng(seed, 7, 1), run_rng(seed, 7, 1)
+        with np.errstate(over="ignore"):
+            comps = gen_voter_comparisons(beta, n, new_rng)
+            expected = reference_voter_comparisons(beta, n, old_rng)
+        assert len(comps) == len(expected)
+        for comp, (chosen, rejected) in zip(comps, expected):
+            assert np.array_equal(comp.chosen, chosen)
+            assert np.array_equal(comp.rejected, rejected)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def test_ground_truth_rejects_non_finite_population():
+    alts = [Alternative(id="a", features=(1.0,)), Alternative(id="b", features=(0.0,))]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ground_truth_winner([[bad], [1.0]], alts, 10, run_rng(0, 9, 0))
+
+
+@pytest.mark.parametrize(
+    "n_jobs, n_cpus, n_runs, expected",
+    [(64, 4, 10, 4), (3, 4, 10, 3), (64, 8, 2, 2), (2, 1, 10, None), (5, 4, 1, None)],
+)
+def test_collect_runs_caps_workers_at_cpus_and_runs(
+    monkeypatch, n_jobs, n_cpus, n_runs, expected
+):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(
+        experiments.os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False
+    )
+    config = SyntheticConfig(n_runs=n_runs)
+    runs = experiments._collect_runs(lambda c, k: (k,), config, n_jobs)
+    assert runs == [(k,) for k in range(n_runs)]
+    assert sizes == ([] if expected is None else [expected])
 
 
 def test_eval_step2_small_golden():

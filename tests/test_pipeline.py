@@ -5,6 +5,7 @@ import pytest
 
 from prefvote.pipeline import (
     SummaryModel,
+    as_population,
     decide,
     gaussian_kl,
     summarize,
@@ -36,6 +37,19 @@ def test_summary_model_validation():
         SummaryModel(beta_hat=np.ones((2, 2)), n_voters=1)
     with pytest.raises(ValueError):
         SummaryModel(beta_hat=np.ones(2), n_voters=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SummaryModel(beta_hat=np.array([bad, 1.0]), n_voters=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_populations_rejected(bad):
+    # summarize([[nan, 0], [1, 2]]) used to give beta_hat [nan, 1], after
+    # which decide silently returned the first id.
+    with pytest.raises(ValueError, match="finite"):
+        as_population([[bad, 0.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="finite"):
+        summarize(np.array([[1.0, 2.0], [0.0, bad]]))
 
 
 def test_gaussian_kl_basics():

@@ -15,7 +15,9 @@ from prefvote.processes import (
     pairwise_prob,
     sample_ranking,
     utility_dominance,
+    _borda_scores,
     _draw_orders,
+    _draw_utilities,
     _mode_utilities,
 )
 from prefvote.profiles import (
@@ -358,3 +360,48 @@ def test_estimate_profile_weights_equal_previous_branches(m):
                 spec, alts, 3_000, np.random.default_rng(m), branch
             )
             assert dict(profile.support) == expected
+
+
+def reference_borda_counts(orders):
+    """Copy of the previous Borda count: bincount the columns of sorted orders."""
+    m = orders.shape[1]
+    scores = np.zeros(m, dtype=np.int64)
+    for k in range(m):
+        scores += np.bincount(orders[:, k], minlength=m) * (m - 1 - k)
+    return scores
+
+
+def _stable_orders(utilities):
+    return np.argsort(-utilities, axis=1, kind="stable")
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_borda_scores_equal_sorted_order_counts(m):
+    rng = np.random.default_rng(300 + m)
+    # Continuous draws, small integers (many exact ties) and a mix of
+    # signed zeros and infinities, which a stable sort treats as ties too.
+    tie_values = np.array([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf])
+    for n in (1, 7, 1000):
+        samples = (
+            rng.standard_normal((n, m)),
+            rng.integers(-2, 3, size=(n, m)).astype(float),
+            tie_values[rng.integers(0, len(tie_values), size=(n, m))],
+        )
+        for utilities in samples:
+            expected = reference_borda_counts(_stable_orders(utilities))
+            assert np.array_equal(_borda_scores(utilities), expected)
+
+
+def test_borda_scores_break_exact_ties_toward_the_smaller_column():
+    tied = np.array([[0.0, -0.0, 0.0], [-np.inf, -np.inf, -np.inf]])
+    assert _borda_scores(tied).tolist() == [4, 2, 0]
+    assert _borda_scores(np.array([[1.0, 2.0, 2.0]])).tolist() == [0, 2, 1]
+
+
+@pytest.mark.parametrize("family", ["tm", "pl"])
+def test_draw_orders_sort_the_drawn_utilities(family):
+    mu = np.array([0.3, -1.0, 0.3, 2.0])
+    utilities = _draw_utilities(family, mu, 500, np.random.default_rng(4), 1.5)
+    orders = _draw_orders(family, mu, 500, np.random.default_rng(4), 1.5)
+    assert utilities.shape == (500, 4)
+    assert np.array_equal(orders, _stable_orders(utilities))

@@ -402,3 +402,33 @@ def test_marginals_match_restrict_and_sum():
         assert set(marginal.support) == set(expected)
         for ranking, weight in expected.items():
             assert abs(marginal.weight(ranking) - weight) <= 1e-15
+
+
+def test_weight_reads_the_arrays_and_agrees_with_support():
+    rng = np.random.default_rng(31)
+    for case in range(10):
+        m = 2 + case % 5
+        alts = [
+            Alternative(id="abcdefg"[j], features=tuple(rng.standard_normal(2)))
+            for j in range(m)
+        ]
+        spec = ProcessSpec("pl", tuple(rng.standard_normal(2)))
+        if case % 2:
+            profile, twin = exact_profile(spec, alts), exact_profile(spec, alts)
+        else:
+            # A few samples leave most rankings outside the support.
+            seed = int(rng.integers(1 << 30))
+            profile, twin = (
+                estimate_profile(spec, alts, 40, np.random.default_rng(seed))
+                for _ in range(2)
+            )
+        support = twin.support
+        ids = [a.id for a in alts]
+        for order in itertools.permutations(ids):
+            ranking = Ranking(order)
+            assert profile.weight(ranking) == support.get(ranking, 0.0)
+        # Rankings over another alternative set weigh nothing.
+        assert profile.weight(Ranking(tuple(ids[:-1]))) == 0.0
+        assert profile.weight(Ranking((*ids, "z"))) == 0.0
+        assert profile.weight(Ranking(tuple("zyxwvu"[:m]))) == 0.0
+        assert profile._support is None
