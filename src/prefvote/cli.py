@@ -80,19 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    with open(args.comparisons, "r", encoding="utf-8", newline="") as handle:
-        records = fileio.parse_comparisons(handle)
-    grouped = fileio.group_comparisons(records)
-    if not grouped:
-        raise fileio.ParseError("no comparison records in file")
     config = FitConfig(
         max_iterations=args.max_iter,
         gradient_tolerance=args.tol,
         l2_penalty=args.l2,
     )
+    with open(args.comparisons, "r", encoding="utf-8", newline="") as handle:
+        table = fileio.parse_comparisons(handle)
+    grouped = fileio.group_comparisons(table)
+    if not grouped:
+        raise fileio.ParseError("no comparison records in file")
     model_records = []
-    for voter_id, comparisons in grouped.items():
-        result = fit_voter(comparisons, config)
+    for voter_id, diffs in grouped.items():
+        result = fit_voter(diffs, config)
         model_records.append(
             fileio.VoterModelRecord(
                 voter_id=voter_id,

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import processes
-from .learning import FitConfig, PairwiseComparison, fit_voter
+from .learning import FitConfig, fit_voter
 from .pipeline import as_population, decide, summarize
 from .profiles import Alternative
 
@@ -155,11 +155,12 @@ def gen_population(config: SyntheticConfig, rng: np.random.Generator) -> np.ndar
 
 def gen_voter_comparisons(
     beta: np.ndarray, n: int, rng: np.random.Generator
-) -> list[PairwiseComparison]:
+) -> np.ndarray:
     """Simulate ``n`` noisy pairwise choices for one voter.
 
     Each comparison draws two standard-normal feature vectors, gives each
-    a Normal(beta . x, 1/2) utility, and records which one won.
+    a Normal(beta . x, 1/2) utility, and records which one won.  Returns
+    the ``(n, d)`` chosen-minus-rejected rows that ``fit_voter`` takes.
     """
     beta = np.asarray(beta, dtype=float)
     if n < 1:
@@ -169,11 +170,8 @@ def gen_voter_comparisons(
     pairs = rng.standard_normal((n, 2, beta.shape[0]))
     utilities = processes._draw_utilities(processes.TM, pairs @ beta, n, rng)
     # A utility tie goes to the first vector, as in a stable sort.
-    chosen = np.where(utilities[:, 0] >= utilities[:, 1], 0, 1).tolist()
-    return [
-        PairwiseComparison(chosen=pairs[k, c], rejected=pairs[k, 1 - c])
-        for k, c in enumerate(chosen)
-    ]
+    first = (utilities[:, 0] >= utilities[:, 1])[:, None]
+    return np.where(first, pairs[:, 0] - pairs[:, 1], pairs[:, 1] - pairs[:, 0])
 
 
 def ground_truth_winner(

@@ -14,20 +14,22 @@ affected group (0 passengers, 1 pedestrians), then crossing legality
 
 from __future__ import annotations
 
+import array
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .learning import FitConfig, PairwiseComparison
 from .pipeline import SummaryModel
 from .profiles import Alternative, AnonymousProfile, Ranking
 
 if TYPE_CHECKING:
     from .experiments import AccuracyCurve
+    from .learning import FitConfig
 
 FILE_VERSION = 1
 VOTER_MODELS_FORMAT = "voter-models"
@@ -78,18 +80,19 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One comparison row: a voter chose one feature vector over another."""
+@dataclass(frozen=True, eq=False)
+class ComparisonTable:
+    """Comparison rows as arrays: who chose, and chosen minus rejected.
 
-    voter_id: str
-    chosen: tuple[float, ...]
-    rejected: tuple[float, ...]
+    Row k of the ``(n, d)`` float array ``diffs`` belongs to
+    ``voter_ids[k]``, in file order; ``len()`` is the number of rows.
+    """
 
-    def to_comparison(self) -> PairwiseComparison:
-        return PairwiseComparison(
-            chosen=np.asarray(self.chosen), rejected=np.asarray(self.rejected)
-        )
+    voter_ids: tuple[str, ...]
+    diffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.voter_ids)
 
 
 def _format_real(value: float) -> str:
@@ -145,11 +148,13 @@ def _parse_bool(value: object, where: str) -> bool:
     return value
 
 
-def parse_comparisons(stream: IO[str]) -> list[ComparisonRecord]:
-    """Read comparison rows from CSV.
+def parse_comparisons(stream: IO[str]) -> ComparisonTable:
+    """Read comparison rows from CSV into one difference array.
 
     The header fixes the feature dimension d:
-    ``voter_id,c_1,...,c_d,r_1,...,r_d``.  An empty body is valid.
+    ``voter_id,c_1,...,c_d,r_1,...,r_d``.  An empty body is valid.  A row
+    whose chosen and rejected vectors are identical carries no
+    information; it is kept, with a warning that names its line.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -167,7 +172,8 @@ def parse_comparisons(stream: IO[str]) -> list[ComparisonRecord]:
         + [f"r_{k}" for k in range(1, d + 1)]
     )
     _expect_header(header, expected)
-    records = []
+    voters: list[str] = []
+    values = array.array("d")
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -178,25 +184,28 @@ def parse_comparisons(stream: IO[str]) -> list[ComparisonRecord]:
         voter = row[0].strip()
         if not voter:
             raise ParseError("empty voter_id", line=line)
-        values = [_parse_float(token, line) for token in row[1:]]
-        records.append(
-            ComparisonRecord(
-                voter_id=voter,
-                chosen=tuple(values[:d]),
-                rejected=tuple(values[d:]),
+        reals = [_parse_float(token, line) for token in row[1:]]
+        if reals[:d] == reals[d:]:
+            warnings.warn(
+                f"line {line}: comparison has identical chosen and rejected "
+                "feature vectors; it carries no information",
+                stacklevel=2,
             )
-        )
-    return records
+        voters.append(voter)
+        values.extend(reals)
+    rows = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
+    return ComparisonTable(tuple(voters), rows[:, :d] - rows[:, d:])
 
 
-def group_comparisons(
-    records: Iterable[ComparisonRecord],
-) -> dict[str, list[PairwiseComparison]]:
-    """Bucket records by voter, preserving first-appearance order."""
-    out: dict[str, list[PairwiseComparison]] = {}
-    for record in records:
-        out.setdefault(record.voter_id, []).append(record.to_comparison())
-    return out
+def group_comparisons(table: ComparisonTable) -> dict[str, np.ndarray]:
+    """Each voter's ``(n_v, d)`` difference rows, in file order.
+
+    Voters appear in the order of their first row.
+    """
+    rows: dict[str, list[int]] = {}
+    for k, voter in enumerate(table.voter_ids):
+        rows.setdefault(voter, []).append(k)
+    return {voter: table.diffs[index] for voter, index in rows.items()}
 
 
 def parse_alternatives(stream: IO[str]) -> list[Alternative]:

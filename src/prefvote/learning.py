@@ -10,6 +10,11 @@ with d_j the feature difference.  The negated objective is convex; a
 small ridge term keeps it bounded when the data are linearly separable.
 Everything here is a pure function of its arguments, so fitting many
 voters concurrently needs no coordination.
+
+A voter's comparisons are one ``(n, d)`` float array whose row j is
+d_j = chosen_j - rejected_j; the file parser and the simulator produce
+exactly that.  ``fit_voter`` and ``objective_and_gradient`` also take a
+sequence of ``PairwiseComparison`` and stack it into that array once.
 """
 
 from __future__ import annotations
@@ -117,11 +122,21 @@ def _cdf_ratio(t: np.ndarray) -> np.ndarray:
 _POLISH_MAX_STEPS = 25
 
 
-def _diff_matrix(data: Sequence[PairwiseComparison]) -> np.ndarray:
-    dims = {comp.dim for comp in data}
-    if len(dims) > 1:
-        raise ValueError(f"comparisons disagree on dimension: {sorted(dims)}")
-    diffs = np.array([comp.chosen - comp.rejected for comp in data])
+def _diff_matrix(data: np.ndarray | Sequence[PairwiseComparison]) -> np.ndarray:
+    """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
+
+    A 2-D float array passes through uncopied; a sequence of
+    ``PairwiseComparison`` is stacked once.
+    """
+    if isinstance(data, np.ndarray):
+        diffs = np.asarray(data, dtype=float)
+        if diffs.ndim != 2:
+            raise ValueError("comparison differences must form an (n, d) array")
+    else:
+        dims = {comp.dim for comp in data}
+        if len(dims) > 1:
+            raise ValueError(f"comparisons disagree on dimension: {sorted(dims)}")
+        diffs = np.array([comp.chosen - comp.rejected for comp in data])
     if np.isnan(diffs).any():
         raise ValueError("comparison features contain NaN")
     return diffs
@@ -129,12 +144,12 @@ def _diff_matrix(data: Sequence[PairwiseComparison]) -> np.ndarray:
 
 def objective_and_gradient(
     beta: np.ndarray,
-    data: Sequence[PairwiseComparison],
+    data: np.ndarray | Sequence[PairwiseComparison],
     l2_penalty: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Negative penalized log-likelihood and its gradient at ``beta``."""
     beta = np.asarray(beta, dtype=float)
-    if not data:
+    if len(data) == 0:
         value = l2_penalty * float(beta @ beta)
         return value, 2.0 * l2_penalty * beta
     diffs = _diff_matrix(data)
@@ -166,11 +181,14 @@ def _hessian(beta: np.ndarray, diffs: np.ndarray, l2_penalty: float) -> np.ndarr
 
 
 def fit_voter(
-    data: Sequence[PairwiseComparison],
+    data: np.ndarray | Sequence[PairwiseComparison],
     config: FitConfig | None = None,
     callback: Callable[[np.ndarray], None] | None = None,
 ) -> FitResult:
     """Fit one voter's utility weights by penalized maximum likelihood.
+
+    ``data`` is the voter's ``(n, d)`` chosen-minus-rejected array or a
+    sequence of ``PairwiseComparison``.
 
     Deterministic: same data and config give the same result.  The
     returned ``converged`` flag re-checks the gradient inf-norm against
@@ -179,7 +197,7 @@ def fit_voter(
     """
     if config is None:
         config = FitConfig()
-    if not data:
+    if len(data) == 0:
         raise ValueError("need at least one comparison to fit")
     diffs = _diff_matrix(data)
     d = diffs.shape[1]

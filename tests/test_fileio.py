@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -8,7 +9,6 @@ from prefvote.fileio import (
     CHARACTER_TYPES,
     MM_DIM,
     MM_FEATURE_NAMES,
-    ComparisonRecord,
     ParseError,
     VoterModelRecord,
     encode_mm_alternative,
@@ -23,27 +23,31 @@ from prefvote.fileio import (
     save_voter_models,
 )
 from prefvote.experiments import AccuracyCurve
-from prefvote.learning import FitConfig
+from prefvote.learning import FitConfig, PairwiseComparison, fit_voter
 from prefvote.pipeline import SummaryModel
 
 COMPARISONS_HEADER = "voter_id,c_1,c_2,r_1,r_2\n"
 
 
 def test_parse_comparisons_single_row():
-    records = parse_comparisons(io.StringIO(COMPARISONS_HEADER + "v1,1,0,0,1\n"))
-    assert records == [
-        ComparisonRecord(voter_id="v1", chosen=(1.0, 0.0), rejected=(0.0, 1.0))
-    ]
+    table = parse_comparisons(io.StringIO(COMPARISONS_HEADER + "v1,1,0,0,1\n"))
+    # chosen (1, 0) minus rejected (0, 1)
+    assert table.voter_ids == ("v1",)
+    assert np.array_equal(table.diffs, [[1.0, -1.0]])
+    assert table.diffs.dtype == np.float64
 
 
 def test_parse_comparisons_empty_body_is_valid():
-    assert parse_comparisons(io.StringIO(COMPARISONS_HEADER)) == []
+    table = parse_comparisons(io.StringIO(COMPARISONS_HEADER))
+    assert len(table) == 0
+    assert table.diffs.shape == (0, 2)
 
 
 def test_parse_comparisons_skips_blank_lines():
     text = COMPARISONS_HEADER + "v1,1,0,0,1\n\nv2,0,1,1,0\n"
-    records = parse_comparisons(io.StringIO(text))
-    assert [r.voter_id for r in records] == ["v1", "v2"]
+    table = parse_comparisons(io.StringIO(text))
+    assert table.voter_ids == ("v1", "v2")
+    assert len(table) == 2
 
 
 def test_parse_comparisons_errors_name_lines():
@@ -69,8 +73,57 @@ def test_group_comparisons_preserves_first_appearance_order():
     text = COMPARISONS_HEADER + "b,1,0,0,1\na,0,1,1,0\nb,1,1,0,0\n"
     grouped = group_comparisons(parse_comparisons(io.StringIO(text)))
     assert list(grouped) == ["b", "a"]
-    assert len(grouped["b"]) == 2
-    assert np.array_equal(grouped["a"][0].chosen, [0.0, 1.0])
+    # rows stay in file order within a voter
+    assert np.array_equal(grouped["b"], [[1.0, -1.0], [1.0, 1.0]])
+    # chosen (0, 1) minus rejected (1, 0)
+    assert np.array_equal(grouped["a"], [[-1.0, 1.0]])
+
+
+def reference_voter_comparisons(text):
+    """Copy of the previous path: one record per CSV row, converted to a
+    ``PairwiseComparison`` while grouping, stacked again before the fit."""
+    reader = csv.reader(io.StringIO(text))
+    d = (len(next(reader)) - 1) // 2
+    grouped = {}
+    for row in reader:
+        if not row:
+            continue
+        chosen = tuple(float(token) for token in row[1 : 1 + d])
+        rejected = tuple(float(token) for token in row[1 + d :])
+        grouped.setdefault(row[0].strip(), []).append(
+            PairwiseComparison(chosen=np.asarray(chosen), rejected=np.asarray(rejected))
+        )
+    return grouped
+
+
+def test_grouped_differences_equal_previous_path():
+    rng = np.random.default_rng(17)
+    d = 4
+    voters = [f"v{k}" for k in rng.permutation(12)]
+    lines = []
+    for voter in voters:
+        for _ in range(int(rng.integers(2, 15))):
+            pair = np.round(rng.standard_normal(2 * d), int(rng.integers(0, 17)))
+            lines.append(",".join([voter, *map(repr, pair.tolist())]))
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    for k in sorted(rng.choice(len(lines), size=6, replace=False), reverse=True):
+        lines.insert(int(k), "")
+    header = ",".join(
+        ["voter_id", *(f"c_{k}" for k in range(1, d + 1)),
+         *(f"r_{k}" for k in range(1, d + 1))]
+    )
+    text = header + "\n" + "\n".join(lines) + "\n"
+
+    grouped = group_comparisons(parse_comparisons(io.StringIO(text)))
+    expected = reference_voter_comparisons(text)
+    assert list(grouped) == list(expected)
+    for voter, comparisons in expected.items():
+        stacked = np.array([c.chosen - c.rejected for c in comparisons])
+        assert grouped[voter].tobytes() == stacked.tobytes()
+        assert grouped[voter].shape == stacked.shape
+        assert np.array_equal(
+            fit_voter(grouped[voter]).beta, fit_voter(comparisons).beta
+        )
 
 
 def test_parse_alternatives_golden():
