@@ -18,7 +18,6 @@ parallelism.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ import numpy as np
 from . import processes
 from .learning import FitConfig, fit_voter
 from .pipeline import as_population, decide, summarize
-from .profiles import Alternative
+from .profiles import Alternative, _as_int
 
 # Stream codes keep the per-run generators of different experiment kinds
 # disjoint under one master seed.
@@ -77,16 +76,6 @@ class SyntheticConfig:
         if seed < 0:
             raise ValueError("master_seed must be nonnegative")
         object.__setattr__(self, "master_seed", seed)
-
-
-def _as_int(value: object, name: str) -> int:
-    """``value`` as a Python int; floats and booleans are refused."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,8 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     The header fixes the feature dimension d:
     ``voter_id,c_1,...,c_d,r_1,...,r_d``.  An empty body is valid.  A row
     whose chosen and rejected vectors are identical carries no
-    information; it is kept, with a warning that names its line.
+    information; it is kept, with a warning that names its line.  A row
+    whose difference overflows to infinity is malformed.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -184,7 +185,7 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
         voter = row[0].strip()
         if not voter:
             raise ParseError("empty voter_id", line=line)
-        reals = [_parse_float(token, line) for token in row[1:]]
+        reals = _comparison_reals(row[1:], d, line)
         if reals[:d] == reals[d:]:
             warnings.warn(
                 f"line {line}: comparison has identical chosen and rejected "
@@ -195,6 +196,26 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
         values.extend(reals)
     rows = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
     return ComparisonTable(tuple(voters), rows[:, :d] - rows[:, d:])
+
+
+def _comparison_reals(tokens: list[str], d: int, line: int) -> list[float]:
+    """The 2d finite reals of one row, checked to subtract without overflow."""
+    try:
+        reals = [float(token) for token in tokens]
+    except ValueError:
+        # Parse again, token by token, to raise the line-numbered error.
+        reals = [_parse_float(token, line) for token in tokens]
+    # The sum of magnitudes is finite unless a value is non-finite or some
+    # chosen-minus-rejected difference may overflow; only then look closer.
+    if not math.isfinite(sum(map(abs, reals))):
+        for token in tokens:
+            _parse_float(token, line)
+        for c, r in zip(reals[:d], reals[d:]):
+            if not math.isfinite(c - r):
+                raise ParseError(
+                    f"chosen minus rejected overflows: {c!r} - {r!r}", line=line
+                )
+    return reals
 
 
 def group_comparisons(table: ComparisonTable) -> dict[str, np.ndarray]:

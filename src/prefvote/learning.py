@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize, special
 
+from .profiles import _as_finite, _as_int, _finite_vector
+
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -75,17 +77,23 @@ class FitConfig:
     initial_beta: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+        max_iterations = _as_int(self.max_iterations, "max_iterations")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.gradient_tolerance > 0:
+        tolerance = _as_finite(self.gradient_tolerance, "gradient_tolerance")
+        if not tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.l2_penalty < 0:
+        l2_penalty = _as_finite(self.l2_penalty, "l2_penalty")
+        if l2_penalty < 0:
             raise ValueError("l2_penalty must be nonnegative")
+        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(self, "gradient_tolerance", tolerance)
+        object.__setattr__(self, "l2_penalty", l2_penalty)
         if self.initial_beta is not None:
             object.__setattr__(
                 self,
                 "initial_beta",
-                np.asarray(self.initial_beta, dtype=float),
+                _finite_vector(self.initial_beta, "initial_beta"),
             )
 
 
@@ -126,7 +134,8 @@ def _diff_matrix(data: np.ndarray | Sequence[PairwiseComparison]) -> np.ndarray:
     """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
 
     A 2-D float array passes through uncopied; a sequence of
-    ``PairwiseComparison`` is stacked once.
+    ``PairwiseComparison`` is stacked once.  Every difference must be
+    finite.
     """
     if isinstance(data, np.ndarray):
         diffs = np.asarray(data, dtype=float)
@@ -136,9 +145,10 @@ def _diff_matrix(data: np.ndarray | Sequence[PairwiseComparison]) -> np.ndarray:
         dims = {comp.dim for comp in data}
         if len(dims) > 1:
             raise ValueError(f"comparisons disagree on dimension: {sorted(dims)}")
-        diffs = np.array([comp.chosen - comp.rejected for comp in data])
-    if np.isnan(diffs).any():
-        raise ValueError("comparison features contain NaN")
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.array([comp.chosen - comp.rejected for comp in data])
+    if not np.isfinite(diffs).all():
+        raise ValueError("comparison differences contain NaN or inf")
     return diffs
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import Alternative
+from .profiles import Alternative, _as_int, _finite_vector
 from .processes import ProcessSpec, _sorted_alternatives
 
 
@@ -29,14 +29,12 @@ class SummaryModel:
     n_voters: int
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta_hat, dtype=float)
-        if beta.ndim != 1:
-            raise ValueError("beta_hat must be one-dimensional")
-        if not np.isfinite(beta).all():
-            raise ValueError("beta_hat must be finite")
-        if self.n_voters < 1:
+        beta = _finite_vector(self.beta_hat, "beta_hat")
+        n_voters = _as_int(self.n_voters, "n_voters")
+        if n_voters < 1:
             raise ValueError("n_voters must be at least 1")
         object.__setattr__(self, "beta_hat", beta)
+        object.__setattr__(self, "n_voters", n_voters)
 
     @property
     def dim(self) -> int:

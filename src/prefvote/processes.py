@@ -23,7 +23,13 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .profiles import Alternative, AnonymousProfile, Ranking
+from .profiles import (
+    Alternative,
+    AnonymousProfile,
+    Ranking,
+    _as_finite,
+    _finite_vector,
+)
 
 TM = "tm"
 PL = "pl"
@@ -57,9 +63,13 @@ class ProcessSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
-        if self.family == PL and not self.gumbel_scale > 0:
-            raise ValueError("gumbel_scale must be positive")
+        beta = _finite_vector(self.beta, "beta")
+        object.__setattr__(self, "beta", tuple(beta.tolist()))
+        if self.family == PL:
+            gumbel_scale = _as_finite(self.gumbel_scale, "gumbel_scale")
+            if not gumbel_scale > 0:
+                raise ValueError("gumbel_scale must be positive")
+            object.__setattr__(self, "gumbel_scale", gumbel_scale)
 
     @property
     def dim(self) -> int:

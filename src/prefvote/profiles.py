@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -20,6 +22,40 @@ import numpy as np
 
 #: Absolute slack allowed on a profile's weight sum before normalization.
 WEIGHT_SUM_TOL = 1e-9
+
+
+# Constructor checks shared by every module of the package; this one
+# imports no other, so each can use them without an import cycle.
+
+
+def _as_int(value: object, name: str) -> int:
+    """``value`` as a Python int; floats and booleans are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_finite(value: object, name: str) -> float:
+    """``value`` as a finite Python float; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return number
+
+
+def _finite_vector(values: object, name: str) -> np.ndarray:
+    """``values`` as a one-dimensional float array with finite entries."""
+    vector = np.asarray(values, dtype=float)
+    if vector.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(vector).all():
+        raise ValueError(f"{name} must be finite")
+    return vector
 
 
 @dataclass(frozen=True)

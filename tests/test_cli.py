@@ -1,9 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prefvote import cli
 from prefvote.cli import main
 
 COMPARISONS = """voter_id,c_1,c_2,r_1,r_2
@@ -106,6 +112,98 @@ def test_malformed_comparisons_reports_line(workdir, capsys):
                  "--out", str(workdir / "m.json")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_fit_overflowing_difference_is_data_error(workdir, capsys):
+    # Finite features whose chosen-minus-rejected difference overflows
+    # used to reach the fit and exit 3 after numpy overflow warnings.
+    bad = workdir / "overflow.csv"
+    bad.write_text("voter_id,c_1,r_1\nv1,1,0\nv1,1e308,-1e308\n")
+    out = workdir / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--comparisons", str(bad), "--out", str(out)])
+    assert code == 2
+    assert "line 3: chosen minus rejected overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--l2", "nan"], "l2_penalty"),
+        (["--l2", "inf"], "l2_penalty"),
+        (["--tol", "inf"], "gradient_tolerance"),
+    ],
+)
+def test_fit_refuses_non_finite_options_before_reading_data(
+    workdir, capsys, monkeypatch, flags, field
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_voter ran despite a bad option")
+
+    monkeypatch.setattr(cli, "fit_voter", no_fit)
+    out = workdir / "m.json"
+    for comparisons in ("comparisons.csv", "missing.csv"):
+        code = main(["fit", "--comparisons", str(workdir / comparisons),
+                     "--out", str(out), *flags])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+@st.composite
+def malformed_comparison_csvs(draw):
+    """A tiny comparison CSV with exactly one kind of fault in it."""
+    d = draw(st.integers(1, 3))
+    header = ["voter_id", *(f"c_{k}" for k in range(1, d + 1)),
+              *(f"r_{k}" for k in range(1, d + 1))]
+    token = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    rows = [
+        [draw(st.sampled_from(["v1", "v2"])),
+         *draw(st.lists(token, min_size=2 * d, max_size=2 * d))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    row = draw(st.sampled_from(rows))
+    column = draw(st.integers(1, 2 * d))
+    fault = draw(st.sampled_from(
+        ["header", "field count", "non-numeric", "non-finite", "overflow",
+         "empty voter id"]
+    ))
+    if fault == "header":
+        header = draw(st.sampled_from([
+            header[:-1], ["voter", *header[1:]], [*header, "x"],
+            [header[0], *reversed(header[1:])], [],
+        ]))
+    elif fault == "field count":
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    elif fault == "non-numeric":
+        row[column] = draw(st.sampled_from(["x", "", "1..2", "--1", "0x10"]))
+    elif fault == "non-finite":
+        row[column] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+    elif fault == "overflow":
+        k = draw(st.integers(1, d))
+        row[k], row[k + d] = "1.7e308", "-1.7e308"
+    else:
+        row[0] = draw(st.sampled_from(["", "  "]))
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+@given(malformed_comparison_csvs())
+@settings(max_examples=100, deadline=None)
+def test_fit_on_malformed_comparisons_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "comparisons.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        out = os.path.join(tmp, "m.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert main(["fit", "--comparisons", path, "--out", out]) == 2
+        assert not os.path.exists(out)
 
 
 def test_usage_errors_exit_1(capsys):

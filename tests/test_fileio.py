@@ -69,6 +69,32 @@ def test_parse_comparisons_errors_name_lines():
         parse_comparisons(io.StringIO("voter_id,c_1,c_2,r_1\nv1,1,0,0\n"))
 
 
+def test_identical_rows_warn_with_their_line():
+    text = COMPARISONS_HEADER + "v1,1,0,0,1\nv1,2,-0.0,2,0\n"
+    with pytest.warns(UserWarning, match="line 3: comparison has identical"):
+        table = parse_comparisons(io.StringIO(text))
+    assert len(table) == 2
+    assert np.array_equal(table.diffs[1], [0.0, 0.0])
+
+
+def test_overflowing_differences_are_parse_errors():
+    with pytest.raises(ParseError, match="line 2: chosen minus rejected overflows"):
+        parse_comparisons(io.StringIO("voter_id,c_1,r_1\nv1,1e308,-1e308\n"))
+    # the first malformed line is reported, whatever the fault
+    text = COMPARISONS_HEADER + "v1,1,0,0,1\nv1,0,-1e308,0,1e308\nv1,a,0,0,1\n"
+    with pytest.raises(ParseError, match="line 3: chosen minus rejected"):
+        parse_comparisons(io.StringIO(text))
+    text = COMPARISONS_HEADER + "v1,inf,0,1e308,-1e308\n"
+    with pytest.raises(ParseError, match="line 2: non-finite value 'inf'"):
+        parse_comparisons(io.StringIO(text))
+    # magnitudes that sum past the largest double but subtract safely
+    table = parse_comparisons(
+        io.StringIO(COMPARISONS_HEADER + "v1,1e308,-1e308,9e307,-9e307\n")
+    )
+    assert np.isfinite(table.diffs).all()
+    assert table.diffs[0, 0] == 1e308 - 9e307
+
+
 def test_group_comparisons_preserves_first_appearance_order():
     text = COMPARISONS_HEADER + "b,1,0,0,1\na,0,1,1,0\nb,1,1,0,0\n"
     grouped = group_comparisons(parse_comparisons(io.StringIO(text)))

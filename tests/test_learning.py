@@ -86,6 +86,39 @@ def test_objective_rejects_nan_and_mismatch():
         objective_and_gradient(np.zeros(3), good)
 
 
+def test_non_finite_differences_are_refused():
+    # Finite features whose difference overflows to inf.
+    overflowing = [PairwiseComparison(chosen=[1e308], rejected=[-1e308])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fit_voter(overflowing)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fit_voter(np.array([[1.0, bad]]))
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        fit_voter(np.array([1.0, 0.0]))
+
+
+def test_difference_array_fits_like_comparison_objects():
+    rng = np.random.default_rng(8)
+    pairs = rng.standard_normal((50, 2, 4))
+    comparisons = [PairwiseComparison(chosen=c, rejected=r) for c, r in pairs]
+    diffs = pairs[:, 0] - pairs[:, 1]
+    for config in (FitConfig(), FitConfig(l2_penalty=0.1, max_iterations=7)):
+        from_objects = fit_voter(comparisons, config)
+        from_array = fit_voter(diffs, config)
+        assert from_array.beta.tobytes() == from_objects.beta.tobytes()
+        assert from_array.final_objective == from_objects.final_objective
+        assert from_array.iterations == from_objects.iterations
+        assert from_array.converged == from_objects.converged
+    beta = rng.standard_normal(4)
+    value, grad = objective_and_gradient(beta, diffs, 1e-3)
+    expected_value, expected_grad = objective_and_gradient(beta, comparisons, 1e-3)
+    assert value == expected_value
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     data = comparisons_from(rng.normal(0, 1, (15, 4)))
@@ -205,6 +238,32 @@ def test_fit_config_validation():
         FitConfig(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
         FitConfig(l2_penalty=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("gradient_tolerance", math.inf),
+        ("gradient_tolerance", math.nan),
+        ("l2_penalty", math.nan),
+        ("l2_penalty", math.inf),
+        ("l2_penalty", "0.1"),
+        ("initial_beta", [0.0, math.nan]),
+        ("initial_beta", [[0.0, 1.0]]),
+    ],
+)
+def test_fit_config_refuses_non_integer_and_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_normalizes_numeric_types():
+    config = FitConfig(max_iterations=np.int64(9), l2_penalty=0, initial_beta=[1, 2])
+    assert type(config.max_iterations) is int and config.max_iterations == 9
+    assert type(config.l2_penalty) is float and config.l2_penalty == 0.0
+    assert config.initial_beta.dtype == np.float64
 
 
 def test_fit_result_reports_unconverged_when_budget_tiny():

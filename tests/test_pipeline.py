@@ -42,6 +42,14 @@ def test_summary_model_validation():
             SummaryModel(beta_hat=np.array([bad, 1.0]), n_voters=1)
 
 
+@pytest.mark.parametrize("n_voters", [1.5, True, 2.0, "3"])
+def test_summary_model_refuses_non_integer_voter_counts(n_voters):
+    # n_voters=1.5 used to construct, and save_summary_model then wrote a
+    # file that load_summary_model refuses.
+    with pytest.raises(ValueError, match="n_voters must be an integer"):
+        SummaryModel(beta_hat=np.ones(2), n_voters=n_voters)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_populations_rejected(bad):
     # summarize([[nan, 0], [1, 2]]) used to give beta_hat [nan, 1], after

@@ -55,6 +55,19 @@ def test_spec_validation():
     assert spec.dim == 2
 
 
+@pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0, True])
+def test_pl_spec_refuses_bad_gumbel_scale(scale):
+    with pytest.raises(ValueError, match="gumbel_scale"):
+        ProcessSpec(family="pl", beta=(1.0,), gumbel_scale=scale)
+
+
+@pytest.mark.parametrize("family", ["tm", "pl"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_non_finite_beta(family, bad):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        ProcessSpec(family=family, beta=(1.0, bad))
+
+
 def test_mode_utility():
     spec = ProcessSpec(family="tm", beta=(1.0, 2.0))
     assert mode_utility(spec, alt("a", 3.0, 4.0)) == pytest.approx(11.0)

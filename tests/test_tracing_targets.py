@@ -7,7 +7,11 @@ surface only in the slow benchmark self-tests.
 
 import importlib
 import importlib.util
+import inspect
+import io
 from pathlib import Path
+
+from prefvote import fileio, learning
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -25,3 +29,19 @@ def test_every_trace_target_resolves_to_a_callable():
     for module_name, attribute, _, _ in targets:
         module = importlib.import_module(f"prefvote.{module_name}")
         assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+
+
+def test_comparison_counters_read_what_the_package_returns():
+    # _count_parse_comparisons counts fileio.rows as len(result), and the
+    # `prefvote fit` hands the parser's result straight to group_comparisons.
+    text = "voter_id,c_1,r_1\nv1,1,0\n\nv2,0,1\nv1,2,1\n"
+    table = fileio.parse_comparisons(io.StringIO(text))
+    assert len(table) == 3
+    grouped = fileio.group_comparisons(table)
+    assert [rows.shape for rows in grouped.values()] == [(2, 1), (1, 1)]
+
+
+def test_fit_voter_takes_config_second():
+    # _count_fit reads the FitConfig from args[1].
+    parameters = list(inspect.signature(learning.fit_voter).parameters)
+    assert parameters[1] == "config"
