@@ -11,7 +11,6 @@ from .learning import (
     FitConfig,
     FitResult,
     NumericError,
-    PairwiseComparison,
     fit_voter,
     log_std_normal_cdf,
     objective_and_gradient,
@@ -62,7 +61,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "NumericError",
-    "PairwiseComparison",
     "PreorderReport",
     "ProcessSpec",
     "Ranking",

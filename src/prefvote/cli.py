@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 malformed or unusable data,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -128,13 +127,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _config_from_json(path: str | None, seed: int | None) -> experiments.SyntheticConfig:
     overrides: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                loaded = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise fileio.ParseError(f"invalid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise fileio.ParseError("config must be a JSON object")
+        loaded = fileio.load_json_object(path, "config")
         known = {f.name for f in dataclass_fields(experiments.SyntheticConfig)}
         unknown = sorted(set(loaded) - known)
         if unknown:

@@ -20,7 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -102,15 +102,43 @@ def _format_real(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _expect_header(row: list[str] | None, expected: list[str]) -> None:
-    if row is None:
-        raise ParseError("missing header row", line=1)
-    got = [cell.strip() for cell in row]
-    if got != expected:
-        raise ParseError(
-            f"bad header: expected {','.join(expected)!r}, got {','.join(got)!r}",
-            line=1,
-        )
+def _csv_rows(
+    stream: IO[str], header: Callable[[int], list[str]]
+) -> Iterator[tuple[int, list[str]]]:
+    """Numbered CSV rows: the checked header first, then each body row.
+
+    ``header(n)`` names the fields expected when the first row has n
+    cells; the stripped header must equal it, and every non-blank body row
+    must have as many fields.  Blank rows are skipped.  A row's number is
+    the 1-based line it ends on, and a fault of the CSV layer itself, such
+    as a field over the ``csv`` module's size limit, is a ``ParseError``
+    naming its line.
+    """
+    reader = csv.reader(stream)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("missing header row", line=1)
+        expected = header(len(first))
+        got = [cell.strip() for cell in first]
+        if got != expected:
+            raise ParseError(
+                f"bad header: expected {','.join(expected)!r}, "
+                f"got {','.join(got)!r}",
+                line=1,
+            )
+        yield 1, expected
+        width = len(expected)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(
+                    f"expected {width} fields, got {len(row)}", line=reader.line_num
+                )
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _parse_float(token: object, line: int | None = None) -> float:
@@ -157,31 +185,12 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     information; it is kept, with a warning that names its line.  A row
     whose difference overflows to infinity is malformed.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("missing header row", line=1)
-    cells = [cell.strip() for cell in header]
-    if not cells or cells[0] != "voter_id" or len(cells) < 3 or len(cells) % 2 == 0:
-        raise ParseError(
-            "bad header: expected voter_id,c_1..c_d,r_1..r_d", line=1
-        )
-    d = (len(cells) - 1) // 2
-    expected = (
-        ["voter_id"]
-        + [f"c_{k}" for k in range(1, d + 1)]
-        + [f"r_{k}" for k in range(1, d + 1)]
-    )
-    _expect_header(header, expected)
+    rows = _csv_rows(stream, _comparison_header)
+    _, header = next(rows)
+    d = len(header) // 2
     voters: list[str] = []
     values = array.array("d")
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 1 + 2 * d:
-            raise ParseError(
-                f"expected {1 + 2 * d} fields, got {len(row)}", line=line
-            )
+    for line, row in rows:
         voter = row[0].strip()
         if not voter:
             raise ParseError("empty voter_id", line=line)
@@ -194,8 +203,17 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
             )
         voters.append(voter)
         values.extend(reals)
-    rows = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
-    return ComparisonTable(tuple(voters), rows[:, :d] - rows[:, d:])
+    pairs = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
+    return ComparisonTable(tuple(voters), pairs[:, :d] - pairs[:, d:])
+
+
+def _comparison_header(n: int) -> list[str]:
+    d = max(1, (n - 1) // 2)
+    return (
+        ["voter_id"]
+        + [f"c_{k}" for k in range(1, d + 1)]
+        + [f"r_{k}" for k in range(1, d + 1)]
+    )
 
 
 def _comparison_reals(tokens: list[str], d: int, line: int) -> list[float]:
@@ -231,22 +249,13 @@ def group_comparisons(table: ComparisonTable) -> dict[str, np.ndarray]:
 
 def parse_alternatives(stream: IO[str]) -> list[Alternative]:
     """Read alternatives from CSV with header ``id,f_1,...,f_d``."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("missing header row", line=1)
-    cells = [cell.strip() for cell in header]
-    if not cells or cells[0] != "id" or len(cells) < 2:
-        raise ParseError("bad header: expected id,f_1..f_d", line=1)
-    d = len(cells) - 1
-    _expect_header(header, ["id"] + [f"f_{k}" for k in range(1, d + 1)])
+    rows = _csv_rows(
+        stream, lambda n: ["id"] + [f"f_{k}" for k in range(1, max(2, n))]
+    )
+    next(rows)
     seen = set()
     alternatives = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 1 + d:
-            raise ParseError(f"expected {1 + d} fields, got {len(row)}", line=line)
+    for line, row in rows:
         alt_id = row[0].strip()
         if not alt_id:
             raise ParseError("empty id", line=line)
@@ -267,15 +276,10 @@ def parse_profile(stream: IO[str]) -> AnonymousProfile:
     coverage violations surface as ``ValueError`` from the profile
     constructor.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    _expect_header(header, ["weight", "ranking"])
+    rows = _csv_rows(stream, lambda n: ["weight", "ranking"])
+    next(rows)
     support: dict[Ranking, float] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
+    for line, row in rows:
         weight = _parse_float(row[0], line)
         try:
             ranking = Ranking.from_string(row[1])
@@ -433,14 +437,25 @@ def load_summary_model(path: str) -> SummaryModel:
     return SummaryModel(beta_hat=np.asarray(beta), n_voters=n_voters)
 
 
-def _load_json(path: str, expected_format: str) -> dict:
+def load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``, which ``what`` names.
+
+    Invalid, too deeply nested or non-object JSON is a ``ParseError``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
-        raise ParseError("model file must hold a JSON object")
+        raise ParseError(f"{what} must hold a JSON object")
+    return payload
+
+
+def _load_json(path: str, expected_format: str) -> dict:
+    payload = load_json_object(path, "model file")
     if payload.get("format") != expected_format:
         raise ParseError(
             f"unexpected format {payload.get('format')!r}, "

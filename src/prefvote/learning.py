@@ -13,16 +13,14 @@ voters concurrently needs no coordination.
 
 A voter's comparisons are one ``(n, d)`` float array whose row j is
 d_j = chosen_j - rejected_j; the file parser and the simulator produce
-exactly that.  ``fit_voter`` and ``objective_and_gradient`` also take a
-sequence of ``PairwiseComparison`` and stack it into that array once.
+exactly that.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
@@ -34,37 +32,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 class NumericError(RuntimeError):
     """The optimizer produced a non-finite objective or parameters."""
-
-
-@dataclass
-class PairwiseComparison:
-    """One observed choice: ``chosen`` was preferred to ``rejected``."""
-
-    chosen: np.ndarray
-    rejected: np.ndarray
-
-    def __post_init__(self) -> None:
-        chosen = np.asarray(self.chosen, dtype=float)
-        rejected = np.asarray(self.rejected, dtype=float)
-        if chosen.ndim != 1 or rejected.ndim != 1:
-            raise ValueError("feature vectors must be one-dimensional")
-        if chosen.shape != rejected.shape:
-            raise ValueError(
-                f"dimension mismatch: chosen has {chosen.shape[0]} features, "
-                f"rejected has {rejected.shape[0]}"
-            )
-        if np.array_equal(chosen, rejected):
-            warnings.warn(
-                "comparison has identical chosen and rejected feature "
-                "vectors; it carries no information",
-                stacklevel=2,
-            )
-        self.chosen = chosen
-        self.rejected = rejected
-
-    @property
-    def dim(self) -> int:
-        return self.chosen.shape[0]
 
 
 @dataclass(frozen=True)
@@ -130,38 +97,25 @@ def _cdf_ratio(t: np.ndarray) -> np.ndarray:
 _POLISH_MAX_STEPS = 25
 
 
-def _diff_matrix(data: np.ndarray | Sequence[PairwiseComparison]) -> np.ndarray:
+def _diff_matrix(data: np.ndarray) -> np.ndarray:
     """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
 
-    A 2-D float array passes through uncopied; a sequence of
-    ``PairwiseComparison`` is stacked once.  Every difference must be
+    A 2-D float array passes through uncopied.  Every difference must be
     finite.
     """
-    if isinstance(data, np.ndarray):
-        diffs = np.asarray(data, dtype=float)
-        if diffs.ndim != 2:
-            raise ValueError("comparison differences must form an (n, d) array")
-    else:
-        dims = {comp.dim for comp in data}
-        if len(dims) > 1:
-            raise ValueError(f"comparisons disagree on dimension: {sorted(dims)}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffs = np.array([comp.chosen - comp.rejected for comp in data])
+    diffs = np.asarray(data, dtype=float)
+    if diffs.ndim != 2:
+        raise ValueError("comparison differences must form an (n, d) array")
     if not np.isfinite(diffs).all():
         raise ValueError("comparison differences contain NaN or inf")
     return diffs
 
 
 def objective_and_gradient(
-    beta: np.ndarray,
-    data: np.ndarray | Sequence[PairwiseComparison],
-    l2_penalty: float = 0.0,
+    beta: np.ndarray, data: np.ndarray, l2_penalty: float = 0.0
 ) -> tuple[float, np.ndarray]:
     """Negative penalized log-likelihood and its gradient at ``beta``."""
     beta = np.asarray(beta, dtype=float)
-    if len(data) == 0:
-        value = l2_penalty * float(beta @ beta)
-        return value, 2.0 * l2_penalty * beta
     diffs = _diff_matrix(data)
     if diffs.shape[1] != beta.shape[0]:
         raise ValueError(
@@ -191,14 +145,13 @@ def _hessian(beta: np.ndarray, diffs: np.ndarray, l2_penalty: float) -> np.ndarr
 
 
 def fit_voter(
-    data: np.ndarray | Sequence[PairwiseComparison],
+    data: np.ndarray,
     config: FitConfig | None = None,
     callback: Callable[[np.ndarray], None] | None = None,
 ) -> FitResult:
     """Fit one voter's utility weights by penalized maximum likelihood.
 
-    ``data`` is the voter's ``(n, d)`` chosen-minus-rejected array or a
-    sequence of ``PairwiseComparison``.
+    ``data`` is the voter's ``(n, d)`` chosen-minus-rejected array.
 
     Deterministic: same data and config give the same result.  The
     returned ``converged`` flag re-checks the gradient inf-norm against

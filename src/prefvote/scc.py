@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +32,12 @@ SCC_KINDS = (PLURALITY, BORDA, COPELAND, MAXIMIN, BUCKLIN)
 #: Two scores within this absolute distance are treated as exactly tied.
 SCORE_TIE_TOL = 1e-9
 
-_BUCKLIN_NOTE = (
-    "bucklin ties at the pivotal rank are resolved toward the larger majority"
-)
+#: Caveats that every report on the rule carries.
+_RULE_NOTES = {
+    BUCKLIN: (
+        "bucklin ties at the pivotal rank are resolved toward the larger majority",
+    ),
+}
 
 
 def positional_scores(
@@ -195,24 +198,34 @@ def _dominance_pairs(profile: AnonymousProfile) -> list[tuple[str, str, bool]]:
     ]
 
 
+def _efficiency_report(
+    kind: str,
+    profile: AnonymousProfile,
+    violates: Callable[[bool, bool, bool], bool],
+) -> EfficiencyReport:
+    """Audit where ``violates(a_wins, b_wins, mutual)`` flags a pair."""
+    winners = apply_scc(kind, profile)
+    violations = [
+        (a, b)
+        for a, b, mutual in _dominance_pairs(profile)
+        if violates(a in winners, b in winners, mutual)
+    ]
+    return EfficiencyReport(
+        kind=kind,
+        holds=not violations,
+        violations=tuple(sorted(violations)),
+        notes=_RULE_NOTES.get(kind, ()),
+    )
+
+
 def check_swd_efficiency(kind: str, profile: AnonymousProfile) -> EfficiencyReport:
     """Audit: a dominated winner must drag its dominator in.
 
     For every pair with ``a`` swap-dominating ``b``, if ``b`` wins then
     ``a`` must win too.
     """
-    winners = apply_scc(kind, profile)
-    violations = [
-        (a, b)
-        for a, b, _ in _dominance_pairs(profile)
-        if b in winners and a not in winners
-    ]
-    notes = (_BUCKLIN_NOTE,) if kind == BUCKLIN else ()
-    return EfficiencyReport(
-        kind=kind,
-        holds=not violations,
-        violations=tuple(sorted(violations)),
-        notes=notes,
+    return _efficiency_report(
+        kind, profile, lambda a_wins, b_wins, mutual: b_wins and not a_wins
     )
 
 
@@ -224,19 +237,10 @@ def check_strong_swd_efficiency(
     When ``a`` dominates ``b`` and ``b`` does not dominate back, ``b``
     must lose; when they dominate each other, they win or lose together.
     """
-    winners = apply_scc(kind, profile)
-    violations = []
-    for a, b, mutual in _dominance_pairs(profile):
-        if not mutual and b in winners:
-            violations.append((a, b))
-        elif mutual and (a in winners) != (b in winners):
-            violations.append((a, b))
-    notes = (_BUCKLIN_NOTE,) if kind == BUCKLIN else ()
-    return EfficiencyReport(
-        kind=kind,
-        holds=not violations,
-        violations=tuple(sorted(violations)),
-        notes=notes,
+    return _efficiency_report(
+        kind,
+        profile,
+        lambda a_wins, b_wins, mutual: a_wins != b_wins if mutual else b_wins,
     )
 
 
@@ -351,7 +355,6 @@ def _stability_from_profiles(
     intersection = winners_full & sub_profile.alternatives
     applicable = bool(intersection)
     stable = (not applicable) or intersection == winners_subset
-    notes = (_BUCKLIN_NOTE,) if kind == BUCKLIN else ()
     return StabilityReport(
         kind=kind,
         winners_full=winners_full,
@@ -360,5 +363,5 @@ def _stability_from_profiles(
         applicable=applicable,
         stable=stable,
         low_confidence=low_confidence,
-        notes=notes,
+        notes=_RULE_NOTES.get(kind, ()),
     )

@@ -28,7 +28,6 @@ from prefvote.experiments import (
 )
 from prefvote.learning import (
     FitConfig,
-    PairwiseComparison,
     fit_voter,
     objective_and_gradient,
 )
@@ -233,12 +232,10 @@ def test_criterion_05_mean_minimizes_kl():
 
 def test_criterion_06_learning_numerics():
     rng = np.random.default_rng(606)
-    comparisons = [
-        PairwiseComparison(
-            chosen=rng.normal(0.0, 1.0, 3), rejected=rng.normal(0.0, 1.0, 3)
-        )
-        for _ in range(12)
+    pairs = [
+        (rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3)) for _ in range(12)
     ]
+    comparisons = np.array([chosen - rejected for chosen, rejected in pairs])
     penalty = 1e-4
 
     max_rel = 0.0
@@ -267,10 +264,8 @@ def test_criterion_06_learning_numerics():
             convex_ok = False
 
     direction = np.array([1.0, 0.0])
-    separable = [
-        PairwiseComparison(chosen=base + direction, rejected=base)
-        for base in rng.normal(0.0, 1.0, (10, 2))
-    ]
+    bases = rng.normal(0.0, 1.0, (10, 2))
+    separable = (bases + direction) - bases
     result = fit_voter(separable, FitConfig())
     separable_ok = bool(np.all(np.isfinite(result.beta)))
 

@@ -1,3 +1,7 @@
+import contextlib
+import csv
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -152,6 +156,12 @@ def test_fit_refuses_non_finite_options_before_reading_data(
         assert not out.exists()
 
 
+#: One field just over the ``csv`` module's size limit.
+OVERSIZED_FIELD = "1" * (csv.field_size_limit() + 1)
+#: Valid JSON syntax nested far past the interpreter's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 @st.composite
 def malformed_comparison_csvs(draw):
     """A tiny comparison CSV with exactly one kind of fault in it."""
@@ -168,7 +178,7 @@ def malformed_comparison_csvs(draw):
     column = draw(st.integers(1, 2 * d))
     fault = draw(st.sampled_from(
         ["header", "field count", "non-numeric", "non-finite", "overflow",
-         "empty voter id"]
+         "empty voter id", "oversized field"]
     ))
     if fault == "header":
         header = draw(st.sampled_from([
@@ -187,8 +197,10 @@ def malformed_comparison_csvs(draw):
     elif fault == "overflow":
         k = draw(st.integers(1, d))
         row[k], row[k + d] = "1.7e308", "-1.7e308"
-    else:
+    elif fault == "empty voter id":
         row[0] = draw(st.sampled_from(["", "  "]))
+    else:
+        row[draw(st.integers(0, 2 * d))] = OVERSIZED_FIELD
     return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
 
 
@@ -204,6 +216,287 @@ def test_fit_on_malformed_comparisons_exits_2(text):
             warnings.simplefilter("ignore", UserWarning)
             assert main(["fit", "--comparisons", path, "--out", out]) == 2
         assert not os.path.exists(out)
+
+
+def summary_json(d):
+    return json.dumps({"format": "summary-model", "version": 1, "d": d,
+                       "n_voters": 2, "beta": ["1"] * d})
+
+
+def assert_data_error(files, argv):
+    """``main`` exits 2 with a one-line ``error:`` message and no output;
+    returns the message.
+
+    ``files`` maps names to contents, written to a fresh directory; an
+    argument of the form ``@name`` stands for that directory's path to
+    ``name``.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8",
+                      newline="") as handle:
+                handle.write(text)
+        argv = [os.path.join(tmp, arg[1:]) if arg.startswith("@") else arg
+                for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", UserWarning)
+            code = main(argv)
+    assert code == 2, err.getvalue()
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
+    return err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "files, argv, line",
+    [
+        ({"c.csv": f"voter_id,c_1,r_1\nv1,0,1\nv1,{OVERSIZED_FIELD},0\n"},
+         ["fit", "--comparisons", "@c.csv", "--out", "@m.json"], 3),
+        ({"s.json": summary_json(1), "a.csv": f"id,f_1\n{OVERSIZED_FIELD},1\n"},
+         ["decide", "--summary", "@s.json", "--alternatives", "@a.csv"], 2),
+        ({"p.csv": "weight,ranking\n1," + "a" * 140_000 + "\n"},
+         ["axioms", "--check", "swd", "--scc", "plurality", "--profile", "@p.csv"],
+         2),
+    ],
+    ids=["comparisons", "alternatives", "profile"],
+)
+def test_oversized_csv_field_is_data_error(files, argv, line):
+    error = assert_data_error(files, argv)
+    assert error.startswith(f"error: line {line}: field larger than field limit")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", "--models", "@deep.json", "--out", "@s.json"],
+        ["decide", "--summary", "@deep.json", "--alternatives", "@a.csv"],
+        ["simulate", "step2", "--config", "@deep.json"],
+    ],
+    ids=["models", "summary", "config"],
+)
+def test_deeply_nested_json_is_data_error(argv):
+    error = assert_data_error({"deep.json": DEEP_JSON, "a.csv": ALTERNATIVES}, argv)
+    assert "nested too deeply" in error
+
+
+def json_fault(draw, payload):
+    """Break ``payload`` at the JSON level, or return None to leave it."""
+    fault = draw(st.sampled_from(["none", "deep", "syntax", "not an object"]))
+    if fault == "deep":
+        return draw(st.sampled_from([DEEP_JSON, '{"format": ' + DEEP_JSON + "}"]))
+    if fault == "syntax":
+        text = json.dumps(payload)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if fault == "not an object":
+        return json.dumps(draw(st.sampled_from([[], [payload], 1, "x", None])))
+    return None
+
+
+BAD_REALS = ["x", "", "nan", "inf", "-inf", "1e999", None, [], {}]
+BAD_VERSIONS = [0, 2, "1", None, 1.5]
+
+
+@st.composite
+def malformed_voter_models(draw):
+    """A tiny voter-models file with exactly one kind of fault in it."""
+    d = draw(st.integers(1, 3))
+    real = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    voters = [
+        {"voter_id": f"v{k}", "beta": draw(st.lists(real, min_size=d, max_size=d)),
+         "converged": draw(st.booleans()), "iterations": draw(st.integers(0, 50))}
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    payload = {"format": "voter-models", "version": 1, "d": d,
+               "fit": {"l2_penalty": "1e-06", "gradient_tolerance": "1e-08",
+                       "max_iterations": 500},
+               "voters": voters}
+    text = json_fault(draw, payload)
+    if text is not None:
+        return text
+    voter = draw(st.sampled_from(voters))
+    fault = draw(st.sampled_from(
+        ["format", "version", "beta value", "beta type", "dimension",
+         "missing key", "flag type", "voters", "fit"]
+    ))
+    if fault == "format":
+        payload["format"] = draw(st.sampled_from(["summary-model", "", None, 1]))
+    elif fault == "version":
+        payload["version"] = draw(st.sampled_from(BAD_VERSIONS))
+    elif fault == "beta value":
+        voter["beta"][draw(st.integers(0, d - 1))] = draw(st.sampled_from(BAD_REALS))
+    elif fault == "beta type":
+        voter["beta"] = draw(st.sampled_from(["1", 1, None, {}]))
+    elif fault == "dimension":
+        payload["d"] = draw(st.sampled_from([d + 1, d - 1, str(d), None]))
+    elif fault == "missing key":
+        del voter[draw(st.sampled_from(["voter_id", "beta"]))]
+    elif fault == "flag type":
+        key, value = draw(st.sampled_from(
+            [("converged", "false"), ("converged", 0), ("converged", None),
+             ("iterations", 1.5), ("iterations", "3"), ("iterations", True)]
+        ))
+        voter[key] = value
+    elif fault == "voters":
+        payload["voters"] = draw(st.sampled_from([[], {}, "v1", None, [1], [None]]))
+    else:
+        payload["fit"] = draw(st.sampled_from(
+            [[], "x", 1, {"l2_penalty": "nan"}, {"gradient_tolerance": "x"}]
+        ))
+    return json.dumps(payload)
+
+
+@given(malformed_voter_models())
+@settings(max_examples=100, deadline=None)
+def test_summarize_on_malformed_voter_models_exits_2(text):
+    assert_data_error({"models.json": text},
+                      ["summarize", "--models", "@models.json", "--out", "@s.json"])
+
+
+@st.composite
+def malformed_summary_models(draw):
+    """A tiny summary-model file with one fault, and alternatives to match."""
+    d = draw(st.integers(1, 3))
+    real = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    payload = {"format": "summary-model", "version": 1, "d": d,
+               "n_voters": draw(st.integers(1, 5)),
+               "beta": draw(st.lists(real, min_size=d, max_size=d))}
+    alternatives = "\n".join([
+        ",".join(["id", *(f"f_{k}" for k in range(1, d + 1))]),
+        ",".join(["a", *["1"] * d]),
+        ",".join(["b", *["0"] * d]),
+    ]) + "\n"
+    text = json_fault(draw, payload)
+    if text is not None:
+        return text, alternatives
+    fault = draw(st.sampled_from(
+        ["format", "version", "beta value", "beta type", "dimension",
+         "missing key", "n_voters"]
+    ))
+    if fault == "format":
+        payload["format"] = draw(st.sampled_from(["voter-models", "", None, 1]))
+    elif fault == "version":
+        payload["version"] = draw(st.sampled_from(BAD_VERSIONS))
+    elif fault == "beta value":
+        payload["beta"][draw(st.integers(0, d - 1))] = draw(st.sampled_from(BAD_REALS))
+    elif fault == "beta type":
+        payload["beta"] = draw(st.sampled_from(["1", 1, None, {}]))
+    elif fault == "dimension":
+        payload["d"] = draw(st.sampled_from([d + 1, d - 1, str(d), None]))
+    elif fault == "missing key":
+        del payload[draw(st.sampled_from(["beta", "n_voters"]))]
+    else:
+        payload["n_voters"] = draw(st.sampled_from([0, -1, 1.5, "2", True, None]))
+    return json.dumps(payload), alternatives
+
+
+@given(malformed_summary_models())
+@settings(max_examples=100, deadline=None)
+def test_decide_on_malformed_summary_exits_2(files):
+    summary, alternatives = files
+    assert_data_error({"s.json": summary, "a.csv": alternatives},
+                      ["decide", "--summary", "@s.json", "--alternatives", "@a.csv"])
+
+
+@st.composite
+def malformed_alternative_csvs(draw):
+    """A tiny alternatives CSV with exactly one kind of fault in it."""
+    d = draw(st.integers(1, 3))
+    header = ["id", *(f"f_{k}" for k in range(1, d + 1))]
+    token = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    rows = [
+        [f"a{k}", *draw(st.lists(token, min_size=d, max_size=d))]
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    row = draw(st.sampled_from(rows))
+    column = draw(st.integers(1, d))
+    fault = draw(st.sampled_from(
+        ["header", "field count", "non-numeric", "non-finite", "empty id",
+         "duplicate id", "no rows", "oversized field"]
+    ))
+    if fault == "header":
+        header = draw(st.sampled_from([
+            header[:-1], ["name", *header[1:]], [*header, "x"],
+            [*header[:-1], "f_0"], [],
+        ]))
+    elif fault == "field count":
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    elif fault == "non-numeric":
+        row[column] = draw(st.sampled_from(["x", "", "1..2", "--1", "0x10"]))
+    elif fault == "non-finite":
+        row[column] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+    elif fault == "empty id":
+        row[0] = draw(st.sampled_from(["", "  "]))
+    elif fault == "duplicate id":
+        rows.append(list(row))
+    elif fault == "no rows":
+        rows = [[]] * draw(st.integers(0, 2))
+    else:
+        row[draw(st.integers(0, d))] = OVERSIZED_FIELD
+    return d, "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+@given(malformed_alternative_csvs())
+@settings(max_examples=100, deadline=None)
+def test_decide_on_malformed_alternatives_exits_2(drawn):
+    d, text = drawn
+    assert_data_error({"s.json": summary_json(d), "a.csv": text},
+                      ["decide", "--summary", "@s.json", "--alternatives", "@a.csv"])
+
+
+@st.composite
+def malformed_profile_csvs(draw):
+    """A tiny profile CSV with exactly one kind of fault in it."""
+    ids = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    rankings = draw(st.lists(
+        st.sampled_from([">".join(order) for order in itertools.permutations(ids)]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    # Multiples of 1/8 sum to one exactly.
+    weights = ["0.125"] * (len(rankings) - 1) + [repr(1 - 0.125 * (len(rankings) - 1))]
+    rows = [[weight, ranking] for weight, ranking in zip(weights, rankings)]
+    row = draw(st.sampled_from(rows))
+    fault = draw(st.sampled_from(
+        ["header", "field count", "weight", "weight sum", "ranking",
+         "coverage", "duplicate ranking", "no rows", "oversized field"]
+    ))
+    header = ["weight", "ranking"]
+    if fault == "header":
+        header = draw(st.sampled_from([
+            ["weight"], ["ranking", "weight"], [*header, "x"], ["w", "ranking"], [],
+        ]))
+    elif fault == "field count":
+        if draw(st.booleans()):
+            row.append("x")
+        else:
+            row.pop()
+    elif fault == "weight":
+        row[0] = draw(st.sampled_from(["x", "", "nan", "inf", "-inf", "1e999"]))
+    elif fault == "weight sum":
+        row[0] = draw(st.sampled_from(["-0.5", "0.6", "2"]))
+    elif fault == "ranking":
+        row[1] = draw(st.sampled_from(["", ">", "a>a>b", "a>>b", "a>b>c>a"]))
+    elif fault == "coverage":
+        rows.append(["0", draw(st.sampled_from(["a", "b>a>c>d", "a>d"]))])
+    elif fault == "duplicate ranking":
+        rows.append(list(row))
+    elif fault == "no rows":
+        rows = [[]] * draw(st.integers(0, 2))
+    else:
+        row[draw(st.integers(0, 1))] = OVERSIZED_FIELD
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+@given(malformed_profile_csvs())
+@settings(max_examples=100, deadline=None)
+def test_axioms_on_malformed_profile_exits_2(text):
+    assert_data_error({"p.csv": text},
+                      ["axioms", "--check", "swd", "--scc", "borda", "--profile", "@p.csv"])
 
 
 def test_usage_errors_exit_1(capsys):

@@ -23,7 +23,7 @@ from prefvote.fileio import (
     save_voter_models,
 )
 from prefvote.experiments import AccuracyCurve
-from prefvote.learning import FitConfig, PairwiseComparison, fit_voter
+from prefvote.learning import FitConfig, fit_voter
 from prefvote.pipeline import SummaryModel
 
 COMPARISONS_HEADER = "voter_id,c_1,c_2,r_1,r_2\n"
@@ -61,6 +61,11 @@ def test_parse_comparisons_errors_name_lines():
         parse_comparisons(io.StringIO(COMPARISONS_HEADER + "v1,inf,0,0,1\n"))
     with pytest.raises(ParseError, match="line 2: empty voter_id"):
         parse_comparisons(io.StringIO(COMPARISONS_HEADER + " ,1,0,0,1\n"))
+    # a quoted field may span lines; later rows keep their file line
+    with pytest.raises(ParseError, match="line 4: non-numeric"):
+        parse_comparisons(
+            io.StringIO(COMPARISONS_HEADER + '"v\n1",1,0,0,1\nv2,x,0,0,1\n')
+        )
     with pytest.raises(ParseError, match="line 1"):
         parse_comparisons(io.StringIO(""))
     with pytest.raises(ParseError, match="line 1"):
@@ -107,7 +112,7 @@ def test_group_comparisons_preserves_first_appearance_order():
 
 def reference_voter_comparisons(text):
     """Copy of the previous path: one record per CSV row, converted to a
-    ``PairwiseComparison`` while grouping, stacked again before the fit."""
+    chosen-minus-rejected row while grouping, stacked again before the fit."""
     reader = csv.reader(io.StringIO(text))
     d = (len(next(reader)) - 1) // 2
     grouped = {}
@@ -117,7 +122,7 @@ def reference_voter_comparisons(text):
         chosen = tuple(float(token) for token in row[1 : 1 + d])
         rejected = tuple(float(token) for token in row[1 + d :])
         grouped.setdefault(row[0].strip(), []).append(
-            PairwiseComparison(chosen=np.asarray(chosen), rejected=np.asarray(rejected))
+            np.asarray(chosen) - np.asarray(rejected)
         )
     return grouped
 
@@ -143,12 +148,12 @@ def test_grouped_differences_equal_previous_path():
     grouped = group_comparisons(parse_comparisons(io.StringIO(text)))
     expected = reference_voter_comparisons(text)
     assert list(grouped) == list(expected)
-    for voter, comparisons in expected.items():
-        stacked = np.array([c.chosen - c.rejected for c in comparisons])
+    for voter, diffs in expected.items():
+        stacked = np.array(diffs)
         assert grouped[voter].tobytes() == stacked.tobytes()
         assert grouped[voter].shape == stacked.shape
         assert np.array_equal(
-            fit_voter(grouped[voter]).beta, fit_voter(comparisons).beta
+            fit_voter(grouped[voter]).beta, fit_voter(stacked).beta
         )
 
 

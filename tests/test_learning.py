@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from prefvote.learning import (
     FitConfig,
     FitResult,
-    PairwiseComparison,
     fit_voter,
     log_std_normal_cdf,
     objective_and_gradient,
@@ -20,14 +18,6 @@ LOG_PHI = {
     -10.0: -53.23128515051247,
     -40.0: -804.6084420137538,
 }
-
-
-def comparisons_from(diffs):
-    """Comparisons whose chosen-minus-rejected differences equal ``diffs``."""
-    out = []
-    for diff in np.atleast_2d(np.asarray(diffs, dtype=float)):
-        out.append(PairwiseComparison(chosen=diff, rejected=np.zeros_like(diff)))
-    return out
 
 
 def test_log_cdf_frozen_values():
@@ -49,18 +39,9 @@ def test_log_cdf_tails_stay_finite():
         log_std_normal_cdf(np.array([0.0, float("nan")]))
 
 
-def test_comparison_validation():
-    with pytest.raises(ValueError, match="mismatch"):
-        PairwiseComparison(chosen=np.ones(3), rejected=np.ones(2))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        PairwiseComparison(chosen=np.ones((2, 2)), rejected=np.ones((2, 2)))
-    with pytest.warns(UserWarning, match="identical"):
-        PairwiseComparison(chosen=np.ones(2), rejected=np.ones(2))
-
-
 def test_objective_at_zero():
     # every comparison contributes log Phi(0) = log 2 at beta = 0
-    data = comparisons_from(np.eye(3))
+    data = np.eye(3)
     value, grad = objective_and_gradient(np.zeros(3), data)
     assert value == pytest.approx(3 * math.log(2), rel=1e-12)
     # gradient factor at t=0 is phi(0)/Phi(0) = sqrt(2/pi)
@@ -68,31 +49,29 @@ def test_objective_at_zero():
 
 
 def test_objective_penalty_term():
-    data = comparisons_from([[1.0, 0.0]])
+    data = np.array([[1.0, 0.0]])
     beta = np.array([3.0, -4.0])
     bare, _ = objective_and_gradient(beta, data, l2_penalty=0.0)
     ridged, grad = objective_and_gradient(beta, data, l2_penalty=0.5)
     assert ridged == pytest.approx(bare + 0.5 * 25.0, rel=1e-12)
     _, bare_grad = objective_and_gradient(beta, data, l2_penalty=0.0)
     assert grad == pytest.approx(bare_grad + np.array([3.0, -4.0]), rel=1e-12)
+    # no comparisons: the penalty alone
+    value, grad = objective_and_gradient(beta, np.empty((0, 2)), l2_penalty=0.5)
+    assert value == 12.5
+    assert np.array_equal(grad, [3.0, -4.0])
 
 
 def test_objective_rejects_nan_and_mismatch():
-    data = comparisons_from([[1.0, float("nan")]])
+    data = np.array([[1.0, float("nan")]])
     with pytest.raises(ValueError, match="NaN"):
         objective_and_gradient(np.zeros(2), data)
-    good = comparisons_from([[1.0, 0.0]])
+    good = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="dimension"):
         objective_and_gradient(np.zeros(3), good)
 
 
 def test_non_finite_differences_are_refused():
-    # Finite features whose difference overflows to inf.
-    overflowing = [PairwiseComparison(chosen=[1e308], rejected=[-1e308])]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="NaN or inf"):
-            fit_voter(overflowing)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="NaN or inf"):
             fit_voter(np.array([[1.0, bad]]))
@@ -100,28 +79,9 @@ def test_non_finite_differences_are_refused():
         fit_voter(np.array([1.0, 0.0]))
 
 
-def test_difference_array_fits_like_comparison_objects():
-    rng = np.random.default_rng(8)
-    pairs = rng.standard_normal((50, 2, 4))
-    comparisons = [PairwiseComparison(chosen=c, rejected=r) for c, r in pairs]
-    diffs = pairs[:, 0] - pairs[:, 1]
-    for config in (FitConfig(), FitConfig(l2_penalty=0.1, max_iterations=7)):
-        from_objects = fit_voter(comparisons, config)
-        from_array = fit_voter(diffs, config)
-        assert from_array.beta.tobytes() == from_objects.beta.tobytes()
-        assert from_array.final_objective == from_objects.final_objective
-        assert from_array.iterations == from_objects.iterations
-        assert from_array.converged == from_objects.converged
-    beta = rng.standard_normal(4)
-    value, grad = objective_and_gradient(beta, diffs, 1e-3)
-    expected_value, expected_grad = objective_and_gradient(beta, comparisons, 1e-3)
-    assert value == expected_value
-    assert grad.tobytes() == expected_grad.tobytes()
-
-
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
-    data = comparisons_from(rng.normal(0, 1, (15, 4)))
+    data = rng.normal(0, 1, (15, 4))
     step = 1e-6
     for _ in range(20):
         beta = rng.normal(0, 1.5, 4)
@@ -142,7 +102,7 @@ def test_gradient_matches_finite_differences():
 
 def test_objective_is_convex_along_segments():
     rng = np.random.default_rng(21)
-    data = comparisons_from(rng.normal(0, 1, (10, 3)))
+    data = rng.normal(0, 1, (10, 3))
     for _ in range(25):
         beta1 = rng.normal(0, 2, 3)
         beta2 = rng.normal(0, 2, 3)
@@ -157,12 +117,11 @@ def test_objective_is_convex_along_segments():
 def test_fit_requires_data_and_consistent_dims():
     with pytest.raises(ValueError, match="at least one"):
         fit_voter([])
-    mixed = [
-        PairwiseComparison(chosen=np.ones(2), rejected=np.zeros(2)),
-        PairwiseComparison(chosen=np.ones(3), rejected=np.zeros(3)),
-    ]
-    with pytest.raises(ValueError, match="disagree"):
-        fit_voter(mixed)
+    with pytest.raises(ValueError, match="at least one"):
+        fit_voter(np.empty((0, 2)))
+    # rows of different lengths do not form an (n, d) array
+    with pytest.raises(ValueError):
+        fit_voter([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_fit_recovers_preference_direction():
@@ -171,12 +130,10 @@ def test_fit_recovers_preference_direction():
     pairs = rng.normal(0, 1, (300, 2, 4))
     gaps = (pairs[:, 0] - pairs[:, 1]) @ beta_true
     noisy = gaps + rng.normal(0, 1, 300)
-    data = [
-        PairwiseComparison(chosen=pairs[k, 0], rejected=pairs[k, 1])
-        if noisy[k] >= 0
-        else PairwiseComparison(chosen=pairs[k, 1], rejected=pairs[k, 0])
+    data = np.array([
+        pairs[k, 0] - pairs[k, 1] if noisy[k] >= 0 else pairs[k, 1] - pairs[k, 0]
         for k in range(300)
-    ]
+    ])
     result = fit_voter(data)
     assert result.converged
     cosine = result.beta @ beta_true / (
@@ -192,7 +149,7 @@ def test_fit_recovers_preference_direction():
 
 def test_fit_separable_data_stays_finite():
     # perfectly separable single direction: the ridge keeps beta bounded
-    data = comparisons_from(np.tile([1.0, 0.0], (20, 1)))
+    data = np.tile([1.0, 0.0], (20, 1))
     result = fit_voter(data, FitConfig(l2_penalty=1e-6))
     assert np.isfinite(result.beta).all()
     assert math.isfinite(result.final_objective)
@@ -201,7 +158,7 @@ def test_fit_separable_data_stays_finite():
 
 
 def test_fit_single_comparison_aligns_with_difference():
-    data = comparisons_from([[2.0, -1.0]])
+    data = np.array([[2.0, -1.0]])
     result = fit_voter(data, FitConfig(l2_penalty=1e-4))
     direction = result.beta / np.linalg.norm(result.beta)
     expected = np.array([2.0, -1.0]) / math.sqrt(5.0)
@@ -210,7 +167,7 @@ def test_fit_single_comparison_aligns_with_difference():
 
 def test_fit_deterministic_and_warm_startable():
     rng = np.random.default_rng(2)
-    data = comparisons_from(rng.normal(0, 1, (40, 3)))
+    data = rng.normal(0, 1, (40, 3))
     first = fit_voter(data)
     second = fit_voter(data)
     assert np.array_equal(first.beta, second.beta)
@@ -223,7 +180,7 @@ def test_fit_deterministic_and_warm_startable():
 
 def test_fit_objective_decreases_along_callback_path():
     rng = np.random.default_rng(33)
-    data = comparisons_from(rng.normal(0, 1, (60, 4)))
+    data = rng.normal(0, 1, (60, 4))
     seen = []
     fit_voter(data, callback=lambda xk: seen.append(np.array(xk, copy=True)))
     values = [objective_and_gradient(x, data, 1e-6)[0] for x in seen]
@@ -268,7 +225,7 @@ def test_fit_config_normalizes_numeric_types():
 
 def test_fit_result_reports_unconverged_when_budget_tiny():
     rng = np.random.default_rng(50)
-    data = comparisons_from(rng.normal(0, 1, (80, 6)))
+    data = rng.normal(0, 1, (80, 6))
     result = fit_voter(data, FitConfig(max_iterations=1))
     assert not result.converged
     assert result.iterations <= 1
