@@ -379,8 +379,7 @@ def save_voter_models(
 
 def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
     """Read a voter-models file; returns (records, fit metadata)."""
-    payload = _load_json(path, VOTER_MODELS_FORMAT)
-    d = payload.get("d")
+    payload, d = _load_json(path, VOTER_MODELS_FORMAT)
     records = []
     voters = payload.get("voters", [])
     if not isinstance(voters, list):
@@ -427,12 +426,10 @@ def save_summary_model(path: str, model: SummaryModel) -> None:
 
 
 def load_summary_model(path: str) -> SummaryModel:
-    payload = _load_json(path, SUMMARY_MODEL_FORMAT)
+    payload, d = _load_json(path, SUMMARY_MODEL_FORMAT)
     beta = _parse_beta(_require(payload, "beta", "summary model"), "summary model")
-    if len(beta) != payload.get("d"):
-        raise ParseError(
-            f"beta has dimension {len(beta)}, file declares {payload.get('d')}"
-        )
+    if len(beta) != d:
+        raise ParseError(f"beta has dimension {len(beta)}, file declares {d}")
     n_voters = _parse_int(_require(payload, "n_voters", "summary model"), "n_voters")
     return SummaryModel(beta_hat=np.asarray(beta), n_voters=n_voters)
 
@@ -454,16 +451,18 @@ def load_json_object(path: str, what: str) -> dict:
     return payload
 
 
-def _load_json(path: str, expected_format: str) -> dict:
+def _load_json(path: str, expected_format: str) -> tuple[dict, int]:
+    """A model file's JSON object and the dimension ``d`` it declares."""
     payload = load_json_object(path, "model file")
     if payload.get("format") != expected_format:
         raise ParseError(
             f"unexpected format {payload.get('format')!r}, "
             f"expected {expected_format!r}"
         )
-    if payload.get("version") != FILE_VERSION:
-        raise ParseError(f"unsupported version {payload.get('version')!r}")
-    return payload
+    version = _parse_int(payload.get("version"), "version")
+    if version != FILE_VERSION:
+        raise ParseError(f"unsupported version {version!r}")
+    return payload, _parse_int(payload.get("d"), "d")
 
 
 def format_curve(curve: AccuracyCurve) -> str:

@@ -6,8 +6,13 @@ comparison is log Phi(beta . (chosen - rejected)), so the fit maximizes
 
     sum_j log Phi(beta . d_j)  -  lambda * ||beta||^2
 
-with d_j the feature difference.  The negated objective is convex; a
-small ridge term keeps it bounded when the data are linearly separable.
+with d_j the feature difference.  For lambda > 0 the negated objective
+is 2*lambda-strongly convex, so it has one minimizer even on linearly
+separable data, and ``fit_voter`` returns that ridge optimum at float
+resolution from any starting point.  At lambda = 0 on separable data no
+optimum exists (Albert & Anderson 1984): the likelihood keeps rising
+along a separating direction.  ``FitResult.iterations`` counts Newton
+steps.
 Everything here is a pure function of its arguments, so fitting many
 voters concurrently needs no coordination.
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .profiles import _as_finite, _as_int, _finite_vector
 
@@ -31,7 +36,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class NumericError(RuntimeError):
-    """The optimizer produced a non-finite objective or parameters."""
+    """The fit produced a non-finite objective or parameters."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,6 @@ def _cdf_ratio(t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - special.log_ndtr(t))
 
 
-#: Cap on the Newton polish loop appended after the quasi-Newton solve.
-_POLISH_MAX_STEPS = 25
-
-
 def _diff_matrix(data: np.ndarray) -> np.ndarray:
     """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
 
@@ -144,6 +145,10 @@ def _hessian(beta: np.ndarray, diffs: np.ndarray, l2_penalty: float) -> np.ndarr
     return (diffs * weights[:, None]).T @ diffs + 2.0 * l2_penalty * np.eye(d)
 
 
+#: Sufficient-decrease constant of the Armijo condition.
+_ARMIJO = 1e-4
+
+
 def fit_voter(
     data: np.ndarray,
     config: FitConfig | None = None,
@@ -152,11 +157,17 @@ def fit_voter(
     """Fit one voter's utility weights by penalized maximum likelihood.
 
     ``data`` is the voter's ``(n, d)`` chosen-minus-rejected array.
-
-    Deterministic: same data and config give the same result.  The
-    returned ``converged`` flag re-checks the gradient inf-norm against
-    the configured tolerance after the solver stops, independently of the
-    solver's own stopping reason.
+    Damped Newton (Nocedal & Wright, ch. 3): steps are halved to meet the
+    Armijo condition until the gradient inf-norm meets ``gradient_tolerance``
+    or no halved step lowers the objective at float resolution; then full
+    steps go on while each one lowers the gradient inf-norm.  For
+    ``l2_penalty`` > 0 the result is thus the unique ridge optimum at float
+    resolution; at 0 on separable data there is none, and the weights are
+    finite but of arbitrary scale.  ``iterations`` counts Newton steps (at
+    most ``max_iterations``), ``callback`` gets a copy of the weights after
+    each, and the objective never rises along them beyond float resolution.
+    ``converged`` says whether the final gradient inf-norm meets the
+    tolerance.  Same data and config give the same result.
     """
     if config is None:
         config = FitConfig()
@@ -164,60 +175,43 @@ def fit_voter(
         raise ValueError("need at least one comparison to fit")
     diffs = _diff_matrix(data)
     d = diffs.shape[1]
-    if config.initial_beta is not None:
-        if config.initial_beta.shape != (d,):
-            raise ValueError(
-                f"initial_beta has shape {config.initial_beta.shape}, "
-                f"expected ({d},)"
-            )
-        x0 = config.initial_beta
-    else:
-        x0 = np.zeros(d)
-    result = optimize.minimize(
-        _value_and_grad,
-        x0,
-        args=(diffs, config.l2_penalty),
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={
-            "maxiter": config.max_iterations,
-            "gtol": config.gradient_tolerance,
-            "ftol": 0.0,
-        },
-    )
-    beta = np.asarray(result.x, dtype=float)
-    iterations = int(result.nit)
-    value, grad = _value_and_grad(beta, diffs, config.l2_penalty)
-    # The solver stops once objective improvements sink below float
-    # resolution, which can strand the gradient slightly above a tight
-    # tolerance.  Damped Newton steps on the analytic Hessian keep
-    # shrinking the gradient itself; each accepted step must lower its
-    # inf-norm, so the loop terminates.
-    polish_budget = min(_POLISH_MAX_STEPS, config.max_iterations - iterations)
-    for _ in range(max(0, polish_budget)):
-        grad_norm = np.max(np.abs(grad))
-        if grad_norm <= config.gradient_tolerance:
-            break
+    beta = np.zeros(d) if config.initial_beta is None else config.initial_beta.copy()
+    if beta.shape != (d,):
+        raise ValueError(f"initial_beta has shape {beta.shape}, expected ({d},)")
+    l2_penalty = config.l2_penalty
+    value, grad = _value_and_grad(beta, diffs, l2_penalty)
+    grad_norm = np.max(np.abs(grad))
+    backtracking = grad_norm > config.gradient_tolerance
+    iterations = 0
+    while iterations < config.max_iterations:
         try:
-            step = np.linalg.solve(
-                _hessian(beta, diffs, config.l2_penalty), grad
-            )
-        except np.linalg.LinAlgError:
-            break
-        accepted = False
-        for _ in range(13):
-            candidate = beta - step
-            cand_value, cand_grad = _value_and_grad(
-                candidate, diffs, config.l2_penalty
-            )
-            if np.isfinite(cand_value) and np.max(np.abs(cand_grad)) < grad_norm:
-                beta, value, grad = candidate, cand_value, cand_grad
-                accepted = True
+            step = np.linalg.solve(_hessian(beta, diffs, l2_penalty), grad)
+        except np.linalg.LinAlgError:  # H can be singular at l2_penalty = 0
+            step = grad
+        slope = float(grad @ step)
+        if not 0.0 < slope < math.inf:  # not downhill: steepest descent
+            step, slope = grad, float(grad @ grad)
+        # Halve while the decrease Armijo asks for is finite and resolvable.
+        length = 1.0
+        while backtracking and (
+            -math.inf < (target := value - _ARMIJO * length * slope) < value
+        ):
+            point = beta - length * step
+            point_value, point_grad = _value_and_grad(point, diffs, l2_penalty)
+            if point_value <= target:
                 break
-            step = step / 2.0
-        if not accepted:
-            break
+            length /= 2.0
+        else:
+            # Past the tolerance, or the Armijo decrease is below float
+            # resolution: only full steps that lower the gradient from here.
+            backtracking = False
+            point = beta - step
+            point_value, point_grad = _value_and_grad(point, diffs, l2_penalty)
+            if not np.max(np.abs(point_grad)) < grad_norm:
+                break
+        beta, value, grad = point, point_value, point_grad
+        grad_norm = np.max(np.abs(grad))
+        backtracking = backtracking and grad_norm > config.gradient_tolerance
         iterations += 1
         if callback is not None:
             callback(beta.copy())
@@ -226,6 +220,6 @@ def fit_voter(
     return FitResult(
         beta=beta,
         final_objective=value,
-        converged=bool(np.max(np.abs(grad)) <= config.gradient_tolerance),
+        converged=bool(grad_norm <= config.gradient_tolerance),
         iterations=iterations,
     )

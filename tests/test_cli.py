@@ -296,7 +296,7 @@ def json_fault(draw, payload):
 
 
 BAD_REALS = ["x", "", "nan", "inf", "-inf", "1e999", None, [], {}]
-BAD_VERSIONS = [0, 2, "1", None, 1.5]
+BAD_VERSIONS = [0, 2, "1", None, 1.5, 1.0, True]
 
 
 @st.composite
@@ -330,7 +330,9 @@ def malformed_voter_models(draw):
     elif fault == "beta type":
         voter["beta"] = draw(st.sampled_from(["1", 1, None, {}]))
     elif fault == "dimension":
-        payload["d"] = draw(st.sampled_from([d + 1, d - 1, str(d), None]))
+        payload["d"] = draw(st.sampled_from(
+            [d + 1, d - 1, str(d), None, float(d), True]
+        ))
     elif fault == "missing key":
         del voter[draw(st.sampled_from(["voter_id", "beta"]))]
     elif fault == "flag type":
@@ -384,7 +386,9 @@ def malformed_summary_models(draw):
     elif fault == "beta type":
         payload["beta"] = draw(st.sampled_from(["1", 1, None, {}]))
     elif fault == "dimension":
-        payload["d"] = draw(st.sampled_from([d + 1, d - 1, str(d), None]))
+        payload["d"] = draw(st.sampled_from(
+            [d + 1, d - 1, str(d), None, float(d), True]
+        ))
     elif fault == "missing key":
         del payload[draw(st.sampled_from(["beta", "n_voters"]))]
     else:
@@ -587,6 +591,19 @@ def test_decide_on_summary_without_n_voters_exits_2(workdir, capsys):
                  "--alternatives", str(workdir / "alternatives.csv")])
     assert code == 2
     assert "n_voters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header", [{"version": True}, {"version": 1.0}, {"d": True}, {"d": 2.0}]
+)
+def test_decide_on_non_integer_version_or_dimension_exits_2(workdir, capsys, header):
+    summary = workdir / "summary.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 2,
+                                   "n_voters": 3, "beta": ["1", "0"], **header}))
+    code = main(["decide", "--summary", str(summary),
+                 "--alternatives", str(workdir / "alternatives.csv")])
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_summarize_on_string_converged_flag_exits_2(workdir, capsys):

@@ -353,11 +353,15 @@ def test_voter_models_missing_or_mistyped_fields(tmp_path, entry, message):
 def test_voter_models_mistyped_containers(tmp_path):
     path = str(tmp_path / "models.json")
     voter = {"voter_id": "v", "beta": ["1.0"]}
-    for payload, message in (
+    for fields, message in (
         ({"voters": {"v": voter}}, "voters must be a list"),
         ({"voters": [voter], "fit": [1]}, "fit metadata"),
+        ({"voters": [voter], "version": True}, "version must be an integer"),
+        ({"voters": [voter], "version": 1.0}, "version must be an integer"),
+        ({"voters": [voter], "d": True}, "d must be an integer"),
+        ({"voters": [voter], "d": 1.0}, "d must be an integer"),
     ):
-        payload.update(format="voter-models", version=1, d=1)
+        payload = {"format": "voter-models", "version": 1, "d": 1, **fields}
         open(path, "w").write(json.dumps(payload))
         with pytest.raises(ParseError, match=message):
             load_voter_models(path)
@@ -371,6 +375,10 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"beta": 1.0, "n_voters": 3}, "list"),
         ({"beta": ["1.0"], "n_voters": 2.5}, "integer"),
         ({"beta": ["1.0"], "n_voters": True}, "integer"),
+        ({"beta": ["1.0"], "n_voters": 3, "version": True}, "version"),
+        ({"beta": ["1.0"], "n_voters": 3, "version": 1.0}, "version"),
+        ({"beta": ["1.0"], "n_voters": 3, "d": True}, "d must be"),
+        ({"beta": ["1.0"], "n_voters": 3, "d": None}, "d must be"),
     ],
 )
 def test_summary_model_missing_or_mistyped_fields(tmp_path, fields, message):

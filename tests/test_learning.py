@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from prefvote.experiments import gen_voter_comparisons
 from prefvote.learning import (
     FitConfig,
     FitResult,
+    NumericError,
     fit_voter,
     log_std_normal_cdf,
     objective_and_gradient,
@@ -155,6 +157,53 @@ def test_fit_separable_data_stays_finite():
     assert math.isfinite(result.final_objective)
     assert result.beta[0] > 0
     assert result.iterations <= 500
+
+
+def test_fit_is_the_optimum_not_a_stopping_point():
+    # Ten comparisons in d=10 are mostly separable, so only the ridge term
+    # bounds beta; any start must still reach the one ridge optimum.
+    rng = np.random.default_rng(8)
+    config = FitConfig()
+    separable = 0
+    for _ in range(40):
+        data = gen_voter_comparisons(rng.standard_normal(10), 10, rng)
+        cold = fit_voter(data, config)
+        start = rng.normal(0.0, 3.0, 10)
+        warm = fit_voter(data, FitConfig(initial_beta=start))
+        gap = np.linalg.norm(warm.beta - cold.beta) / np.linalg.norm(cold.beta)
+        assert gap <= 1e-12
+        for result in (cold, warm):
+            _, grad = objective_and_gradient(result.beta, data, config.l2_penalty)
+            assert np.max(np.abs(grad)) <= config.gradient_tolerance
+            assert result.converged
+        separable += bool((data @ cold.beta > 0).all())
+    assert separable >= 10
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.random.default_rng(5).normal(0.0, 1.0, (3, 6)),  # d > n
+        np.tile([1.0, 0.0], (20, 1)),  # separable along one direction
+    ],
+    ids=["d_above_n", "single_direction"],
+)
+def test_unpenalized_fit_stays_finite(data):
+    # No penalty: the Hessian can be singular and separable data have no
+    # optimum, yet the fit must stop within budget with finite weights.
+    for budget in (1, 50, 500):
+        config = FitConfig(l2_penalty=0.0, max_iterations=budget)
+        result = fit_voter(data, config)
+        assert np.isfinite(result.beta).all()
+        assert math.isfinite(result.final_objective)
+        assert result.iterations <= budget
+        assert (data @ result.beta > 0).all()
+
+
+def test_non_finite_objective_raises_numeric_error():
+    # log Phi underflows to -inf at a margin of -1e200
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        fit_voter(np.array([[1.0]]), FitConfig(initial_beta=[-1e200]))
 
 
 def test_fit_single_comparison_aligns_with_difference():
