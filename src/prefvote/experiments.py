@@ -71,6 +71,8 @@ class SyntheticConfig:
             grid = tuple(_as_int(v, f"{name} entry") for v in values)
             if not grid or any(v < 1 for v in grid):
                 raise ValueError(f"{name} must be a nonempty tuple of positive ints")
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} entries must be distinct, got {grid}")
             object.__setattr__(self, name, grid)
         seed = _as_int(self.master_seed, "master_seed")
         if seed < 0:

@@ -93,11 +93,6 @@ def log_std_normal_cdf(t):
     return out
 
 
-def _cdf_ratio(t: np.ndarray) -> np.ndarray:
-    """phi(t) / Phi(t), computed in log space to survive t << 0."""
-    return np.exp(-0.5 * t * t - _LOG_SQRT_2PI - special.log_ndtr(t))
-
-
 def _diff_matrix(data: np.ndarray) -> np.ndarray:
     """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
 
@@ -123,26 +118,26 @@ def objective_and_gradient(
             f"beta has dimension {beta.shape[0]}, comparisons have "
             f"{diffs.shape[1]}"
         )
-    return _value_and_grad(beta, diffs, l2_penalty)
-
-
-def _value_and_grad(
-    beta: np.ndarray, diffs: np.ndarray, l2_penalty: float
-) -> tuple[float, np.ndarray]:
-    t = diffs @ beta
-    value = -float(special.log_ndtr(t).sum()) + l2_penalty * float(beta @ beta)
-    grad = -(diffs * _cdf_ratio(t)[:, None]).sum(axis=0) + 2.0 * l2_penalty * beta
+    value, grad, _ = _derivatives(beta, diffs, l2_penalty)
     return value, grad
 
 
-def _hessian(beta: np.ndarray, diffs: np.ndarray, l2_penalty: float) -> np.ndarray:
-    # -d/dt [phi/Phi](t) = r(t) (t + r(t)), positive for all t, so the
-    # Hessian is positive semidefinite plus the ridge term.
+def _derivatives(
+    beta: np.ndarray, diffs: np.ndarray, l2_penalty: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective, gradient and per-comparison curvature at ``beta``.
+
+    With t = diffs @ beta and r = phi(t) / Phi(t), taken in log space to
+    survive t << 0, the Hessian is ``diffs.T @ (curvature * diffs)`` plus
+    the ridge term 2 * lambda * I, where curvature = -d/dt r(t) =
+    r (t + r) is positive for all t.
+    """
     t = diffs @ beta
-    ratio = _cdf_ratio(t)
-    weights = ratio * (t + ratio)
-    d = diffs.shape[1]
-    return (diffs * weights[:, None]).T @ diffs + 2.0 * l2_penalty * np.eye(d)
+    log_cdf = special.log_ndtr(t)
+    ratio = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_cdf)
+    value = -float(log_cdf.sum()) + l2_penalty * float(beta @ beta)
+    grad = -(diffs * ratio[:, None]).sum(axis=0) + 2.0 * l2_penalty * beta
+    return value, grad, ratio * (t + ratio)
 
 
 #: Sufficient-decrease constant of the Armijo condition.
@@ -160,7 +155,9 @@ def fit_voter(
     Damped Newton (Nocedal & Wright, ch. 3): steps are halved to meet the
     Armijo condition until the gradient inf-norm meets ``gradient_tolerance``
     or no halved step lowers the objective at float resolution; then full
-    steps go on while each one lowers the gradient inf-norm.  For
+    steps go on while each one lowers the gradient inf-norm.  The step falls
+    back to the gradient (steepest descent) where the Hessian is singular
+    and, only while halving, where the Newton step is not downhill.  For
     ``l2_penalty`` > 0 the result is thus the unique ridge optimum at float
     resolution; at 0 on separable data there is none, and the weights are
     finite but of arbitrary scale.  ``iterations`` counts Newton steps (at
@@ -179,17 +176,19 @@ def fit_voter(
     if beta.shape != (d,):
         raise ValueError(f"initial_beta has shape {beta.shape}, expected ({d},)")
     l2_penalty = config.l2_penalty
-    value, grad = _value_and_grad(beta, diffs, l2_penalty)
+    ridge = 2.0 * l2_penalty * np.eye(d)
+    value, grad, curvature = _derivatives(beta, diffs, l2_penalty)
     grad_norm = np.max(np.abs(grad))
     backtracking = grad_norm > config.gradient_tolerance
     iterations = 0
     while iterations < config.max_iterations:
+        hessian = (diffs * curvature[:, None]).T @ diffs + ridge
         try:
-            step = np.linalg.solve(_hessian(beta, diffs, l2_penalty), grad)
+            step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:  # H can be singular at l2_penalty = 0
             step = grad
         slope = float(grad @ step)
-        if not 0.0 < slope < math.inf:  # not downhill: steepest descent
+        if backtracking and not 0.0 < slope < math.inf:  # steepest descent
             step, slope = grad, float(grad @ grad)
         # Halve while the decrease Armijo asks for is finite and resolvable.
         length = 1.0
@@ -197,8 +196,8 @@ def fit_voter(
             -math.inf < (target := value - _ARMIJO * length * slope) < value
         ):
             point = beta - length * step
-            point_value, point_grad = _value_and_grad(point, diffs, l2_penalty)
-            if point_value <= target:
+            trial = _derivatives(point, diffs, l2_penalty)
+            if trial[0] <= target:
                 break
             length /= 2.0
         else:
@@ -206,10 +205,10 @@ def fit_voter(
             # resolution: only full steps that lower the gradient from here.
             backtracking = False
             point = beta - step
-            point_value, point_grad = _value_and_grad(point, diffs, l2_penalty)
-            if not np.max(np.abs(point_grad)) < grad_norm:
+            trial = _derivatives(point, diffs, l2_penalty)
+            if not np.max(np.abs(trial[1])) < grad_norm:
                 break
-        beta, value, grad = point, point_value, point_grad
+        beta, (value, grad, curvature) = point, trial
         grad_norm = np.max(np.abs(grad))
         backtracking = backtracking and grad_norm > config.gradient_tolerance
         iterations += 1

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .profiles import Alternative, _as_int, _finite_vector
-from .processes import ProcessSpec, _sorted_alternatives
+from .processes import ProcessSpec, _mode_utilities, _sorted_alternatives
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
 def decide(model: SummaryModel, alternatives: Sequence[Alternative]) -> Alternative:
     """Pick the alternative with the highest summary utility.
 
-    Exact ties go to the lexicographically smallest id.
+    Exact ties go to the lexicographically smallest id.  Every utility must
+    be finite.
     """
     alts = _sorted_alternatives(alternatives, model.dim)
-    features = np.array([alt.features for alt in alts], dtype=float)
-    return alts[int(np.argmax(features @ model.beta_hat))]
+    return alts[int(np.argmax(_mode_utilities(model.beta_hat, alts)))]
 

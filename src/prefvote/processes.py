@@ -77,15 +77,13 @@ class ProcessSpec:
 
 
 def mode_utility(spec: ProcessSpec, alternative: Alternative) -> float:
-    """Noise-free utility ``beta . features``."""
+    """Noise-free utility ``beta . features``, which must be finite."""
     if len(alternative.features) != spec.dim:
         raise ValueError(
             f"feature dimension {len(alternative.features)} does not match "
             f"beta dimension {spec.dim}"
         )
-    return float(
-        np.dot(np.asarray(spec.beta), np.asarray(alternative.features))
-    )
+    return float(_mode_utilities(spec.beta, [alternative])[0])
 
 
 def _sorted_alternatives(
@@ -107,9 +105,20 @@ def _sorted_alternatives(
     return alts
 
 
-def _mode_utilities(spec: ProcessSpec, alts: Sequence[Alternative]) -> np.ndarray:
+def _mode_utilities(
+    beta: Sequence[float] | np.ndarray, alts: Sequence[Alternative]
+) -> np.ndarray:
+    """Utilities ``features @ beta`` of ``alts``, which must all be finite."""
     features = np.array([alt.features for alt in alts], dtype=float)
-    return features @ np.asarray(spec.beta, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        utilities = features @ np.asarray(beta, dtype=float)
+    finite = np.isfinite(utilities)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"alternative {alts[k].id!r} has non-finite utility {utilities[k]}"
+        )
+    return utilities
 
 
 def pairwise_prob(spec: ProcessSpec, a: Alternative, b: Alternative) -> float:
@@ -191,7 +200,7 @@ def sample_ranking(
 ) -> Ranking:
     """Draw one ranking from the process."""
     alts = _sorted_alternatives(alternatives, spec.dim)
-    mu = _mode_utilities(spec, alts)
+    mu = _mode_utilities(spec.beta, alts)
     order = _draw_orders(spec.family, mu, 1, rng, spec.gumbel_scale)[0]
     return Ranking(tuple(alts[j].id for j in order))
 
@@ -223,7 +232,7 @@ def exact_profile(
             )
         p = pairwise_prob(spec, alts[0], alts[1])
         return AnonymousProfile.from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
-    mu = _mode_utilities(spec, alts)
+    mu = _mode_utilities(spec.beta, alts)
     weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
     perms = np.array(list(itertools.permutations(range(m))))
     w = weights[perms]
@@ -245,7 +254,7 @@ def estimate_profile(
     ids = [alt.id for alt in alts]
     if m == 1:
         return AnonymousProfile.from_orders(ids, [[0]], [1.0])
-    mu = _mode_utilities(spec, alts)
+    mu = _mode_utilities(spec.beta, alts)
     orders = _draw_orders(spec.family, mu, n_samples, rng, spec.gumbel_scale)
     # Count equal rows by sorting them; small integer columns sort by radix.
     rows = orders.astype(np.min_scalar_type(m - 1))

@@ -573,6 +573,8 @@ def test_simulate_rejects_unknown_config_keys(workdir, capsys):
         {"n_runs": 2.0},
         {"n_runs": True},
         {"d": "3"},
+        {"comparisons_grid": [1, 1]},
+        {"voters_grid": [1, 2, 1]},
     ],
 )
 def test_simulate_rejects_non_integer_config_values(workdir, capsys, override):
@@ -652,6 +654,34 @@ def test_axioms_stability_output(workdir, capsys):
     assert "check: stability" in out
     assert "winners_full: a" in out
     assert "stable: true" in out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decide"],
+        ["axioms", "--check", "stability", "--scc", "borda", "--subset", "a,c",
+         "--family", "pl", "--mode", "exact"],
+        ["axioms", "--check", "stability", "--scc", "borda", "--subset", "a,c",
+         "--family", "tm", "--mode", "mc"],
+    ],
+    ids=["decide", "axioms_exact", "axioms_mc"],
+)
+def test_non_finite_utility_exits_2(workdir, capsys, command):
+    # a's utility is 1e600 - 1e600: zero in exact arithmetic, not in floats
+    summary = workdir / "huge.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 2,
+                                   "n_voters": 1, "beta": ["1e300", "1e300"]}))
+    alternatives = workdir / "huge.csv"
+    alternatives.write_text("id,f_1,f_2\na,1e300,-1e300\nc,-1,-1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*command, "--summary", str(summary),
+                     "--alternatives", str(alternatives)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alternative 'a' has non-finite utility" in captured.err
 
 
 def test_axioms_missing_inputs_exit_2(workdir, capsys):

@@ -74,6 +74,10 @@ def test_config_validation():
         SyntheticConfig(comparisons_grid=())
     with pytest.raises(ValueError):
         SyntheticConfig(voters_grid=(0, 2))
+    with pytest.raises(ValueError, match="comparisons_grid entries must be distinct"):
+        SyntheticConfig(comparisons_grid=(10, 10, 30))
+    with pytest.raises(ValueError, match="voters_grid entries must be distinct"):
+        SyntheticConfig(voters_grid=[1, 2, np.int64(1)])
     coerced = SyntheticConfig(comparisons_grid=[np.int64(10), 30])
     assert coerced.comparisons_grid == (10, 30)
 

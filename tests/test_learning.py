@@ -8,6 +8,7 @@ from prefvote.learning import (
     FitConfig,
     FitResult,
     NumericError,
+    _derivatives,
     fit_voter,
     log_std_normal_cdf,
     objective_and_gradient,
@@ -100,6 +101,42 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(grad - numeric) <= 1e-5 * max(
             1.0, np.linalg.norm(grad)
         )
+
+
+def _hessian_gap(beta, data, l2_penalty, step):
+    """Kernel Hessian against central differences of the gradient."""
+    _, _, curvature = _derivatives(beta, data, l2_penalty)
+    d = beta.shape[0]
+    hessian = (data * curvature[:, None]).T @ data + 2.0 * l2_penalty * np.eye(d)
+    numeric = np.zeros((d, d))
+    for k in range(d):
+        offset = np.zeros(d)
+        offset[k] = step
+        _, g_up = objective_and_gradient(beta + offset, data, l2_penalty)
+        _, g_down = objective_and_gradient(beta - offset, data, l2_penalty)
+        numeric[:, k] = (g_up - g_down) / (2 * step)
+    return np.linalg.norm(hessian - numeric) / np.linalg.norm(hessian)
+
+
+def test_hessian_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    data = rng.normal(0, 1, (12, 4))
+    for _ in range(10):
+        beta = rng.normal(0, 1.5, 4)
+        assert _hessian_gap(beta, data, 1e-3, 1e-4) <= 1e-6
+    # t = -30 for the first comparison: phi/Phi only survives in log space
+    beta = rng.normal(0, 1.0, 4)
+    beta += (-30.0 - data[0] @ beta) * data[0] / (data[0] @ data[0])
+    assert data[0] @ beta == pytest.approx(-30.0)
+    assert _hessian_gap(beta, data, 1e-3, 1e-4) <= 1e-6
+    # a separable voter's fitted weights: curvature and ridge both matter
+    config = FitConfig()
+    while True:
+        data = gen_voter_comparisons(rng.standard_normal(10), 10, rng)
+        beta = fit_voter(data, config).beta
+        if (data @ beta > 0).all():
+            break
+    assert _hessian_gap(beta, data, config.l2_penalty, 1e-6) <= 1e-6
 
 
 def test_objective_is_convex_along_segments():
@@ -204,6 +241,16 @@ def test_non_finite_objective_raises_numeric_error():
     # log Phi underflows to -inf at a margin of -1e200
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         fit_voter(np.array([[1.0]]), FitConfig(initial_beta=[-1e200]))
+
+
+def test_fit_takes_newton_steps_when_the_slope_underflows():
+    # grad @ step underflows to 0 here; the Newton step is still right.
+    data = np.array([[1e-300], [-2e-300]])
+    config = FitConfig()
+    result = fit_voter(data, config)
+    optimum = -math.sqrt(2 / math.pi) * 1e-300 / (2 * config.l2_penalty)
+    assert result.iterations <= 2
+    assert result.beta[0] == pytest.approx(optimum, rel=1e-9)
 
 
 def test_fit_single_comparison_aligns_with_difference():

@@ -106,6 +106,10 @@ def test_decide_picks_max_utility():
         decide(model, [])
     with pytest.raises(ValueError, match="unique"):
         decide(model, [alt("a", 1.0, 0.0), alt("a", 0.0, 0.0)])
+    # finite features and weights can still overflow to a non-finite utility
+    huge = SummaryModel(beta_hat=np.array([1e300, 1e300]), n_voters=1)
+    with pytest.raises(ValueError, match="'z' has non-finite utility"):
+        decide(huge, [alt("c", -1.0, -1.0), alt("z", 1e300, 1e300)])
 
 
 def test_decide_breaks_ties_lexicographically():

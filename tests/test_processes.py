@@ -73,6 +73,11 @@ def test_mode_utility():
     assert mode_utility(spec, alt("a", 3.0, 4.0)) == pytest.approx(11.0)
     with pytest.raises(ValueError, match="dimension"):
         mode_utility(spec, alt("a", 3.0))
+    huge = ProcessSpec(family="tm", beta=(1e300, 1e300))
+    with pytest.raises(ValueError, match="'a' has non-finite utility"):
+        mode_utility(huge, alt("a", 1e300, -1e300))
+    with pytest.raises(ValueError, match="'a' has non-finite utility"):
+        pairwise_prob(huge, alt("a", 1e300, -1e300), alt("c", -1.0, -1.0))
 
 
 def test_pairwise_prob_tm_golden():
@@ -306,7 +311,7 @@ def reference_exact_weights(spec, alternatives):
         return _renormalized(
             [(Ranking((ids[0], ids[1])), p), (Ranking((ids[1], ids[0])), 1.0 - p)]
         )
-    mu = _mode_utilities(spec, alts)
+    mu = _mode_utilities(spec.beta, alts)
     weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
     perms = np.array(list(itertools.permutations(range(m))))
     w = weights[perms]
@@ -324,7 +329,7 @@ def reference_estimate_weights(spec, alternatives, n_samples, rng, branch):
     m = len(ids)
     if m == 1:
         return {Ranking((ids[0],)): 1.0}
-    mu = _mode_utilities(spec, alts)
+    mu = _mode_utilities(spec.beta, alts)
     orders = _draw_orders(spec.family, mu, n_samples, rng, spec.gumbel_scale)
     items = []
     if branch == "codes":
