@@ -208,9 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except fileio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -178,16 +178,16 @@ def ground_truth_winner(
     Each sample picks a voter uniformly and draws one noisy ranking from
     that voter's process.  Borda scores are integer position counts, so
     the only tolerance in play is the sampling itself; score ties break
-    to the smallest id.
+    to the smallest id.  Every voter's utility for every alternative must
+    be finite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     population = as_population(betas)
     alts = processes._sorted_alternatives(alternatives, population.shape[1])
+    mode = processes._mode_utilities(population, alts)
     if len(alts) == 1:
         return alts[0]
-    features = np.array([alt.features for alt in alts], dtype=float)
-    mode = population @ features.T
     voter_idx = rng.integers(0, population.shape[0], size=n_samples)
     utilities = processes._draw_utilities(
         family, np.take(mode, voter_idx, axis=0), n_samples, rng

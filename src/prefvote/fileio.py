@@ -385,7 +385,9 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
     if not isinstance(voters, list):
         raise ParseError("voters must be a list")
     for entry in voters:
-        voter_id = str(_require(entry, "voter_id", "voter entry"))
+        voter_id = _require(entry, "voter_id", "voter entry")
+        if not isinstance(voter_id, str) or not voter_id:
+            raise ParseError(f"voter_id must be a nonempty string, got {voter_id!r}")
         where = f"voter {voter_id!r}"
         beta = _parse_beta(_require(entry, "beta", where), where)
         if len(beta) != d:

@@ -78,12 +78,8 @@ class ProcessSpec:
 
 def mode_utility(spec: ProcessSpec, alternative: Alternative) -> float:
     """Noise-free utility ``beta . features``, which must be finite."""
-    if len(alternative.features) != spec.dim:
-        raise ValueError(
-            f"feature dimension {len(alternative.features)} does not match "
-            f"beta dimension {spec.dim}"
-        )
-    return float(_mode_utilities(spec.beta, [alternative])[0])
+    alts = _sorted_alternatives([alternative], spec.dim)
+    return float(_mode_utilities(spec.beta, alts)[0])
 
 
 def _sorted_alternatives(
@@ -106,17 +102,21 @@ def _sorted_alternatives(
 
 
 def _mode_utilities(
-    beta: Sequence[float] | np.ndarray, alts: Sequence[Alternative]
+    weights: Sequence[float] | np.ndarray, alts: Sequence[Alternative]
 ) -> np.ndarray:
-    """Utilities ``features @ beta`` of ``alts``, which must all be finite."""
+    """Utilities ``weights @ features.T`` of ``alts``, which must all be finite.
+
+    ``weights`` is one ``(d,)`` vector, giving shape ``(m,)``, or an
+    ``(N, d)`` population, giving one row per voter, shape ``(N, m)``.
+    """
     features = np.array([alt.features for alt in alts], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        utilities = features @ np.asarray(beta, dtype=float)
-    finite = np.isfinite(utilities)
-    if not finite.all():
-        k = int(np.argmin(finite))
+        utilities = np.asarray(weights, dtype=float) @ features.T
+    if not np.isfinite(utilities).all():
+        rows = utilities.reshape(-1, len(alts))
+        row, k = np.argwhere(~np.isfinite(rows))[0]
         raise ValueError(
-            f"alternative {alts[k].id!r} has non-finite utility {utilities[k]}"
+            f"alternative {alts[k].id!r} has non-finite utility {rows[row, k]}"
         )
     return utilities
 

@@ -176,15 +176,11 @@ class AnonymousProfile:
     __slots__ = ("_alternatives", "_ids", "_positions", "_weights", "_support",
                  "_dominance", "_pairwise")
 
-    def __init__(
-        self,
-        support: Mapping[Ranking, float],
-        alternatives: Iterable[str] | None = None,
-    ) -> None:
+    def __init__(self, support: Mapping[Ranking, float]) -> None:
         rankings = list(support)
         if not rankings:
             raise ValueError("profile needs at least one ranking")
-        alts = frozenset(rankings[0].order if alternatives is None else alternatives)
+        alts = rankings[0].alternatives
         for ranking in rankings:
             if ranking.alternatives != alts:
                 raise ValueError(

@@ -100,67 +100,46 @@ def _maximin_scores(profile: AnonymousProfile) -> dict[str, float]:
     }
 
 
-def _bucklin_cumulative(profile: AnonymousProfile) -> dict[str, list[float]]:
-    """Cumulative top-k weight per alternative, for k = 1..m."""
-    positions, weights = profile.position_matrix()
+def _top_k_masses(profile: AnonymousProfile, k: int) -> dict[str, float]:
+    """Weight of the rankings that place each alternative in their top k."""
     m = len(profile.ids)
-    by_rank = np.argsort(positions, axis=0, kind="stable")
-    # ends[j, k]: how many rankings put column j within the top k + 1.
-    ends = np.sum(positions[:, :, None] <= np.arange(m), axis=0)
-    return {
-        alt: [math.fsum(column[:end]) for end in column_ends]
-        for alt, column, column_ends in zip(
-            profile.ids, weights[by_rank].T.tolist(), ends.tolist()
-        )
-    }
+    return positional_scores(profile, [1.0] * k + [0.0] * (m - k))
 
 
-def _bucklin_scores(profile: AnonymousProfile) -> dict[str, tuple[int, float]]:
-    """Per alternative: (pivotal rank, cumulative weight at that rank).
-
-    The pivotal rank is the smallest k whose cumulative top-k weight
-    strictly exceeds one half; masses within the tie tolerance of one
-    half count as exactly half and do not qualify.
-    """
-    table = _bucklin_cumulative(profile)
-    m = len(table)
-    out: dict[str, tuple[int, float]] = {}
-    for alt, masses in table.items():
-        for k, mass in enumerate(masses):
-            if mass > 0.5 + SCORE_TIE_TOL:
-                out[alt] = (k + 1, mass)
-                break
-        else:
-            out[alt] = (m, masses[-1])
-    return out
-
-
-def _real_scores(kind: str, profile: AnonymousProfile) -> dict[str, float]:
-    """Plurality, Borda or maximin score of every alternative."""
+def _scores(kind: str, profile: AnonymousProfile) -> dict[str, float]:
+    """Plurality, Borda, Copeland or maximin score of every alternative."""
     m = len(profile.alternatives)
     if kind == PLURALITY:
         return positional_scores(profile, [1.0] + [0.0] * (m - 1))
     if kind == BORDA:
         return positional_scores(profile, [float(m - 1 - k) for k in range(m)])
+    if kind == COPELAND:
+        return copeland_scores(profile)
     return _maximin_scores(profile)
 
 
 def apply_scc(kind: str, profile: AnonymousProfile) -> frozenset[str]:
-    """Winner set of the named rule; never empty."""
+    """Winner set of the named rule; never empty.
+
+    Plurality, Borda, Copeland and maximin elect every alternative whose
+    score is within ``SCORE_TIE_TOL`` of the best.  Bucklin finds the
+    smallest k at which some alternative's top-k weight exceeds one half
+    by more than ``SCORE_TIE_TOL``; among those alternatives it elects
+    the ones whose top-k weight is within ``SCORE_TIE_TOL`` of the
+    largest.  If no k < m gives a majority, every alternative wins.
+    """
     if kind not in SCC_KINDS:
         raise ValueError(f"unknown rule {kind!r}; expected one of {SCC_KINDS}")
     if len(profile.alternatives) == 1:
         return profile.alternatives
-    if kind in (PLURALITY, BORDA, MAXIMIN):
-        return _best_within_tol(_real_scores(kind, profile))
-    if kind == COPELAND:
-        scores = copeland_scores(profile)
-        best = max(scores.values())
-        return frozenset(a for a, s in scores.items() if s == best)
-    ranks = _bucklin_scores(profile)
-    best_rank = min(rank for rank, _ in ranks.values())
-    at_best = {a: mass for a, (rank, mass) in ranks.items() if rank == best_rank}
-    return _best_within_tol(at_best)
+    if kind != BUCKLIN:
+        return _best_within_tol(_scores(kind, profile))
+    for k in range(1, len(profile.ids)):
+        masses = _top_k_masses(profile, k)
+        majority = {a: s for a, s in masses.items() if s > 0.5 + SCORE_TIE_TOL}
+        if majority:
+            return _best_within_tol(majority)
+    return profile.alternatives
 
 
 def _best_within_tol(scores: dict[str, float]) -> frozenset[str]:
@@ -269,21 +248,21 @@ def _winner_margin(kind: str, profile: AnonymousProfile) -> float:
     m = len(profile.alternatives)
     if m == 1:
         return 1.0
-    if kind in (PLURALITY, BORDA, MAXIMIN):
-        scores = _real_scores(kind, profile)
-        scale = float(m - 1) if kind == BORDA else 1.0
-    elif kind == COPELAND:
+    if kind == COPELAND:
         # Margin lives in the pairwise supports, not the integer scores.
         support = profile.pairwise_matrix().tolist()
         return 2.0 * min(
             abs(support[i][j] - 0.5)
             for i, j in itertools.combinations(range(m), 2)
         )
-    else:
-        table = _bucklin_cumulative(profile)
+    if kind == BUCKLIN:
         return 2.0 * min(
-            abs(mass - 0.5) for masses in table.values() for mass in masses[:-1]
+            abs(mass - 0.5)
+            for k in range(1, m)
+            for mass in _top_k_masses(profile, k).values()
         )
+    scores = _scores(kind, profile)
+    scale = float(m - 1) if kind == BORDA else 1.0
     winners = _best_within_tol(scores)
     losers = [s for a, s in scores.items() if a not in winners]
     if not losers:

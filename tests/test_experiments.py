@@ -349,6 +349,15 @@ def test_ground_truth_rejects_non_finite_population():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             ground_truth_winner([[bad], [1.0]], alts, 10, run_rng(0, 9, 0))
+    # Finite weights and features whose utility overflows, as ``decide``
+    # refuses them.
+    huge = [Alternative("a", (1e300, -1e300)), Alternative("c", (-1.0, -1.0))]
+    for population, subset in (
+        ([[1e300, 1e300]], huge),
+        ([[1.0, 1.0], [1e300, 1e300]], huge[:1]),
+    ):
+        with pytest.raises(ValueError, match="'a' has non-finite utility"):
+            ground_truth_winner(population, subset, 10, run_rng(0, 9, 0))
 
 
 @pytest.mark.parametrize(

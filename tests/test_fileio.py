@@ -340,6 +340,10 @@ def test_model_file_errors(tmp_path):
         ({"voter_id": "v", "beta": ["1.0"], "converged": "false"}, "converged"),
         ({"voter_id": "v", "beta": ["1.0"], "converged": 0}, "converged"),
         ("v", "voter_id"),
+        ({"voter_id": 123, "beta": ["1.0"]}, "voter_id"),
+        ({"voter_id": None, "beta": ["1.0"]}, "voter_id"),
+        ({"voter_id": [1], "beta": ["1.0"]}, "voter_id"),
+        ({"voter_id": "", "beta": ["1.0"]}, "voter_id"),
     ],
 )
 def test_voter_models_missing_or_mistyped_fields(tmp_path, entry, message):

@@ -8,7 +8,9 @@ from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
 from prefvote.profiles import Alternative, AnonymousProfile, Ranking
 from prefvote.scc import (
     SCC_KINDS,
-    _bucklin_cumulative,
+    SCORE_TIE_TOL,
+    _top_k_masses,
+    _winner_margin,
     apply_scc,
     check_profile_stability,
     check_stability,
@@ -78,15 +80,74 @@ def test_positional_and_bucklin_equal_fsum_scans(
         m = len(profile.ids)
         vector = [float(m - 1 - k) ** 1.5 for k in range(m)]
         scores = positional_scores(profile, vector)
-        table = _bucklin_cumulative(profile)
+        masses = [_top_k_masses(profile, top + 1) for top in range(m)]
         for alt in profile.ids:
             ranks = [
                 (r.position(alt) - 1, w) for r, w in profile.support.items()
             ]
             assert scores[alt] == math.fsum(w * vector[k] for k, w in ranks)
-            assert table[alt] == [
+            assert [table[alt] for table in masses] == [
                 math.fsum(w for k, w in ranks if k <= top) for top in range(m)
             ]
+
+
+def bucklin_oracle(profile):
+    """Bucklin winners and margin from a scan of ``profile.support``.
+
+    Each alternative's pivotal rank is the first k whose top-k weight
+    clears one half by more than the tie tolerance (m if none does); the
+    winners have the smallest pivotal rank and, among those, a top-k
+    weight within the tolerance of the largest.  The margin is twice the
+    smallest distance of a top-k weight from one half, over k < m.
+    """
+    ids = sorted(profile.alternatives)
+    m = len(ids)
+    mass = {
+        (alt, k): math.fsum(
+            w for r, w in profile.support.items() if r.position(alt) <= k
+        )
+        for alt in ids
+        for k in range(1, m + 1)
+    }
+    pivotal = {}
+    for alt in ids:
+        k = next(
+            (k for k in range(1, m + 1) if mass[alt, k] > 0.5 + SCORE_TIE_TOL), m
+        )
+        pivotal[alt] = (k, mass[alt, k])
+    best_rank = min(k for k, _ in pivotal.values())
+    at_best = {alt: s for alt, (k, s) in pivotal.items() if k == best_rank}
+    best = max(at_best.values())
+    winners = frozenset(a for a, s in at_best.items() if s >= best - SCORE_TIE_TOL)
+    margin = 2.0 * min(
+        abs(mass[alt, k] - 0.5) for alt in ids for k in range(1, m)
+    )
+    return winners, margin
+
+
+def test_bucklin_matches_brute_force_oracle():
+    rng = np.random.default_rng(2024)
+    exact_halves = 0
+    for case in range(330):
+        m = int(rng.integers(2, 6))
+        perms = list(itertools.permutations("abcde"[:m]))
+        if case % 3 == 0:
+            # Equal weights on an even number of rankings: top-k weights
+            # land exactly on one half.
+            count = min(len(perms), int(rng.choice([2, 4, 6])))
+            weights = np.full(count, 1.0 / count)
+        else:
+            count = int(rng.integers(1, min(len(perms), 8) + 1))
+            weights = rng.dirichlet(np.ones(count))
+        chosen = rng.choice(len(perms), size=count, replace=False)
+        profile = AnonymousProfile(
+            {Ranking(perms[j]): w for j, w in zip(chosen, weights)}
+        )
+        winners, margin = bucklin_oracle(profile)
+        exact_halves += margin == 0.0
+        assert apply_scc("bucklin", profile) == winners
+        assert _winner_margin("bucklin", profile) == margin
+    assert exact_halves >= 50
 
 
 def test_copeland_scores_golden(bloc_profile):
@@ -205,8 +266,7 @@ def test_borda_copeland_strong_efficiency_random():
         raw = rng.uniform(0.1, 1.0, k)
         raw /= raw.sum()
         profile = AnonymousProfile(
-            {Ranking(perms[j]): w for j, w in zip(chosen, raw)},
-            alternatives=ids,
+            {Ranking(perms[j]): w for j, w in zip(chosen, raw)}
         )
         for kind in ("borda", "copeland"):
             assert check_strong_swd_efficiency(kind, profile).holds
