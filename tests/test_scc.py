@@ -125,6 +125,53 @@ def bucklin_oracle(profile):
     return winners, margin
 
 
+def scan_oracle(kind, profile):
+    """Plurality, Borda, Copeland or maximin winners and margin by a scan.
+
+    Scores come from ``profile.support`` one ranking at a time; winners
+    are within the tie tolerance of the best.  The margin is the best
+    score minus the best loser's (divided by m-1 for Borda, 0 when
+    everyone wins), and for Copeland twice the smallest distance of a
+    pairwise support from one half.
+    """
+    ids = sorted(profile.alternatives)
+    m = len(ids)
+    items = profile.support.items()
+
+    def support(a, b):
+        return math.fsum(w for r, w in items if r.prefers(a, b))
+
+    if kind == "plurality":
+        scores = {
+            a: math.fsum(w for r, w in items if r.position(a) == 1) for a in ids
+        }
+    elif kind == "borda":
+        scores = {
+            a: math.fsum(w * float(m - r.position(a)) for r, w in items)
+            for a in ids
+        }
+    elif kind == "copeland":
+        scores = dict.fromkeys(ids, 0)
+        for a, b in itertools.combinations(ids, 2):
+            if support(a, b) > 0.5 + SCORE_TIE_TOL:
+                scores[a] += 1
+            elif support(a, b) < 0.5 - SCORE_TIE_TOL:
+                scores[b] += 1
+    else:
+        scores = {a: min(support(a, b) for b in ids if b != a) for a in ids}
+    best = max(scores.values())
+    winners = frozenset(a for a, s in scores.items() if s >= best - SCORE_TIE_TOL)
+    if kind == "copeland":
+        margin = 2.0 * min(
+            abs(support(a, b) - 0.5) for a, b in itertools.combinations(ids, 2)
+        )
+    else:
+        losers = [s for a, s in scores.items() if a not in winners]
+        scale = float(m - 1) if kind == "borda" else 1.0
+        margin = (best - max(losers)) / scale if losers else 0.0
+    return winners, margin
+
+
 def test_bucklin_matches_brute_force_oracle():
     rng = np.random.default_rng(2024)
     exact_halves = 0
@@ -147,6 +194,10 @@ def test_bucklin_matches_brute_force_oracle():
         exact_halves += margin == 0.0
         assert apply_scc("bucklin", profile) == winners
         assert _winner_margin("bucklin", profile) == margin
+        for kind in ("plurality", "borda", "copeland", "maximin"):
+            winners, margin = scan_oracle(kind, profile)
+            assert apply_scc(kind, profile) == winners, kind
+            assert _winner_margin(kind, profile) == margin, kind
     assert exact_halves >= 50
 
 
