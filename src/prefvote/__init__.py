@@ -12,7 +12,6 @@ from .learning import (
     FitResult,
     NumericError,
     fit_voter,
-    log_std_normal_cdf,
     objective_and_gradient,
 )
 from .pipeline import SummaryModel, decide, gaussian_kl, summarize
@@ -23,8 +22,6 @@ from .processes import (
     exact_profile,
     mode_utility,
     pairwise_prob,
-    sample_ranking,
-    utility_dominance,
 )
 from .profiles import (
     Alternative,
@@ -79,7 +76,6 @@ __all__ = [
     "exact_profile",
     "fit_voter",
     "gaussian_kl",
-    "log_std_normal_cdf",
     "marginalize_profile",
     "mode_utility",
     "objective_and_gradient",
@@ -87,9 +83,7 @@ __all__ = [
     "pairwise_support",
     "positional_scores",
     "restrict_ranking",
-    "sample_ranking",
     "summarize",
     "swap_dominates",
     "swap_ranking",
-    "utility_dominance",
 ]

@@ -79,20 +79,6 @@ class FitResult:
     iterations: int
 
 
-def log_std_normal_cdf(t):
-    """log Phi(t), finite and accurate far into the left tail.
-
-    Accepts scalars or arrays; rejects NaN input.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("log_std_normal_cdf got NaN input")
-    out = special.log_ndtr(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def _diff_matrix(data: np.ndarray) -> np.ndarray:
     """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
 

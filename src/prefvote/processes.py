@@ -26,7 +26,6 @@ from scipy import special
 from .profiles import (
     Alternative,
     AnonymousProfile,
-    Ranking,
     _as_finite,
     _finite_vector,
 )
@@ -77,7 +76,11 @@ class ProcessSpec:
 
 
 def mode_utility(spec: ProcessSpec, alternative: Alternative) -> float:
-    """Noise-free utility ``beta . features``, which must be finite."""
+    """Noise-free utility ``beta . features``, which must be finite.
+
+    In both families ``a`` swap-dominates ``b`` in every profile the
+    process induces exactly when ``a``'s mode utility is at least ``b``'s.
+    """
     alts = _sorted_alternatives([alternative], spec.dim)
     return float(_mode_utilities(spec.beta, alts)[0])
 
@@ -193,18 +196,6 @@ def _borda_scores(utilities: np.ndarray) -> np.ndarray:
     return np.array(scores)
 
 
-def sample_ranking(
-    spec: ProcessSpec,
-    alternatives: Iterable[Alternative],
-    rng: np.random.Generator,
-) -> Ranking:
-    """Draw one ranking from the process."""
-    alts = _sorted_alternatives(alternatives, spec.dim)
-    mu = _mode_utilities(spec.beta, alts)
-    order = _draw_orders(spec.family, mu, 1, rng, spec.gumbel_scale)[0]
-    return Ranking(tuple(alts[j].id for j in order))
-
-
 def exact_profile(
     spec: ProcessSpec, alternatives: Iterable[Alternative]
 ) -> AnonymousProfile:
@@ -262,15 +253,3 @@ def estimate_profile(
     starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
     counts = np.diff(np.r_[starts, n_samples])
     return AnonymousProfile.from_orders(ids, rows[starts], counts / n_samples)
-
-
-def utility_dominance(spec: ProcessSpec, a: Alternative, b: Alternative) -> bool:
-    """True when the mode utility of ``a`` is at least that of ``b``.
-
-    For both families this is equivalent to ``a`` swap-dominating ``b`` in
-    every profile the process induces, so it serves as the exact dominance
-    test without enumerating rankings.
-    """
-    if a.id == b.id:
-        raise ValueError("utility dominance needs two distinct alternatives")
-    return mode_utility(spec, a) >= mode_utility(spec, b)

@@ -92,30 +92,71 @@ def copeland_scores(profile: AnonymousProfile) -> dict[str, int]:
     return scores
 
 
-def _maximin_scores(profile: AnonymousProfile) -> dict[str, float]:
-    support = profile.pairwise_matrix().tolist()
-    return {
-        a: min(row[:i] + row[i + 1 :])
-        for i, (a, row) in enumerate(zip(profile.ids, support))
-    }
+def _require_rule(kind: str) -> None:
+    if kind not in SCC_KINDS:
+        raise ValueError(f"unknown rule {kind!r}; expected one of {SCC_KINDS}")
 
 
-def _top_k_masses(profile: AnonymousProfile, k: int) -> dict[str, float]:
-    """Weight of the rankings that place each alternative in their top k."""
-    m = len(profile.ids)
-    return positional_scores(profile, [1.0] * k + [0.0] * (m - k))
+def _outcome(
+    kind: str, profile: AnonymousProfile, margin: bool = False
+) -> tuple[frozenset[str], float | None]:
+    """Winner set of the named rule and, if ``margin`` is set, its margin.
 
+    Each rule scores the profile once; Bucklin stops at the pivotal k
+    unless the margin is wanted.  The margin is None unless wanted, 1.0
+    with a single alternative, and otherwise:
 
-def _scores(kind: str, profile: AnonymousProfile) -> dict[str, float]:
-    """Plurality, Borda, Copeland or maximin score of every alternative."""
-    m = len(profile.alternatives)
-    if kind == PLURALITY:
-        return positional_scores(profile, [1.0] + [0.0] * (m - 1))
-    if kind == BORDA:
-        return positional_scores(profile, [float(m - 1 - k) for k in range(m)])
+    - plurality, maximin: best score minus the best loser's (0.0 if all win);
+    - Borda: the same gap divided by m - 1;
+    - Copeland: twice the smallest distance of a pairwise support from 1/2;
+    - Bucklin: twice the smallest distance of a top-k weight from 1/2, k < m.
+    """
+    _require_rule(kind)
+    ids = profile.ids
+    m = len(ids)
+    if m == 1:
+        return profile.alternatives, 1.0 if margin else None
+    if kind == BUCKLIN:
+        positions, weights = profile.position_matrix()
+        scores, closest = {}, math.inf
+        for k in range(1, m):
+            masses = {
+                a: math.fsum(weights[rank < k].tolist())
+                for a, rank in zip(ids, positions.T)
+            }
+            if not scores:
+                scores = {a: s for a, s in masses.items() if s > 0.5 + SCORE_TIE_TOL}
+            if margin:
+                closest = min(closest, *(abs(s - 0.5) for s in masses.values()))
+            elif scores:
+                break
+        scores = scores or dict.fromkeys(ids, 0.0)  # no majority: all tie
+    elif kind == PLURALITY:
+        scores = positional_scores(profile, [1.0] + [0.0] * (m - 1))
+    elif kind == BORDA:
+        scores = positional_scores(profile, [float(m - 1 - k) for k in range(m)])
+    elif kind == COPELAND:
+        scores = copeland_scores(profile)
+    else:
+        support = profile.pairwise_matrix().tolist()
+        scores = {
+            a: min(row[:i] + row[i + 1 :])
+            for i, (a, row) in enumerate(zip(ids, support))
+        }
+    best = max(scores.values())
+    winners = frozenset(a for a, s in scores.items() if s >= best - SCORE_TIE_TOL)
+    if not margin:
+        return winners, None
+    if kind == BUCKLIN:
+        return winners, 2.0 * closest
     if kind == COPELAND:
-        return copeland_scores(profile)
-    return _maximin_scores(profile)
+        support = profile.pairwise_matrix().tolist()
+        pairs = itertools.combinations(range(m), 2)
+        return winners, 2.0 * min(abs(support[i][j] - 0.5) for i, j in pairs)
+    losers = [s for a, s in scores.items() if a not in winners]
+    if not losers:
+        return winners, 0.0
+    return winners, (best - max(losers)) / (float(m - 1) if kind == BORDA else 1.0)
 
 
 def apply_scc(kind: str, profile: AnonymousProfile) -> frozenset[str]:
@@ -128,23 +169,7 @@ def apply_scc(kind: str, profile: AnonymousProfile) -> frozenset[str]:
     the ones whose top-k weight is within ``SCORE_TIE_TOL`` of the
     largest.  If no k < m gives a majority, every alternative wins.
     """
-    if kind not in SCC_KINDS:
-        raise ValueError(f"unknown rule {kind!r}; expected one of {SCC_KINDS}")
-    if len(profile.alternatives) == 1:
-        return profile.alternatives
-    if kind != BUCKLIN:
-        return _best_within_tol(_scores(kind, profile))
-    for k in range(1, len(profile.ids)):
-        masses = _top_k_masses(profile, k)
-        majority = {a: s for a, s in masses.items() if s > 0.5 + SCORE_TIE_TOL}
-        if majority:
-            return _best_within_tol(majority)
-    return profile.alternatives
-
-
-def _best_within_tol(scores: dict[str, float]) -> frozenset[str]:
-    best = max(scores.values())
-    return frozenset(a for a, s in scores.items() if s >= best - SCORE_TIE_TOL)
+    return _outcome(kind, profile)[0]
 
 
 @dataclass(frozen=True)
@@ -183,7 +208,7 @@ def _efficiency_report(
     violates: Callable[[bool, bool, bool], bool],
 ) -> EfficiencyReport:
     """Audit where ``violates(a_wins, b_wins, mutual)`` flags a pair."""
-    winners = apply_scc(kind, profile)
+    winners, _ = _outcome(kind, profile)
     violations = [
         (a, b)
         for a, b, mutual in _dominance_pairs(profile)
@@ -230,7 +255,10 @@ class StabilityReport:
     The check is vacuous (``applicable`` False) when no full-set winner
     survives into the subset; otherwise stability demands that the
     surviving winners be exactly the subset winners.  ``low_confidence``
-    flags sampled profiles whose margins are within sampling noise.
+    is set only for sampled (``mc``) profiles: it is true when the rule's
+    margin on the full set or on the subset is below ``2 * sqrt(0.25 / n)``
+    for ``n`` samples per profile, twice the standard error of a sampled
+    share of one half.
     """
 
     kind: str
@@ -241,33 +269,6 @@ class StabilityReport:
     stable: bool
     low_confidence: bool
     notes: tuple[str, ...] = ()
-
-
-def _winner_margin(kind: str, profile: AnonymousProfile) -> float:
-    """Smallest score gap separating winners from losers (1.0 if none)."""
-    m = len(profile.alternatives)
-    if m == 1:
-        return 1.0
-    if kind == COPELAND:
-        # Margin lives in the pairwise supports, not the integer scores.
-        support = profile.pairwise_matrix().tolist()
-        return 2.0 * min(
-            abs(support[i][j] - 0.5)
-            for i, j in itertools.combinations(range(m), 2)
-        )
-    if kind == BUCKLIN:
-        return 2.0 * min(
-            abs(mass - 0.5)
-            for k in range(1, m)
-            for mass in _top_k_masses(profile, k).values()
-        )
-    scores = _scores(kind, profile)
-    scale = float(m - 1) if kind == BORDA else 1.0
-    winners = _best_within_tol(scores)
-    losers = [s for a, s in scores.items() if a not in winners]
-    if not losers:
-        return 0.0
-    return (max(scores.values()) - max(losers)) / scale
 
 
 def check_stability(
@@ -285,6 +286,7 @@ def check_stability(
     subset (exactly, or by sampling ``n_samples`` rankings per profile for
     ``mode="mc"``), applies the rule to both, and compares.
     """
+    _require_rule(kind)
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     alts = sorted(alternatives, key=lambda alt: alt.id)
@@ -296,41 +298,38 @@ def check_stability(
     if missing:
         raise ValueError(f"subset ids not in the alternative set: {missing}")
     sub_alts = [by_id[i] for i in sub_ids]
-    low_confidence = False
     if mode == "exact":
         full_profile = processes.exact_profile(spec, alts)
         sub_profile = processes.exact_profile(spec, sub_alts)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        full_profile = processes.estimate_profile(spec, alts, n_samples, rng)
-        sub_profile = processes.estimate_profile(spec, sub_alts, n_samples, rng)
-        noise = 2.0 * math.sqrt(0.25 / n_samples)
-        low_confidence = (
-            _winner_margin(kind, full_profile) < noise
-            or _winner_margin(kind, sub_profile) < noise
-        )
-    return _stability_from_profiles(
-        kind, full_profile, sub_profile, low_confidence
-    )
+        return _stability_from_profiles(kind, full_profile, sub_profile)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    full_profile = processes.estimate_profile(spec, alts, n_samples, rng)
+    sub_profile = processes.estimate_profile(spec, sub_alts, n_samples, rng)
+    noise = 2.0 * math.sqrt(0.25 / n_samples)
+    return _stability_from_profiles(kind, full_profile, sub_profile, noise)
 
 
 def check_profile_stability(
     kind: str, profile: AnonymousProfile, subset_ids: Iterable[str]
 ) -> StabilityReport:
     """Stability check on a fixed profile, via marginalization."""
+    _require_rule(kind)
     sub_ids = sorted(set(subset_ids))
     sub_profile = marginalize_profile(profile, sub_ids)
-    return _stability_from_profiles(kind, profile, sub_profile, False)
+    return _stability_from_profiles(kind, profile, sub_profile)
 
 
 def _stability_from_profiles(
     kind: str,
     full_profile: AnonymousProfile,
     sub_profile: AnonymousProfile,
-    low_confidence: bool,
+    noise: float | None = None,
 ) -> StabilityReport:
-    winners_full = apply_scc(kind, full_profile)
-    winners_subset = apply_scc(kind, sub_profile)
+    """Compare winners; a margin below ``noise`` (sampled profiles) is flagged."""
+    sampled = noise is not None
+    winners_full, margin_full = _outcome(kind, full_profile, sampled)
+    winners_subset, margin_subset = _outcome(kind, sub_profile, sampled)
+    low_confidence = sampled and (margin_full < noise or margin_subset < noise)
     intersection = winners_full & sub_profile.alternatives
     applicable = bool(intersection)
     stable = (not applicable) or intersection == winners_subset

@@ -669,6 +669,24 @@ def test_axioms_stability_output(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    ("features", "flag"), [("1,1,-3", "true"), ("3,0,-3", "false")]
+)
+def test_axioms_mc_stability_reports_low_confidence(workdir, capsys, features, flag):
+    # a and b tie in utility under beta = (1,), so no margin clears the noise
+    summary = workdir / "unit.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 1,
+                                   "n_voters": 1, "beta": [1.0]}))
+    alternatives = workdir / "tied.csv"
+    rows = [f"{i},{f}" for i, f in zip("abc", features.split(","))]
+    alternatives.write_text("\n".join(["id,f_1", *rows]) + "\n")
+    assert main(["axioms", "--check", "stability", "--scc", "borda",
+                 "--summary", str(summary), "--alternatives", str(alternatives),
+                 "--subset", "a,b", "--family", "tm", "--mode", "mc",
+                 "--samples", "20000", "--seed", "3"]) == 0
+    assert f"low_confidence: {flag}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["decide"],

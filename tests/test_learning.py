@@ -10,7 +10,6 @@ from prefvote.learning import (
     NumericError,
     _derivatives,
     fit_voter,
-    log_std_normal_cdf,
     objective_and_gradient,
 )
 
@@ -23,23 +22,11 @@ LOG_PHI = {
 }
 
 
-def test_log_cdf_frozen_values():
+def test_objective_matches_frozen_log_cdf():
+    # one comparison with difference 1 at beta = (t,) costs -log Phi(t)
     for t, expected in LOG_PHI.items():
-        assert log_std_normal_cdf(t) == pytest.approx(expected, rel=1e-13)
-    array = log_std_normal_cdf(np.array([-10.0, 0.0]))
-    assert array == pytest.approx([LOG_PHI[-10.0], LOG_PHI[0.0]], rel=1e-13)
-
-
-def test_log_cdf_tails_stay_finite():
-    assert math.isfinite(log_std_normal_cdf(-500.0))
-    assert log_std_normal_cdf(-500.0) < -100_000
-    # far right tail: essentially zero from below
-    right = log_std_normal_cdf(40.0)
-    assert -1e-300 < right <= 0.0
-    with pytest.raises(ValueError):
-        log_std_normal_cdf(float("nan"))
-    with pytest.raises(ValueError):
-        log_std_normal_cdf(np.array([0.0, float("nan")]))
+        value, _ = objective_and_gradient(np.array([t]), np.ones((1, 1)))
+        assert value == pytest.approx(-expected, rel=1e-13)
 
 
 def test_objective_at_zero():

@@ -13,8 +13,6 @@ from prefvote.processes import (
     exact_profile,
     mode_utility,
     pairwise_prob,
-    sample_ranking,
-    utility_dominance,
     _borda_scores,
     _draw_orders,
     _draw_utilities,
@@ -25,6 +23,7 @@ from prefvote.profiles import (
     AnonymousProfile,
     Ranking,
     marginalize_profile,
+    swap_dominates,
 )
 
 # reference: mpmath ncdf(1) at 40 digits
@@ -252,22 +251,6 @@ def test_estimate_profile_validation_and_determinism():
     assert p1 == p2
 
 
-def test_sample_ranking_deterministic_and_plausible():
-    spec = ProcessSpec(family="tm", beta=(1.0,))
-    alts = scalar_alts([10.0, 0.0, -10.0])
-    draws1 = [
-        sample_ranking(spec, alts, np.random.default_rng(123)) for _ in range(3)
-    ]
-    draws2 = [
-        sample_ranking(spec, alts, np.random.default_rng(123)) for _ in range(3)
-    ]
-    assert draws1 == draws2
-    # enormous utility gaps pin the order
-    assert draws1[0] == Ranking.from_string("a>b>c")
-    single = sample_ranking(spec, scalar_alts([2.0]), np.random.default_rng(0))
-    assert single == Ranking(("a",))
-
-
 def test_utility_dominance_composition():
     # mode-utility order must match swap dominance on every exact profile
     rng = np.random.default_rng(17)
@@ -278,19 +261,8 @@ def test_utility_dominance_composition():
         profile = exact_profile(spec, alts)
         by_id = {a.id: a for a in alts}
         for a, b in itertools.permutations(sorted(by_id), 2):
-            dominates = utility_dominance(spec, by_id[a], by_id[b])
-            assert dominates == (
-                mode_utility(spec, by_id[a]) >= mode_utility(spec, by_id[b])
-            )
-            from prefvote.profiles import swap_dominates
-
+            dominates = mode_utility(spec, by_id[a]) >= mode_utility(spec, by_id[b])
             assert swap_dominates(profile, a, b) == dominates
-
-
-def test_utility_dominance_rejects_same_id():
-    spec = ProcessSpec(family="tm", beta=(1.0,))
-    with pytest.raises(ValueError):
-        utility_dominance(spec, alt("a", 1.0), alt("a", 2.0))
 
 
 def _renormalized(items):

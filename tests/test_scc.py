@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from prefvote import processes, scc
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
 from prefvote.profiles import Alternative, AnonymousProfile, Ranking
 from prefvote.scc import (
     SCC_KINDS,
     SCORE_TIE_TOL,
-    _top_k_masses,
-    _winner_margin,
+    _outcome,
     apply_scc,
     check_profile_stability,
     check_stability,
@@ -80,7 +80,10 @@ def test_positional_and_bucklin_equal_fsum_scans(
         m = len(profile.ids)
         vector = [float(m - 1 - k) ** 1.5 for k in range(m)]
         scores = positional_scores(profile, vector)
-        masses = [_top_k_masses(profile, top + 1) for top in range(m)]
+        masses = [
+            positional_scores(profile, [1.0] * (top + 1) + [0.0] * (m - top - 1))
+            for top in range(m)
+        ]
         for alt in profile.ids:
             ranks = [
                 (r.position(alt) - 1, w) for r, w in profile.support.items()
@@ -193,11 +196,11 @@ def test_bucklin_matches_brute_force_oracle():
         winners, margin = bucklin_oracle(profile)
         exact_halves += margin == 0.0
         assert apply_scc("bucklin", profile) == winners
-        assert _winner_margin("bucklin", profile) == margin
+        assert _outcome("bucklin", profile, True) == (winners, margin)
         for kind in ("plurality", "borda", "copeland", "maximin"):
             winners, margin = scan_oracle(kind, profile)
             assert apply_scc(kind, profile) == winners, kind
-            assert _winner_margin(kind, profile) == margin, kind
+            assert _outcome(kind, profile, True) == (winners, margin), kind
     assert exact_halves >= 50
 
 
@@ -405,3 +408,63 @@ def test_stability_subset_equals_full_set():
     report = check_stability(spec, "maximin", alts, ["a", "b", "c"], mode="exact")
     assert report.winners_full == report.winners_subset
     assert report.stable
+
+
+def test_unknown_rule_or_mode_fails_before_any_profile_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a profile for a call that must fail")
+
+    monkeypatch.setattr(processes, "estimate_profile", refuse)
+    monkeypatch.setattr(processes, "exact_profile", refuse)
+    monkeypatch.setattr(scc, "marginalize_profile", refuse)
+    spec = ProcessSpec(family="tm", beta=(1.0,))
+    alts = [Alternative("a", (1.0,)), Alternative("b", (0.0,))]
+    for mode in ("exact", "mc"):
+        with pytest.raises(ValueError, match="unknown rule 'veto'"):
+            check_stability(spec, "veto", alts, ["a"], mode=mode)
+    with pytest.raises(ValueError, match="mode"):
+        check_stability(spec, "borda", alts, ["a"], mode="approx")
+    profile = AnonymousProfile({Ranking.from_string("a>b"): 1.0})
+    with pytest.raises(ValueError, match="unknown rule 'veto'"):
+        check_profile_stability("veto", profile, ["a"])
+
+
+def test_check_stability_mc_low_confidence_for_every_rule():
+    # a and b tie in utility, so every rule's margin is sampling noise;
+    # spread features (3, 0, -3) give every rule a clear margin
+    spec = ProcessSpec(family="tm", beta=(1.0,))
+    for features, expected in (((1.0, 1.0, -3.0), True), ((3.0, 0.0, -3.0), False)):
+        alts = [Alternative(i, (f,)) for i, f in zip("abc", features)]
+        for kind in SCC_KINDS:
+            report = check_stability(
+                spec, kind, alts, ["a", "b"], mode="mc", n_samples=20_000, seed=3
+            )
+            assert report.low_confidence is expected, (features, kind)
+        exact = check_stability(spec, "borda", alts[:2], ["a", "b"], mode="exact")
+        assert exact.low_confidence is False
+
+
+@pytest.mark.parametrize(
+    "kind, matrix",
+    [
+        ("plurality", "position_matrix"),
+        ("borda", "position_matrix"),
+        ("maximin", "pairwise_matrix"),
+        ("bucklin", "position_matrix"),
+    ],
+)
+def test_mc_stability_scores_each_profile_once(monkeypatch, kind, matrix):
+    # winners and margin come from one read of the profile's matrix: the
+    # full set (m=4) once, then the subset (m=2) once
+    calls = []
+    original = getattr(AnonymousProfile, matrix)
+
+    def counted(self):
+        calls.append(len(self.ids))
+        return original(self)
+
+    monkeypatch.setattr(AnonymousProfile, matrix, counted)
+    spec = ProcessSpec(family="pl", beta=(1.0,))
+    alts = [Alternative(i, (f,)) for i, f in zip("abcd", (1.0, 0.5, 0.0, -0.5))]
+    check_stability(spec, kind, alts, ["a", "b"], mode="mc", n_samples=500)
+    assert calls == [4, 2]

@@ -11,7 +11,7 @@ import inspect
 import io
 from pathlib import Path
 
-from prefvote import fileio, learning
+from prefvote import fileio, learning, processes, scc
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -45,3 +45,12 @@ def test_fit_voter_takes_config_second():
     # _count_fit reads the FitConfig from args[1].
     parameters = list(inspect.signature(learning.fit_voter).parameters)
     assert parameters[1] == "config"
+
+
+def test_span_namers_and_sample_counter_read_these_positions():
+    # _apply_name reads args[0], _stability_name args[4] and
+    # _count_estimate args[2] when the call passes them positionally.
+    assert list(inspect.signature(scc.apply_scc).parameters)[0] == "kind"
+    assert list(inspect.signature(scc.check_stability).parameters)[4] == "mode"
+    parameters = list(inspect.signature(processes.estimate_profile).parameters)
+    assert parameters[2] == "n_samples"
