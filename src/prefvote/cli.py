@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import fields as dataclass_fields
 
-from . import experiments, fileio, scc
+from . import experiments, fileio, processes, scc
 from .learning import FitConfig, NumericError, fit_voter
 from .pipeline import decide, summarize
 
@@ -179,7 +179,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         alternatives = fileio.parse_alternatives(handle)
     subset = [token.strip() for token in args.subset.split(",") if token.strip()]
     report = scc.check_stability(
-        model.as_process(args.family),
+        processes.ProcessSpec(args.family, model.beta_hat),
         args.scc,
         alternatives,
         subset,

@@ -170,16 +170,15 @@ def ground_truth_winner(
     alternatives: Sequence[Alternative],
     n_samples: int,
     rng: np.random.Generator,
-    family: str = "tm",
 ) -> Alternative:
     """Borda winner of the population's sampled ranking profile.
 
     ``betas`` is the ``(N, d)`` population (a list of vectors also works).
     Each sample picks a voter uniformly and draws one noisy ranking from
-    that voter's process.  Borda scores are integer position counts, so
-    the only tolerance in play is the sampling itself; score ties break
-    to the smallest id.  Every voter's utility for every alternative must
-    be finite.
+    that voter's ``"tm"`` process.  Borda scores are integer position
+    counts, so the only tolerance in play is the sampling itself; score
+    ties break to the smallest id.  Every voter's utility for every
+    alternative must be finite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -190,7 +189,7 @@ def ground_truth_winner(
         return alts[0]
     voter_idx = rng.integers(0, population.shape[0], size=n_samples)
     utilities = processes._draw_utilities(
-        family, np.take(mode, voter_idx, axis=0), n_samples, rng
+        processes.TM, np.take(mode, voter_idx, axis=0), n_samples, rng
     )
     return alts[int(np.argmax(processes._borda_scores(utilities)))]
 

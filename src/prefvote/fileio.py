@@ -142,7 +142,12 @@ def _csv_rows(
 
 
 def _parse_float(token: object, line: int | None = None) -> float:
-    """One finite real from a CSV field or a model-file value."""
+    """One finite real from a CSV field or a model-file value.
+
+    A JSON ``true`` or ``false`` is not a real and is refused.
+    """
+    if isinstance(token, bool):
+        raise ParseError(f"non-numeric value {token!r}", line=line)
     try:
         value = float(token)  # type: ignore[arg-type]
     except (TypeError, ValueError):
@@ -410,6 +415,8 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
     for key in ("l2_penalty", "gradient_tolerance"):
         if key in fit:
             fit[key] = _parse_float(fit[key])
+    if "max_iterations" in fit:
+        fit["max_iterations"] = _parse_int(fit["max_iterations"], "max_iterations")
     return records, fit
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -130,11 +129,7 @@ def _derivatives(
 _ARMIJO = 1e-4
 
 
-def fit_voter(
-    data: np.ndarray,
-    config: FitConfig | None = None,
-    callback: Callable[[np.ndarray], None] | None = None,
-) -> FitResult:
+def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
     """Fit one voter's utility weights by penalized maximum likelihood.
 
     ``data`` is the voter's ``(n, d)`` chosen-minus-rejected array.
@@ -147,8 +142,8 @@ def fit_voter(
     ``l2_penalty`` > 0 the result is thus the unique ridge optimum at float
     resolution; at 0 on separable data there is none, and the weights are
     finite but of arbitrary scale.  ``iterations`` counts Newton steps (at
-    most ``max_iterations``), ``callback`` gets a copy of the weights after
-    each, and the objective never rises along them beyond float resolution.
+    most ``max_iterations``), and the objective never rises along them
+    beyond float resolution.
     ``converged`` says whether the final gradient inf-norm meets the
     tolerance.  Same data and config give the same result.
     """
@@ -198,8 +193,6 @@ def fit_voter(
         grad_norm = np.max(np.abs(grad))
         backtracking = backtracking and grad_norm > config.gradient_tolerance
         iterations += 1
-        if callback is not None:
-            callback(beta.copy())
     if not (np.isfinite(value) and np.isfinite(beta).all()):
         raise NumericError("fit produced a non-finite objective or weights")
     return FitResult(

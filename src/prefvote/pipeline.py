@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .profiles import Alternative, _as_int, _finite_vector
-from .processes import ProcessSpec, _mode_utilities, _sorted_alternatives
+from .processes import _mode_utilities, _sorted_alternatives
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class SummaryModel:
     @property
     def dim(self) -> int:
         return self.beta_hat.shape[0]
-
-    def as_process(self, family: str = "tm", gumbel_scale: float = 1.0) -> ProcessSpec:
-        """View the summary as a ranking process of the given family."""
-        return ProcessSpec(
-            family=family,
-            beta=tuple(self.beta_hat.tolist()),
-            gumbel_scale=gumbel_scale,
-        )
 
 
 def as_population(betas: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:

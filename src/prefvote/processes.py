@@ -5,8 +5,9 @@ and ranking by decreasing utility:
 
 * ``"tm"``: utilities are Normal(u(x), 1/2), so the chance of preferring
   a to b in isolation is Phi(u(a) - u(b)).
-* ``"pl"``: utilities are Gumbel(u(x), gamma), which yields the familiar
-  sequential-choice product form for whole rankings.
+* ``"pl"``: utilities are u(x) plus standard Gumbel noise, which yields
+  the familiar sequential-choice product form for whole rankings.  Noise
+  of scale gamma is the process with weights ``beta / gamma``.
 
 ``u(x) = beta . features(x)`` in either case.  Both families marginalize
 cleanly: the exact profile over a subset equals the marginal of the exact
@@ -23,12 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .profiles import (
-    Alternative,
-    AnonymousProfile,
-    _as_finite,
-    _finite_vector,
-)
+from .profiles import Alternative, AnonymousProfile, _finite_vector
 
 TM = "tm"
 PL = "pl"
@@ -46,16 +42,15 @@ class ExactProfileUnsupported(ValueError):
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """A ranking process: family, utility weights, and noise scale.
+    """A ranking process: family and utility weights.
 
-    ``gumbel_scale`` only matters for the ``"pl"`` family and must be
-    positive there; the ``"tm"`` family has its noise variance fixed at
-    one half.
+    The ``"tm"`` noise variance is one half and the ``"pl"`` noise is a
+    standard Gumbel; a Gumbel of scale gamma is the ``"pl"`` process with
+    weights ``beta / gamma``.
     """
 
     family: str
     beta: tuple[float, ...]
-    gumbel_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -64,11 +59,6 @@ class ProcessSpec:
             )
         beta = _finite_vector(self.beta, "beta")
         object.__setattr__(self, "beta", tuple(beta.tolist()))
-        if self.family == PL:
-            gumbel_scale = _as_finite(self.gumbel_scale, "gumbel_scale")
-            if not gumbel_scale > 0:
-                raise ValueError("gumbel_scale must be positive")
-            object.__setattr__(self, "gumbel_scale", gumbel_scale)
 
     @property
     def dim(self) -> int:
@@ -131,18 +121,15 @@ def pairwise_prob(spec: ProcessSpec, a: Alternative, b: Alternative) -> float:
     gap = mode_utility(spec, a) - mode_utility(spec, b)
     if spec.family == TM:
         return float(special.ndtr(gap))
-    return float(special.expit(gap / spec.gumbel_scale))
+    return float(special.expit(gap))
 
 
 def _draw_utilities(
-    family: str,
-    mu: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    gumbel_scale: float = 1.0,
+    family: str, mu: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample ``n`` rows of noisy utilities, shape ``(n, m)``.
 
+    ``family`` is ``TM`` or ``PL``; callers pass a validated one.
     ``mu`` holds mode utilities: one row of shape ``(m,)`` shared by every
     sample, or one row per sample, shape ``(n, m)``.  Ranking a row ranks
     its columns by decreasing utility; an exact tie goes to the smaller
@@ -156,23 +143,17 @@ def _draw_utilities(
     # broadcasting one.
     if family == TM:
         noise = rng.normal(0.0, _TM_NOISE_SCALE, size=size)
-    elif family == PL:
-        noise = rng.gumbel(0.0, gumbel_scale, size=size)
     else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        noise = rng.gumbel(0.0, 1.0, size=size)
     noise += mu
     return noise
 
 
 def _draw_orders(
-    family: str,
-    mu: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    gumbel_scale: float = 1.0,
+    family: str, mu: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample ``n`` rankings as index rows into the columns of ``mu``."""
-    utilities = _draw_utilities(family, mu, n, rng, gumbel_scale)
+    utilities = _draw_utilities(family, mu, n, rng)
     # Stable sort: exact utility ties resolve toward the smaller column,
     # which is the smaller id when columns are in id order.
     return np.argsort(-utilities, axis=1, kind="stable")
@@ -224,7 +205,7 @@ def exact_profile(
         p = pairwise_prob(spec, alts[0], alts[1])
         return AnonymousProfile.from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
     mu = _mode_utilities(spec.beta, alts)
-    weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
+    weights = np.exp(mu - mu.max())
     perms = np.array(list(itertools.permutations(range(m))))
     w = weights[perms]
     denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
@@ -246,7 +227,7 @@ def estimate_profile(
     if m == 1:
         return AnonymousProfile.from_orders(ids, [[0]], [1.0])
     mu = _mode_utilities(spec.beta, alts)
-    orders = _draw_orders(spec.family, mu, n_samples, rng, spec.gumbel_scale)
+    orders = _draw_orders(spec.family, mu, n_samples, rng)
     # Count equal rows by sorting them; small integer columns sort by radix.
     rows = orders.astype(np.min_scalar_type(m - 1))
     rows = rows[np.lexsort(rows.T[::-1])]

@@ -608,6 +608,16 @@ def test_decide_on_non_integer_version_or_dimension_exits_2(workdir, capsys, hea
     assert "must be an integer" in capsys.readouterr().err
 
 
+def test_decide_on_boolean_beta_exits_2(workdir, capsys):
+    summary = workdir / "summary.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 2,
+                                   "n_voters": 3, "beta": [True, False]}))
+    code = main(["decide", "--summary", str(summary),
+                 "--alternatives", str(workdir / "alternatives.csv")])
+    assert code == 2
+    assert "non-numeric value True" in capsys.readouterr().err
+
+
 def test_summarize_on_string_converged_flag_exits_2(workdir, capsys):
     models = workdir / "models.json"
     models.write_text(json.dumps({

@@ -16,9 +16,7 @@ from prefvote.experiments import (
     run_rng,
 )
 from prefvote.pipeline import decide, summarize
-from prefvote.processes import ProcessSpec, exact_profile
 from prefvote.profiles import Alternative
-from prefvote.scc import apply_scc
 
 SMALL_STEP2 = SyntheticConfig(
     d=2,
@@ -160,9 +158,6 @@ def test_ground_truth_trivial_cases():
     pair = [Alternative(id="a", features=(1.0,)), Alternative(id="a", features=(0.0,))]
     with pytest.raises(ValueError, match="unique"):
         ground_truth_winner([np.ones(1)], pair, 10, rng)
-    two = [Alternative(id="a", features=(1.0,)), Alternative(id="b", features=(0.0,))]
-    with pytest.raises(ValueError, match="family"):
-        ground_truth_winner([np.ones(1)], two, 10, rng, family="mallows")
 
 
 def test_ground_truth_picks_clear_favorite():
@@ -177,66 +172,23 @@ def test_ground_truth_picks_clear_favorite():
     assert winner.id == "b"
 
 
-def test_ground_truth_agrees_with_exact_mean_profile_borda():
-    # sampled voter-uniform rankings estimate the population's mean ranking
-    # distribution, so the Borda winner should match the one computed from
-    # the exact per-voter distributions averaged together
-    rng = run_rng(2, 9, 0)
-    agree = 0
-    trials = 60
-    for _ in range(trials):
-        betas = [rng.normal(0.0, 1.0, 2) for _ in range(3)]
-        alts = [
-            Alternative(id=f"x{k}", features=tuple(rng.normal(0.0, 1.0, 2)))
-            for k in range(4)
-        ]
-        weights: dict = {}
-        for beta in betas:
-            profile = exact_profile(ProcessSpec(family="pl", beta=tuple(beta)), alts)
-            for ranking, w in profile.support.items():
-                weights[ranking] = weights.get(ranking, 0.0) + w / len(betas)
-        exact_scores = {alt.id: 0.0 for alt in alts}
-        for ranking, w in weights.items():
-            for pos, alt_id in enumerate(ranking.order):
-                exact_scores[alt_id] += w * (len(alts) - 1 - pos)
-        exact_best = max(sorted(exact_scores), key=lambda i: exact_scores[i])
-        sampled = ground_truth_winner(betas, alts, 100_000, rng, family="pl")
-        agree += int(sampled.id == exact_best)
-    assert agree >= 59
-
-
-def test_ground_truth_borda_matches_scc_module_on_single_voter():
-    rng = run_rng(2, 9, 1)
-    beta = (0.8, -0.5)
-    alts = [
-        Alternative(id=f"x{k}", features=tuple(rng.normal(0.0, 1.0, 2)))
-        for k in range(3)
-    ]
-    profile = exact_profile(ProcessSpec(family="pl", beta=beta), alts)
-    exact_winners = apply_scc("borda", profile)
-    sampled = ground_truth_winner([np.array(beta)], alts, 100_000, rng, family="pl")
-    assert sampled.id in exact_winners
-
-
-def expected_borda_winner(betas, alts, family):
+def expected_borda_winner(betas, alts):
     """Closed-form winner: the voter mean of sum_b P(a before b).
 
-    P is Phi(u_a - u_b) for tm and expit(u_a - u_b) for pl (Azari
-    Soufiani, Parkes & Xia, NeurIPS 2012).
+    P is Phi(u_a - u_b) in the tm process (Azari Soufiani, Parkes & Xia,
+    NeurIPS 2012).
     """
     alts = sorted(alts, key=lambda a: a.id)
     utilities = np.asarray(betas) @ np.array([a.features for a in alts]).T
     gaps = utilities[:, :, None] - utilities[:, None, :]
-    pairwise = special.ndtr(gaps) if family == "tm" else special.expit(gaps)
     # the diagonal adds the same 1/2 to every alternative
-    scores = pairwise.sum(axis=2).mean(axis=0)
+    scores = special.ndtr(gaps).sum(axis=2).mean(axis=0)
     return alts[int(np.argmax(scores))]
 
 
-@pytest.mark.parametrize("family", ["tm", "pl"])
-def test_ground_truth_matches_expected_borda_oracle(family):
+def test_ground_truth_matches_expected_borda_oracle():
     config = SyntheticConfig()
-    rng = run_rng(5, 9, 0 if family == "tm" else 1)
+    rng = run_rng(5, 9, 0)
     instances = 200
     agree = 0
     for _ in range(instances):
@@ -245,8 +197,8 @@ def test_ground_truth_matches_expected_borda_oracle(family):
             Alternative(id=f"a{j:02d}", features=tuple(row))
             for j, row in enumerate(rng.standard_normal((5, config.d)))
         ]
-        sampled = ground_truth_winner(betas, alts, 10_000, rng, family=family)
-        agree += sampled.id == expected_borda_winner(betas, alts, family).id
+        sampled = ground_truth_winner(betas, alts, 10_000, rng)
+        agree += sampled.id == expected_borda_winner(betas, alts).id
     assert agree >= 0.97 * instances
 
 
@@ -257,15 +209,10 @@ def test_ground_truth_same_for_list_and_array_population():
         Alternative(id=f"x{k}", features=tuple(row))
         for k, row in enumerate(run_rng(6, 9, 1).standard_normal((4, 3)))
     ]
-    for family in ("tm", "pl"):
-        for seed in range(20):
-            from_array = ground_truth_winner(
-                betas, alts, 50, run_rng(seed, 9, 2), family=family
-            )
-            from_list = ground_truth_winner(
-                list(betas), alts, 50, run_rng(seed, 9, 2), family=family
-            )
-            assert from_array is from_list
+    for seed in range(20):
+        from_array = ground_truth_winner(betas, alts, 50, run_rng(seed, 9, 2))
+        from_list = ground_truth_winner(list(betas), alts, 50, run_rng(seed, 9, 2))
+        assert from_array is from_list
 
 
 def test_identical_voters_collapse_to_single_model():
@@ -282,7 +229,7 @@ def test_identical_voters_collapse_to_single_model():
     assert decide(summary, alts).id == "a"
 
 
-def reference_ground_truth_winner(betas, alternatives, n_samples, rng, family):
+def reference_ground_truth_winner(betas, alternatives, n_samples, rng):
     """Copy of the previous ground truth: sort every sample, count positions."""
     population = np.asarray(betas, dtype=float)
     alts = sorted(alternatives, key=lambda a: a.id)
@@ -290,11 +237,7 @@ def reference_ground_truth_winner(betas, alternatives, n_samples, rng, family):
         return alts[0]
     mode = population @ np.array([a.features for a in alts]).T
     voter_idx = rng.integers(0, population.shape[0], size=n_samples)
-    size = (n_samples, len(alts))
-    if family == "tm":
-        noise = rng.normal(0.0, math.sqrt(0.5), size=size)
-    else:
-        noise = rng.gumbel(0.0, 1.0, size=size)
+    noise = rng.normal(0.0, math.sqrt(0.5), size=(n_samples, len(alts)))
     orders = np.argsort(-(mode[voter_idx] + noise), axis=1, kind="stable")
     m = len(alts)
     scores = np.zeros(m, dtype=np.int64)
@@ -311,9 +254,8 @@ def reference_voter_comparisons(beta, n, rng):
     return [(pairs[k, c], pairs[k, r]) for k, (c, r) in enumerate(orders.tolist())]
 
 
-@pytest.mark.parametrize("family", ["tm", "pl"])
 @pytest.mark.parametrize("n_voters", [1, 20, 2000])
-def test_ground_truth_equals_previous_sort_and_count(family, n_voters):
+def test_ground_truth_equals_previous_sort_and_count(n_voters):
     config = SyntheticConfig(d=4, n_voters=n_voters)
     for m in range(1, 11):
         rng = run_rng(m, 8, n_voters)
@@ -323,8 +265,8 @@ def test_ground_truth_equals_previous_sort_and_count(family, n_voters):
             for j, row in enumerate(rng.standard_normal((m, config.d)))
         ]
         new_rng, old_rng = run_rng(m, 7, 0), run_rng(m, 7, 0)
-        winner = ground_truth_winner(betas, alts, 10_000, new_rng, family=family)
-        expected = reference_ground_truth_winner(betas, alts, 10_000, old_rng, family)
+        winner = ground_truth_winner(betas, alts, 10_000, new_rng)
+        expected = reference_ground_truth_winner(betas, alts, 10_000, old_rng)
         assert winner.id == expected.id
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
 

@@ -329,6 +329,13 @@ def test_model_file_errors(tmp_path):
     with pytest.raises(ParseError, match="non-finite"):
         load_voter_models(path)
 
+    # JSON booleans are not reals, although Python's float() takes them.
+    for flag in (True, False):
+        payload["voters"] = [{"voter_id": "v", "beta": ["1.0", flag]}]
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(ParseError, match="non-numeric"):
+            load_voter_models(path)
+
 
 @pytest.mark.parametrize(
     "entry, message",
@@ -364,6 +371,11 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"voters": [voter], "version": 1.0}, "version must be an integer"),
         ({"voters": [voter], "d": True}, "d must be an integer"),
         ({"voters": [voter], "d": 1.0}, "d must be an integer"),
+        ({"voters": [voter], "fit": {"l2_penalty": True}}, "non-numeric"),
+        ({"voters": [voter], "fit": {"gradient_tolerance": False}}, "non-numeric"),
+        ({"voters": [voter], "fit": {"max_iterations": "lots"}}, "max_iterations"),
+        ({"voters": [voter], "fit": {"max_iterations": 2.5}}, "max_iterations"),
+        ({"voters": [voter], "fit": {"max_iterations": True}}, "max_iterations"),
     ):
         payload = {"format": "voter-models", "version": 1, "d": 1, **fields}
         open(path, "w").write(json.dumps(payload))
@@ -383,6 +395,8 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"beta": ["1.0"], "n_voters": 3, "version": 1.0}, "version"),
         ({"beta": ["1.0"], "n_voters": 3, "d": True}, "d must be"),
         ({"beta": ["1.0"], "n_voters": 3, "d": None}, "d must be"),
+        ({"beta": [True], "n_voters": 3}, "non-numeric"),
+        ({"beta": [False], "n_voters": 3}, "non-numeric"),
     ],
 )
 def test_summary_model_missing_or_mistyped_fields(tmp_path, fields, message):

@@ -261,12 +261,14 @@ def test_fit_deterministic_and_warm_startable():
         fit_voter(data, FitConfig(initial_beta=np.zeros(7)))
 
 
-def test_fit_objective_decreases_along_callback_path():
+def test_fit_objective_decreases_along_newton_path():
+    # A fit capped at k Newton steps returns the full fit's k-th iterate.
     rng = np.random.default_rng(33)
     data = rng.normal(0, 1, (60, 4))
-    seen = []
-    fit_voter(data, callback=lambda xk: seen.append(np.array(xk, copy=True)))
-    values = [objective_and_gradient(x, data, 1e-6)[0] for x in seen]
+    steps = fit_voter(data).iterations
+    seen = [fit_voter(data, FitConfig(max_iterations=k)) for k in range(1, steps + 1)]
+    assert [result.iterations for result in seen] == list(range(1, steps + 1))
+    values = [objective_and_gradient(result.beta, data, 1e-6)[0] for result in seen]
     assert len(values) >= 2
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 

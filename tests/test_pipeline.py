@@ -164,10 +164,3 @@ def test_decide_agrees_with_every_scc_on_summary_profile():
         for kind in SCC_KINDS:
             assert chosen.id in apply_scc(kind, profile)
 
-
-def test_summary_as_process_roundtrip():
-    model = SummaryModel(beta_hat=np.array([0.5, -0.25]), n_voters=9)
-    spec = model.as_process("pl", gumbel_scale=2.0)
-    assert spec.family == "pl"
-    assert spec.beta == (0.5, -0.25)
-    assert spec.gumbel_scale == 2.0

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from prefvote.pipeline import SummaryModel
 from prefvote.processes import (
     EXACT_PROFILE_MAX_SIZE,
     ExactProfileUnsupported,
@@ -48,16 +47,8 @@ def total_variation(p, q):
 def test_spec_validation():
     with pytest.raises(ValueError, match="family"):
         ProcessSpec(family="probit", beta=(1.0,))
-    with pytest.raises(ValueError, match="gumbel_scale"):
-        ProcessSpec(family="pl", beta=(1.0,), gumbel_scale=0.0)
     spec = ProcessSpec(family="tm", beta=(1.0, 2.0))
     assert spec.dim == 2
-
-
-@pytest.mark.parametrize("scale", [math.inf, math.nan, -1.0, True])
-def test_pl_spec_refuses_bad_gumbel_scale(scale):
-    with pytest.raises(ValueError, match="gumbel_scale"):
-        ProcessSpec(family="pl", beta=(1.0,), gumbel_scale=scale)
 
 
 @pytest.mark.parametrize("family", ["tm", "pl"])
@@ -80,7 +71,7 @@ def test_mode_utility():
 
 
 def test_pairwise_prob_tm_golden():
-    spec = SummaryModel(beta_hat=np.array([1.0]), n_voters=2).as_process()
+    spec = ProcessSpec(family="tm", beta=(1.0,))
     assert pairwise_prob(spec, alt("a", 1.0), alt("b", 0.0)) == pytest.approx(
         PHI_1, abs=1e-12
     )
@@ -94,7 +85,7 @@ def test_pairwise_prob_tm_golden():
         pairwise_prob(spec, alt("a", 1.0, 2.0), alt("b", 0.0, 0.0))
     # antisymmetry on random five-feature instances
     rng = np.random.default_rng(44)
-    spec5 = SummaryModel(beta_hat=rng.normal(0, 1, 5), n_voters=3).as_process()
+    spec5 = ProcessSpec(family="tm", beta=tuple(rng.normal(0, 1, 5)))
     for _ in range(10):
         a, b = alt("a", *rng.normal(0, 1, 5)), alt("b", *rng.normal(0, 1, 5))
         p, q = pairwise_prob(spec5, a, b), pairwise_prob(spec5, b, a)
@@ -105,8 +96,9 @@ def test_pairwise_prob_pl_golden():
     spec = ProcessSpec(family="pl", beta=(1.0,))
     p = pairwise_prob(spec, alt("a", math.log(3)), alt("b", 0.0))
     assert p == pytest.approx(0.75, abs=1e-12)
-    # doubling the scale halves the effective gap
-    spec2 = ProcessSpec(family="pl", beta=(1.0,), gumbel_scale=2.0)
+    # Gumbel noise of scale 2 is the standard process at beta / 2: the
+    # gap halves
+    spec2 = ProcessSpec(family="pl", beta=(0.5,))
     p2 = pairwise_prob(spec2, alt("a", math.log(3)), alt("b", 0.0))
     assert p2 == pytest.approx(1.0 / (1.0 + 3 ** -0.5), abs=1e-12)
 
@@ -148,22 +140,37 @@ def test_exact_profile_pl_golden():
     assert math.fsum(profile.support.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("m, seed", [(5, 0), (5, 1), (6, 2), (7, 3), (8, 4)])
-def test_exact_profile_matches_per_permutation_formula(m, seed):
-    rng = np.random.default_rng(seed)
-    spec = ProcessSpec(
-        family="pl", beta=(1.0, -0.5), gumbel_scale=float(rng.uniform(0.5, 2.0))
-    )
-    alts = [alt("abcdefgh"[k], *rng.standard_normal(2)) for k in range(m)]
-    profile = exact_profile(spec, alts)
+def per_permutation_weights(beta, alts, gumbel_scale):
+    """Sequential-choice weight of every ranking, one permutation at a time,
+    with Gumbel noise of scale ``gumbel_scale``."""
+    spec = ProcessSpec(family="pl", beta=beta)
     mu = np.array([mode_utility(spec, a) for a in alts])
-    weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
+    weights = np.exp((mu - mu.max()) / gumbel_scale)
     expected = {}
-    for perm in itertools.permutations(range(m)):
+    for perm in itertools.permutations(range(len(alts))):
         w = weights[list(perm)]
         denom = np.cumsum(w[::-1])[::-1]
         expected[Ranking(tuple(alts[j].id for j in perm))] = float(np.prod(w / denom))
-    assert profile.support == AnonymousProfile(expected).support
+    return AnonymousProfile(expected).support
+
+
+def assert_weights_close(actual, expected):
+    assert actual.keys() == expected.keys()
+    for ranking, weight in expected.items():
+        assert actual[ranking] == pytest.approx(weight, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m, seed", [(5, 0), (5, 1), (6, 2), (7, 3), (8, 4)])
+def test_exact_profile_matches_per_permutation_formula(m, seed):
+    # Gumbel noise of scale gamma is the standard process at beta / gamma.
+    rng = np.random.default_rng(seed)
+    scale = float(rng.uniform(0.5, 2.0))
+    alts = [alt("abcdefgh"[k], *rng.standard_normal(2)) for k in range(m)]
+    profile = exact_profile(ProcessSpec("pl", (1.0 / scale, -0.5 / scale)), alts)
+    expected = per_permutation_weights((1.0, -0.5), alts, scale)
+    assert_weights_close(profile.support, expected)
+    standard = exact_profile(ProcessSpec("pl", (1.0, -0.5)), alts)
+    assert standard.support == per_permutation_weights((1.0, -0.5), alts, 1.0)
 
 
 def test_exact_profile_pl_uniform():
@@ -271,8 +278,9 @@ def _renormalized(items):
     return {ranking: weight / total for ranking, weight in items if weight > 0}
 
 
-def reference_exact_weights(spec, alternatives):
-    """Copy of the previous exact_profile, which built one Ranking per row."""
+def reference_exact_weights(spec, alternatives, gumbel_scale=1.0):
+    """Copy of the previous exact_profile, which built one Ranking per row,
+    with Gumbel noise of scale ``gumbel_scale`` in the ``"pl"`` family."""
     alts = sorted(alternatives, key=lambda a: a.id)
     ids = [a.id for a in alts]
     m = len(ids)
@@ -284,7 +292,7 @@ def reference_exact_weights(spec, alternatives):
             [(Ranking((ids[0], ids[1])), p), (Ranking((ids[1], ids[0])), 1.0 - p)]
         )
     mu = _mode_utilities(spec.beta, alts)
-    weights = np.exp((mu - mu.max()) / spec.gumbel_scale)
+    weights = np.exp((mu - mu.max()) / gumbel_scale)
     perms = np.array(list(itertools.permutations(range(m))))
     w = weights[perms]
     denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
@@ -302,7 +310,7 @@ def reference_estimate_weights(spec, alternatives, n_samples, rng, branch):
     if m == 1:
         return {Ranking((ids[0],)): 1.0}
     mu = _mode_utilities(spec.beta, alts)
-    orders = _draw_orders(spec.family, mu, n_samples, rng, spec.gumbel_scale)
+    orders = _draw_orders(spec.family, mu, n_samples, rng)
     items = []
     if branch == "codes":
         powers = (m ** np.arange(m, dtype=np.int64))[::-1]
@@ -330,20 +338,30 @@ def _seeded_instance(seed, m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_exact_profile_weights_equal_previous_builder(m):
-    alts, beta, scale = _seeded_instance(100 + m, m)
+    alts, beta, _ = _seeded_instance(100 + m, m)
     families = ("pl", "tm") if m <= 2 else ("pl",)
     for family in families:
-        spec = ProcessSpec(family, beta, gumbel_scale=scale)
+        spec = ProcessSpec(family, beta)
         expected = reference_exact_weights(spec, alts)
         assert dict(exact_profile(spec, alts).support) == expected
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exact_profile_at_scaled_weights_is_the_scaled_gumbel_process(m):
+    # The documented recipe: Gumbel noise of scale gamma is the standard
+    # "pl" process at beta / gamma.
+    alts, beta, scale = _seeded_instance(100 + m, m)
+    scaled = ProcessSpec("pl", tuple(np.array(beta) / scale))
+    expected = reference_exact_weights(ProcessSpec("pl", beta), alts, scale)
+    assert_weights_close(dict(exact_profile(scaled, alts).support), expected)
+
+
 @pytest.mark.parametrize("m", [*range(1, 9), 16])
 def test_estimate_profile_weights_equal_previous_branches(m):
-    alts, beta, scale = _seeded_instance(200 + m, m)
+    alts, beta, _ = _seeded_instance(200 + m, m)
     branches = ("codes", "rows") if m <= 15 else ("rows",)
     for family in ("pl", "tm"):
-        spec = ProcessSpec(family, beta, gumbel_scale=scale)
+        spec = ProcessSpec(family, beta)
         profile = estimate_profile(spec, alts, 3_000, np.random.default_rng(m))
         for branch in branches:
             expected = reference_estimate_weights(
@@ -391,7 +409,7 @@ def test_borda_scores_break_exact_ties_toward_the_smaller_column():
 @pytest.mark.parametrize("family", ["tm", "pl"])
 def test_draw_orders_sort_the_drawn_utilities(family):
     mu = np.array([0.3, -1.0, 0.3, 2.0])
-    utilities = _draw_utilities(family, mu, 500, np.random.default_rng(4), 1.5)
-    orders = _draw_orders(family, mu, 500, np.random.default_rng(4), 1.5)
+    utilities = _draw_utilities(family, mu, 500, np.random.default_rng(4))
+    orders = _draw_orders(family, mu, 500, np.random.default_rng(4))
     assert utilities.shape == (500, 4)
     assert np.array_equal(orders, _stable_orders(utilities))

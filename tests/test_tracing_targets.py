@@ -11,7 +11,7 @@ import inspect
 import io
 from pathlib import Path
 
-from prefvote import fileio, learning, processes, scc
+from prefvote import experiments, fileio, learning, processes, scc
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,9 +48,12 @@ def test_fit_voter_takes_config_second():
 
 
 def test_span_namers_and_sample_counter_read_these_positions():
-    # _apply_name reads args[0], _stability_name args[4] and
-    # _count_estimate args[2] when the call passes them positionally.
+    # _apply_name reads args[0], _stability_name args[4],
+    # _count_estimate args[2], and _gt_name and _count_gt args[0] and
+    # args[2] when the call passes them positionally.
     assert list(inspect.signature(scc.apply_scc).parameters)[0] == "kind"
     assert list(inspect.signature(scc.check_stability).parameters)[4] == "mode"
     parameters = list(inspect.signature(processes.estimate_profile).parameters)
     assert parameters[2] == "n_samples"
+    parameters = list(inspect.signature(experiments.ground_truth_winner).parameters)
+    assert parameters[:3] == ["betas", "alternatives", "n_samples"]
