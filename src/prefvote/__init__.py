@@ -44,7 +44,6 @@ from .scc import (
     check_strong_swd_efficiency,
     check_swd_efficiency,
     copeland_scores,
-    pairwise_support,
     positional_scores,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "mode_utility",
     "objective_and_gradient",
     "pairwise_prob",
-    "pairwise_support",
     "positional_scores",
     "restrict_ranking",
     "summarize",

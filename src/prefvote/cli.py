@@ -30,12 +30,20 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit per-voter models from a comparison CSV")
     fit.add_argument("--comparisons", required=True, help="comparison CSV path")
     fit.add_argument("--out", required=True, help="output model JSON path")
-    fit.add_argument("--l2", type=float, default=1e-6, help="ridge penalty")
     fit.add_argument(
-        "--tol", type=float, default=1e-8, help="gradient inf-norm tolerance"
+        "--l2", type=float, default=FitConfig.l2_penalty, help="ridge penalty"
     )
     fit.add_argument(
-        "--max-iter", type=int, default=500, help="iteration budget per voter"
+        "--tol",
+        type=float,
+        default=FitConfig.gradient_tolerance,
+        help="gradient inf-norm tolerance",
+    )
+    fit.add_argument(
+        "--max-iter",
+        type=int,
+        default=FitConfig.max_iterations,
+        help="iteration budget per voter",
     )
     fit.set_defaults(func=_cmd_fit)
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import processes
 from .learning import FitConfig, fit_voter
 from .pipeline import as_population, decide, summarize
-from .profiles import Alternative, _as_int
+from .profiles import Alternative, _as_count, _as_int, _finite_array
 
 # Stream codes keep the per-run generators of different experiment kinds
 # disjoint under one master seed.
@@ -60,10 +60,7 @@ class SyntheticConfig:
             "n_runs",
             "profile_sample_count",
         ):
-            value = _as_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         for name in ("comparisons_grid", "voters_grid"):
             values = getattr(self, name)
             if not isinstance(values, Iterable):
@@ -153,11 +150,8 @@ def gen_voter_comparisons(
     a Normal(beta . x, 1/2) utility, and records which one won.  Returns
     the ``(n, d)`` chosen-minus-rejected rows that ``fit_voter`` takes.
     """
-    beta = np.asarray(beta, dtype=float)
-    if n < 1:
-        raise ValueError("need at least one comparison")
-    if not np.isfinite(beta).all():
-        raise ValueError("voter weights must be finite")
+    n = _as_count(n, "n")
+    beta = _finite_array(beta, "beta")
     pairs = rng.standard_normal((n, 2, beta.shape[0]))
     utilities = processes._draw_utilities(processes.TM, pairs @ beta, n, rng)
     # A utility tie goes to the first vector, as in a stable sort.
@@ -180,8 +174,7 @@ def ground_truth_winner(
     ties break to the smallest id.  Every voter's utility for every
     alternative must be finite.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _as_count(n_samples, "n_samples")
     population = as_population(betas)
     alts = processes._sorted_alternatives(alternatives, population.shape[1])
     mode = processes._mode_utilities(population, alts)

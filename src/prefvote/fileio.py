@@ -382,8 +382,13 @@ def save_voter_models(
         handle.write("\n")
 
 
-def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
-    """Read a voter-models file; returns (records, fit metadata)."""
+def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
+    """Read a voter-models file; returns (records, fit settings).
+
+    The ``fit`` block's settings are checked as ``FitConfig`` checks them;
+    a setting the block leaves out takes its ``FitConfig`` default.
+    """
+    from .learning import FitConfig
     payload, d = _load_json(path, VOTER_MODELS_FORMAT)
     records = []
     voters = payload.get("voters", [])
@@ -412,12 +417,17 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], dict]:
     fit = payload.get("fit", {})
     if not isinstance(fit, dict):
         raise ParseError("fit metadata must be a JSON object")
-    for key in ("l2_penalty", "gradient_tolerance"):
-        if key in fit:
-            fit[key] = _parse_float(fit[key])
+    settings = {
+        key: _parse_float(fit[key])
+        for key in ("l2_penalty", "gradient_tolerance")
+        if key in fit
+    }
     if "max_iterations" in fit:
-        fit["max_iterations"] = _parse_int(fit["max_iterations"], "max_iterations")
-    return records, fit
+        settings["max_iterations"] = fit["max_iterations"]
+    try:
+        return records, FitConfig(**settings)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def save_summary_model(path: str, model: SummaryModel) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .profiles import _as_finite, _as_int, _finite_vector
+from .profiles import _as_count, _as_finite, _finite_array
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -48,9 +48,7 @@ class FitConfig:
     initial_beta: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        max_iterations = _as_int(self.max_iterations, "max_iterations")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        max_iterations = _as_count(self.max_iterations, "max_iterations")
         tolerance = _as_finite(self.gradient_tolerance, "gradient_tolerance")
         if not tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
@@ -64,7 +62,7 @@ class FitConfig:
             object.__setattr__(
                 self,
                 "initial_beta",
-                _finite_vector(self.initial_beta, "initial_beta"),
+                _finite_array(self.initial_beta, "initial_beta"),
             )
 
 
@@ -78,26 +76,12 @@ class FitResult:
     iterations: int
 
 
-def _diff_matrix(data: np.ndarray) -> np.ndarray:
-    """Comparisons as one ``(n, d)`` chosen-minus-rejected float array.
-
-    A 2-D float array passes through uncopied.  Every difference must be
-    finite.
-    """
-    diffs = np.asarray(data, dtype=float)
-    if diffs.ndim != 2:
-        raise ValueError("comparison differences must form an (n, d) array")
-    if not np.isfinite(diffs).all():
-        raise ValueError("comparison differences contain NaN or inf")
-    return diffs
-
-
 def objective_and_gradient(
     beta: np.ndarray, data: np.ndarray, l2_penalty: float = 0.0
 ) -> tuple[float, np.ndarray]:
     """Negative penalized log-likelihood and its gradient at ``beta``."""
     beta = np.asarray(beta, dtype=float)
-    diffs = _diff_matrix(data)
+    diffs = _finite_array(data, "comparison differences", ndim=2)
     if diffs.shape[1] != beta.shape[0]:
         raise ValueError(
             f"beta has dimension {beta.shape[0]}, comparisons have "
@@ -151,7 +135,7 @@ def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
         config = FitConfig()
     if len(data) == 0:
         raise ValueError("need at least one comparison to fit")
-    diffs = _diff_matrix(data)
+    diffs = _finite_array(data, "comparison differences", ndim=2)
     d = diffs.shape[1]
     beta = np.zeros(d) if config.initial_beta is None else config.initial_beta.copy()
     if beta.shape != (d,):

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .profiles import Alternative, _as_int, _finite_vector
+from .profiles import Alternative, _as_count, _finite_array
 from .processes import _mode_utilities, _sorted_alternatives
 
 
@@ -29,10 +29,8 @@ class SummaryModel:
     n_voters: int
 
     def __post_init__(self) -> None:
-        beta = _finite_vector(self.beta_hat, "beta_hat")
-        n_voters = _as_int(self.n_voters, "n_voters")
-        if n_voters < 1:
-            raise ValueError("n_voters must be at least 1")
+        beta = _finite_array(self.beta_hat, "beta_hat")
+        n_voters = _as_count(self.n_voters, "n_voters")
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "n_voters", n_voters)
 
@@ -47,14 +45,9 @@ def as_population(betas: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     A float array passes through uncopied; a list of equal-length vectors
     is stacked.  Every weight must be finite.
     """
-    try:
-        population = np.asarray(betas, dtype=float)
-    except ValueError:
-        raise ValueError("voter models disagree on dimension") from None
-    if population.ndim != 2 or population.shape[0] == 0:
+    population = _finite_array(betas, "voter models", ndim=2)
+    if population.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) population of voter models")
-    if not np.isfinite(population).all():
-        raise ValueError("voter models must be finite")
     return population
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .profiles import Alternative, AnonymousProfile, _finite_vector
+from .profiles import Alternative, AnonymousProfile, _as_count, _finite_array
 
 TM = "tm"
 PL = "pl"
@@ -57,7 +57,7 @@ class ProcessSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
-        beta = _finite_vector(self.beta, "beta")
+        beta = _finite_array(self.beta, "beta")
         object.__setattr__(self, "beta", tuple(beta.tolist()))
 
     @property
@@ -219,8 +219,7 @@ def estimate_profile(
     rng: np.random.Generator,
 ) -> AnonymousProfile:
     """Monte-Carlo ranking distribution from ``n_samples`` draws."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _as_count(n_samples, "n_samples")
     alts = _sorted_alternatives(alternatives, spec.dim)
     m = len(alts)
     ids = [alt.id for alt in alts]

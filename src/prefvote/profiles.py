@@ -48,14 +48,29 @@ def _as_finite(value: object, name: str) -> float:
     return number
 
 
-def _finite_vector(values: object, name: str) -> np.ndarray:
-    """``values`` as a one-dimensional float array with finite entries."""
-    vector = np.asarray(values, dtype=float)
-    if vector.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.isfinite(vector).all():
-        raise ValueError(f"{name} must be finite")
-    return vector
+def _as_count(value: object, name: str) -> int:
+    """``value`` as a Python int of at least 1; floats and booleans are refused."""
+    count = _as_int(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
+
+
+def _finite_array(values: object, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as an ``ndim``-dimensional float array with finite entries.
+
+    A float array of that dimension passes through uncopied.
+    """
+    wanted = f"{name} must be a {ndim}-dimensional array of reals"
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numeric entries
+        raise ValueError(wanted) from None
+    if array.ndim != ndim:
+        raise ValueError(f"{wanted}, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf")
+    return array
 
 
 @dataclass(frozen=True)

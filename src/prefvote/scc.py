@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import processes
-from .profiles import Alternative, AnonymousProfile, marginalize_profile
+from .profiles import Alternative, AnonymousProfile, _finite_array, marginalize_profile
 from .processes import ProcessSpec
 
 PLURALITY = "plurality"
@@ -45,32 +45,22 @@ def positional_scores(
 ) -> dict[str, float]:
     """Weighted positional score of every alternative.
 
-    ``score_vector[k]`` is the credit for appearing at rank k (0-based)
-    and must be non-increasing.
+    ``score_vector[k]`` is the credit for appearing at rank k (0-based);
+    the credits must be finite and non-increasing.
     """
     m = len(profile.alternatives)
-    vector = [float(v) for v in score_vector]
+    vector = _finite_array(score_vector, "score vector")
     if len(vector) != m:
         raise ValueError(
             f"score vector has length {len(vector)}, profile has {m} alternatives"
         )
-    if any(vector[k] < vector[k + 1] for k in range(m - 1)):
+    if np.any(vector[:-1] < vector[1:]):
         raise ValueError("score vector must be non-increasing")
     positions, weights = profile.position_matrix()
-    terms = weights[:, None] * np.array(vector)[positions]
+    terms = weights[:, None] * vector[positions]
     return {
         alt: math.fsum(column) for alt, column in zip(profile.ids, terms.T.tolist())
     }
-
-
-def pairwise_support(profile: AnonymousProfile, a: str, b: str) -> float:
-    """Total weight of rankings that place ``a`` above ``b``."""
-    if a == b:
-        raise ValueError("pairwise support needs two distinct alternatives")
-    if a not in profile.alternatives or b not in profile.alternatives:
-        raise ValueError(f"both {a!r} and {b!r} must be in the profile")
-    ids = profile.ids
-    return float(profile.pairwise_matrix()[ids.index(a), ids.index(b)])
 
 
 def copeland_scores(profile: AnonymousProfile) -> dict[str, int]:

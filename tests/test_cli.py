@@ -642,6 +642,22 @@ def test_summarize_on_non_string_voter_id_exits_2(workdir, capsys):
     assert "voter_id must be a nonempty string" in capsys.readouterr().err
 
 
+def test_summarize_on_out_of_range_fit_block_exits_2(workdir, capsys):
+    # The fit block's types were checked, its ranges not: this file used
+    # to summarize with exit code 0.
+    models = workdir / "models.json"
+    models.write_text(json.dumps({
+        "format": "voter-models", "version": 1, "d": 2,
+        "fit": {"max_iterations": -5, "l2_penalty": "-1"},
+        "voters": [{"voter_id": "v1", "beta": ["1", "0"]}],
+    }))
+    code = main(["summarize", "--models", str(models),
+                 "--out", str(workdir / "summary.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_iterations must be at least 1\n"
+    assert not (workdir / "summary.json").exists()
+
+
 def test_axioms_swd_output(workdir, capsys):
     assert main(["axioms", "--check", "swd", "--scc", "plurality",
                  "--profile", str(workdir / "profile.csv")]) == 0

@@ -153,8 +153,9 @@ def test_ground_truth_trivial_cases():
     assert ground_truth_winner([np.ones(1)], [only], 10, rng) is only
     with pytest.raises(ValueError):
         ground_truth_winner([], [only], 10, rng)
-    with pytest.raises(ValueError):
-        ground_truth_winner([np.ones(1)], [only], 0, rng)
+    for n_samples in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_samples"):
+            ground_truth_winner([np.ones(1)], [only], n_samples, rng)
     pair = [Alternative(id="a", features=(1.0,)), Alternative(id="a", features=(0.0,))]
     with pytest.raises(ValueError, match="unique"):
         ground_truth_winner([np.ones(1)], pair, 10, rng)

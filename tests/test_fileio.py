@@ -264,9 +264,7 @@ def test_voter_models_round_trip_exact(tmp_path):
     save_voter_models(path, records, FitConfig(l2_penalty=1e-6))
     loaded, fit = load_voter_models(path)
     assert loaded == records
-    assert fit["l2_penalty"] == 1e-6
-    assert fit["gradient_tolerance"] == 1e-8
-    assert fit["max_iterations"] == 500
+    assert fit == FitConfig(l2_penalty=1e-6)
 
 
 def test_model_file_uses_17_digit_decimal_text(tmp_path):
@@ -376,6 +374,9 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"voters": [voter], "fit": {"max_iterations": "lots"}}, "max_iterations"),
         ({"voters": [voter], "fit": {"max_iterations": 2.5}}, "max_iterations"),
         ({"voters": [voter], "fit": {"max_iterations": True}}, "max_iterations"),
+        ({"voters": [voter], "fit": {"max_iterations": -5}}, "max_iterations"),
+        ({"voters": [voter], "fit": {"l2_penalty": "-1"}}, "l2_penalty"),
+        ({"voters": [voter], "fit": {"gradient_tolerance": "0"}}, "gradient_tolerance"),
     ):
         payload = {"format": "voter-models", "version": 1, "d": 1, **fields}
         open(path, "w").write(json.dumps(payload))

@@ -251,8 +251,9 @@ def test_estimate_profile_close_to_exact():
 def test_estimate_profile_validation_and_determinism():
     spec = ProcessSpec(family="tm", beta=(1.0,))
     alts = scalar_alts([0.5, 0.0, -0.5, 1.2])
-    with pytest.raises(ValueError):
-        estimate_profile(spec, alts, 0, np.random.default_rng(0))
+    for n_samples in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_profile(spec, alts, n_samples, np.random.default_rng(0))
     p1 = estimate_profile(spec, alts, 5000, np.random.default_rng(9))
     p2 = estimate_profile(spec, alts, 5000, np.random.default_rng(9))
     assert p1 == p2

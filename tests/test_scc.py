@@ -17,7 +17,6 @@ from prefvote.scc import (
     check_strong_swd_efficiency,
     check_swd_efficiency,
     copeland_scores,
-    pairwise_support,
     positional_scores,
 )
 
@@ -38,15 +37,19 @@ def test_positional_scores_validation(bloc_profile):
         positional_scores(bloc_profile, [1, 0])
     with pytest.raises(ValueError, match="non-increasing"):
         positional_scores(bloc_profile, [0, 1, 2, 3, 4])
+    # NaN compares false, so the order check alone cannot catch it.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="score vector must be finite"):
+            positional_scores(bloc_profile, [bad, 0, 0, 0, 0])
 
 
 def test_pairwise_support(split_majority_profile):
     p = split_majority_profile
-    assert pairwise_support(p, "a", "b") == pytest.approx(0.55, abs=1e-12)
-    assert pairwise_support(p, "b", "a") == pytest.approx(0.45, abs=1e-12)
-    assert pairwise_support(p, "c", "a") == pytest.approx(0.20, abs=1e-12)
-    with pytest.raises(ValueError):
-        pairwise_support(p, "a", "a")
+    matrix = p.pairwise_matrix()
+    a, b, c = (p.ids.index(x) for x in "abc")
+    assert matrix[a, b] == pytest.approx(0.55, abs=1e-12)
+    assert matrix[b, a] == pytest.approx(0.45, abs=1e-12)
+    assert matrix[c, a] == pytest.approx(0.20, abs=1e-12)
 
 
 def _array_oracle_profiles(bloc_profile, split_majority_profile):
@@ -70,7 +73,6 @@ def test_pairwise_matrix_equals_fsum_scan(bloc_profile, split_majority_profile):
                 w for r, w in profile.support.items() if r.prefers(a, b)
             )
             assert matrix[i, j] == scan
-            assert pairwise_support(profile, a, b) == scan
 
 
 def test_positional_and_bucklin_equal_fsum_scans(
