@@ -24,12 +24,12 @@ from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .learning import FitConfig
 from .pipeline import SummaryModel
 from .profiles import Alternative, AnonymousProfile, Ranking
 
 if TYPE_CHECKING:
     from .experiments import AccuracyCurve
-    from .learning import FitConfig
 
 FILE_VERSION = 1
 VOTER_MODELS_FORMAT = "voter-models"
@@ -388,7 +388,6 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
     The ``fit`` block's settings are checked as ``FitConfig`` checks them;
     a setting the block leaves out takes its ``FitConfig`` default.
     """
-    from .learning import FitConfig
     payload, d = _load_json(path, VOTER_MODELS_FORMAT)
     records = []
     voters = payload.get("voters", [])

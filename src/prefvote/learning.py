@@ -19,6 +19,10 @@ voters concurrently needs no coordination.
 A voter's comparisons are one ``(n, d)`` float array whose row j is
 d_j = chosen_j - rejected_j; the file parser and the simulator produce
 exactly that.
+
+Only the objective reads scipy (``special.log_ndtr``), and it imports
+scipy when ``fit_voter`` or ``objective_and_gradient`` first evaluates
+it, so ``FitConfig``, ``FitResult`` and ``NumericError`` load without it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .profiles import _as_count, _as_finite, _finite_array
 
@@ -80,7 +83,7 @@ def objective_and_gradient(
     beta: np.ndarray, data: np.ndarray, l2_penalty: float = 0.0
 ) -> tuple[float, np.ndarray]:
     """Negative penalized log-likelihood and its gradient at ``beta``."""
-    beta = np.asarray(beta, dtype=float)
+    beta = _finite_array(beta, "beta")
     diffs = _finite_array(data, "comparison differences", ndim=2)
     if diffs.shape[1] != beta.shape[0]:
         raise ValueError(
@@ -101,6 +104,8 @@ def _derivatives(
     the ridge term 2 * lambda * I, where curvature = -d/dt r(t) =
     r (t + r) is positive for all t.
     """
+    from scipy import special
+
     t = diffs @ beta
     log_cdf = special.log_ndtr(t)
     ratio = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_cdf)
@@ -133,7 +138,11 @@ def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
     """
     if config is None:
         config = FitConfig()
-    if len(data) == 0:
+    try:
+        empty = len(data) == 0
+    except TypeError:  # a scalar, which _finite_array refuses by its shape
+        empty = False
+    if empty:
         raise ValueError("need at least one comparison to fit")
     diffs = _finite_array(data, "comparison differences", ndim=2)
     d = diffs.shape[1]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .profiles import Alternative, AnonymousProfile, _as_count, _finite_array
 
@@ -116,6 +115,8 @@ def _mode_utilities(
 
 def pairwise_prob(spec: ProcessSpec, a: Alternative, b: Alternative) -> float:
     """Probability that ``a`` precedes ``b`` in a sampled ranking of {a, b}."""
+    from scipy import special
+
     if a.id == b.id:
         raise ValueError("pairwise probability needs two distinct alternatives")
     gap = mode_utility(spec, a) - mode_utility(spec, b)

@@ -281,7 +281,7 @@ def test_criterion_06_learning_numerics():
 
 def test_criterion_07_step2_accuracy_curve():
     start = time.perf_counter()
-    curve = eval_step2(SyntheticConfig())
+    curve = eval_step2(SyntheticConfig(), n_jobs=2)
     elapsed = time.perf_counter() - start
     acc = dict(zip(curve.x_values, curve.mean_accuracy))
     err = dict(zip(curve.x_values, curve.stderr()))
@@ -304,7 +304,7 @@ def test_criterion_07_step2_accuracy_curve():
 
 
 def test_criterion_08_step3_accuracy_at_max_voters():
-    curve = eval_step3(SyntheticConfig())
+    curve = eval_step3(SyntheticConfig(), n_jobs=2)
     final = curve.mean_accuracy[-1]
     ok = abs(final - 0.939) <= 0.05
     _report(
@@ -325,9 +325,10 @@ def _variant_detail(tag, pairs) -> str:
 
 def test_criterion_09_three_alternative_variant():
     step2 = eval_step2(
-        SyntheticConfig(alts_per_instance=3, comparisons_grid=(30, 100), n_runs=25)
+        SyntheticConfig(alts_per_instance=3, comparisons_grid=(30, 100), n_runs=25),
+        n_jobs=2,
     )
-    step3 = eval_step3(SyntheticConfig(alts_per_instance=3, n_runs=25))
+    step3 = eval_step3(SyntheticConfig(alts_per_instance=3, n_runs=25), n_jobs=2)
     acc30, acc100 = step2.mean_accuracy
     final = step3.mean_accuracy[-1]
     ok = (

@@ -59,14 +59,19 @@ def test_objective_rejects_nan_and_mismatch():
     good = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="dimension"):
         objective_and_gradient(np.zeros(3), good)
+    with pytest.raises(ValueError, match="beta must be a 1-dimensional"):
+        objective_and_gradient(5.0, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="beta must be finite"):
+        objective_and_gradient(np.array([0.0, math.nan]), good)
 
 
 def test_non_finite_differences_are_refused():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="NaN or inf"):
             fit_voter(np.array([[1.0, bad]]))
-    with pytest.raises(ValueError, match="2-dimensional"):
-        fit_voter(np.array([1.0, 0.0]))
+    for not_a_matrix in (np.array([1.0, 0.0]), 5.0, np.array(5.0)):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            fit_voter(not_a_matrix)
 
 
 def test_gradient_matches_finite_differences():
