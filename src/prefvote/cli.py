@@ -14,14 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields as dataclass_fields
-from typing import TYPE_CHECKING
 
-from . import fileio, processes, scc
+from . import experiments, fileio, processes, scc
 from .learning import FitConfig, NumericError, fit_voter
 from .pipeline import decide, summarize
-
-if TYPE_CHECKING:  # loading experiments loads scipy; only simulate needs it
-    from .experiments import SyntheticConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,13 +132,13 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_json(path: str | None, seed: int | None) -> SyntheticConfig:
-    from .experiments import SyntheticConfig
-
+def _config_from_json(
+    path: str | None, seed: int | None
+) -> experiments.SyntheticConfig:
     overrides: dict = {}
     if path is not None:
         loaded = fileio.load_json_object(path, "config")
-        known = {f.name for f in dataclass_fields(SyntheticConfig)}
+        known = {f.name for f in dataclass_fields(experiments.SyntheticConfig)}
         unknown = sorted(set(loaded) - known)
         if unknown:
             raise fileio.ParseError(f"unknown config keys: {unknown}")
@@ -150,12 +146,10 @@ def _config_from_json(path: str | None, seed: int | None) -> SyntheticConfig:
         overrides = loaded
     if seed is not None:
         overrides["master_seed"] = seed
-    return SyntheticConfig(**overrides)
+    return experiments.SyntheticConfig(**overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import experiments
-
     config = _config_from_json(args.config, args.seed)
     if args.step == "step2":
         curve = experiments.eval_step2(config, n_jobs=args.jobs)

@@ -13,10 +13,6 @@ accuracy vs number of voters (decide from the mean of the true weight
 vectors).  Every run derives its generator from (master seed, stream,
 run index) alone, so results are reproducible bit for bit regardless of
 parallelism.
-
-Importing this module loads ``scipy.special``, which the voter fits of
-step2 read; the rest of the package loads scipy only when it fits a voter
-or computes a pair probability (``processes.pairwise_prob``).
 """
 
 from __future__ import annotations
@@ -29,12 +25,6 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-# Step2 runs fit voters, and fitting reads scipy.special.  Loading it here,
-# before any run starts, rather than inside the first fit of an in-process
-# run, kept the N=10k ground-truth draws at their usual speed; loading it
-# part-way through a run slowed them (see CHANGES.md).
-from scipy import special  # noqa: F401
 
 from . import processes
 from .learning import FitConfig, fit_voter

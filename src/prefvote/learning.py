@@ -19,10 +19,6 @@ voters concurrently needs no coordination.
 A voter's comparisons are one ``(n, d)`` float array whose row j is
 d_j = chosen_j - rejected_j; the file parser and the simulator produce
 exactly that.
-
-Only the objective reads scipy (``special.log_ndtr``), and it imports
-scipy when ``fit_voter`` or ``objective_and_gradient`` first evaluates
-it, so ``FitConfig``, ``FitResult`` and ``NumericError`` load without it.
 """
 
 from __future__ import annotations
@@ -32,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .processes import _LOG_SQRT_2PI, log_normal_cdf
 from .profiles import _as_count, _as_finite, _finite_array
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class NumericError(RuntimeError):
@@ -104,10 +99,8 @@ def _derivatives(
     the ridge term 2 * lambda * I, where curvature = -d/dt r(t) =
     r (t + r) is positive for all t.
     """
-    from scipy import special
-
     t = diffs @ beta
-    log_cdf = special.log_ndtr(t)
+    log_cdf = log_normal_cdf(t)
     ratio = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_cdf)
     value = -float(log_cdf.sum()) + l2_penalty * float(beta @ beta)
     grad = -(diffs * ratio[:, None]).sum(axis=0) + 2.0 * l2_penalty * beta
@@ -146,6 +139,8 @@ def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
         raise ValueError("need at least one comparison to fit")
     diffs = _finite_array(data, "comparison differences", ndim=2)
     d = diffs.shape[1]
+    if d == 0:
+        raise ValueError("comparison differences need at least one feature")
     beta = np.zeros(d) if config.initial_beta is None else config.initial_beta.copy()
     if beta.shape != (d,):
         raise ValueError(f"initial_beta has shape {beta.shape}, expected ({d},)")

@@ -33,6 +33,8 @@ FAMILIES = (TM, PL)
 EXACT_PROFILE_MAX_SIZE = 8
 
 _TM_NOISE_SCALE = math.sqrt(0.5)
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class ExactProfileUnsupported(ValueError):
@@ -113,16 +115,50 @@ def _mode_utilities(
     return utilities
 
 
+def normal_cdf(t: float) -> float:
+    """Standard normal distribution function Phi(t)."""
+    return 0.5 * math.erfc(-t * _SQRT_HALF)
+
+
+def log_normal_cdf(t: np.ndarray) -> np.ndarray:
+    """log Phi(t) for each entry of the 1-D array ``t``.
+
+    The relative error stays near float resolution for every t: the value
+    is log1p(-erfc(t / sqrt 2) / 2) for t >= -1, where Phi is near 1, and
+    log(erfc(-t / sqrt 2) / 2) below, with one ``math.erfc`` per entry.
+    Under t = -37, just above where erfc turns subnormal, it sums eight
+    terms of the asymptotic series Phi(t) = phi(t) / -t * (1 - 1/t^2 +
+    3/t^4 - 15/t^6 + ...) instead.
+    """
+    t = np.asarray(t, dtype=float)
+    upper = t >= -1.0
+    x = np.where(upper, t, -t) * _SQRT_HALF
+    erfc = np.fromiter(map(math.erfc, x.tolist()), float, len(x))
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.where(upper, np.log1p(-0.5 * erfc), np.log(0.5 * erfc))
+        tail = t < -37.0
+        if tail.any():
+            s = t[tail]
+            inverse = 1.0 / (s * s)
+            term = series = 1.0
+            for k in range(1, 9):
+                term = -(2 * k - 1) * inverse * term
+                series = series + term
+            out[tail] = -0.5 * s * s - np.log(-s) - _LOG_SQRT_2PI + np.log(series)
+    return out
+
+
 def pairwise_prob(spec: ProcessSpec, a: Alternative, b: Alternative) -> float:
     """Probability that ``a`` precedes ``b`` in a sampled ranking of {a, b}."""
-    from scipy import special
-
     if a.id == b.id:
         raise ValueError("pairwise probability needs two distinct alternatives")
     gap = mode_utility(spec, a) - mode_utility(spec, b)
     if spec.family == TM:
-        return float(special.ndtr(gap))
-    return float(special.expit(gap))
+        return normal_cdf(gap)
+    try:
+        return 1.0 / (1.0 + math.exp(-gap))
+    except OverflowError:  # exp(-gap) is past the float range, so 1 / inf
+        return 0.0
 
 
 def _draw_utilities(

@@ -150,6 +150,8 @@ def test_fit_requires_data_and_consistent_dims():
         fit_voter([])
     with pytest.raises(ValueError, match="at least one"):
         fit_voter(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="differences need at least one feature"):
+        fit_voter(np.empty((3, 0)))
     # rows of different lengths do not form an (n, d) array
     with pytest.raises(ValueError):
         fit_voter([[1.0, 0.0], [1.0, 0.0, 0.0]])

@@ -28,33 +28,18 @@ def _run_probe(probe: str) -> str:
 
 
 def test_import_does_not_load_scipy_optimize():
-    # The fit is a Newton solve of its own; the package needs no optimizer.
-    probe = "import sys, prefvote; print('scipy.optimize' in sys.modules)"
-    assert _run_probe(probe) == "False"
-
-
-def test_summarize_decide_and_axioms_run_without_scipy(tmp_path):
-    # Only fitting, the experiments and pair probabilities read scipy; the
-    # decision-time commands must not pay for loading it.
-    models = tmp_path / "models.json"
-    fileio.save_voter_models(
-        str(models),
-        [
-            fileio.VoterModelRecord("v1", (1.0, 0.5), True, 3),
-            fileio.VoterModelRecord("v2", (2.0, -0.5), True, 4),
-        ],
-        FitConfig(),
+    # The fit is a Newton solve of its own; the package needs no optimizer,
+    # nor any other scipy module.
+    probe = (
+        "import sys, prefvote\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    (tmp_path / "alternatives.csv").write_text("id,f_1,f_2\na,3,0\nb,-3,0\nc,0,-1\n")
-    (tmp_path / "profile.csv").write_text("weight,ranking\n0.6,a>b>c\n0.4,b>a>c\n")
-    commands = [
-        ["summarize", "--models", "models.json", "--out", "summary.json"],
-        ["decide", "--summary", "summary.json", "--alternatives", "alternatives.csv"],
-        ["axioms", "--check", "swd", "--scc", "borda", "--profile", "profile.csv"],
-        ["axioms", "--check", "stability", "--scc", "borda",
-         "--summary", "summary.json", "--alternatives", "alternatives.csv",
-         "--subset", "a,c", "--family", "pl", "--mode", "exact"],
-    ]
+    assert _run_probe(probe) == "[]"
+
+
+def _scipy_modules_after(tmp_path, commands) -> str:
+    # Runs each command through prefvote.cli.main in one fresh interpreter,
+    # in tmp_path, and returns the scipy modules it left loaded.
     probe = (
         "import contextlib, io, os, sys\n"
         "import prefvote, prefvote.cli\n"
@@ -64,12 +49,48 @@ def test_summarize_decide_and_axioms_run_without_scipy(tmp_path):
         "        assert prefvote.cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    assert _run_probe(probe) == "[]"
+    return _run_probe(probe)
 
 
-def test_experiments_import_loads_scipy_special():
-    # Deliberate: experiments loads scipy.special at import so that a
-    # simulate run does not load it part-way through (CHANGES.md has the
-    # measurements behind this).
-    probe = "import sys, prefvote.experiments; print('scipy.special' in sys.modules)"
-    assert _run_probe(probe) == "True"
+def test_summarize_decide_and_axioms_run_without_scipy(tmp_path):
+    # The package's numerics are numpy and math alone: the decision-time
+    # commands, a Thurstone pair probability included, load no scipy module.
+    fileio.save_voter_models(
+        str(tmp_path / "models.json"),
+        [
+            fileio.VoterModelRecord("v1", (1.0, 0.5), True, 3),
+            fileio.VoterModelRecord("v2", (2.0, -0.5), True, 4),
+        ],
+        FitConfig(),
+    )
+    (tmp_path / "alternatives.csv").write_text("id,f_1,f_2\na,3,0\nb,-3,0\nc,0,-1\n")
+    (tmp_path / "pair.csv").write_text("id,f_1,f_2\na,3,0\nc,0,-1\n")
+    (tmp_path / "profile.csv").write_text("weight,ranking\n0.6,a>b>c\n0.4,b>a>c\n")
+    stability = ["axioms", "--check", "stability", "--scc", "borda",
+                 "--summary", "summary.json", "--subset", "a,c", "--mode", "exact"]
+    commands = [
+        ["summarize", "--models", "models.json", "--out", "summary.json"],
+        ["decide", "--summary", "summary.json", "--alternatives", "alternatives.csv"],
+        ["axioms", "--check", "swd", "--scc", "borda", "--profile", "profile.csv"],
+        stability + ["--alternatives", "alternatives.csv", "--family", "pl"],
+        stability + ["--alternatives", "pair.csv", "--family", "tm"],
+    ]
+    assert _scipy_modules_after(tmp_path, commands) == "[]"
+
+
+def test_fit_and_simulate_run_without_scipy(tmp_path):
+    # The probit fit and the synthetic experiments load no scipy module either.
+    (tmp_path / "comparisons.csv").write_text(
+        "voter_id,c_1,c_2,r_1,r_2\nv1,1,0,0,1\nv1,2,1,0,0\nv2,0,1,1,0\n"
+    )
+    (tmp_path / "config.json").write_text(
+        '{"n_runs": 1, "n_voters": 3, "n_test_instances": 2, '
+        '"comparisons_grid": [5], "voters_grid": [1, 2], '
+        '"profile_sample_count": 50}'
+    )
+    commands = [
+        ["fit", "--comparisons", "comparisons.csv", "--out", "models.json"],
+        ["simulate", "step2", "--config", "config.json"],
+        ["simulate", "step3", "--config", "config.json"],
+    ]
+    assert _scipy_modules_after(tmp_path, commands) == "[]"

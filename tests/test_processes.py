@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from prefvote.processes import (
     EXACT_PROFILE_MAX_SIZE,
@@ -10,7 +11,9 @@ from prefvote.processes import (
     ProcessSpec,
     estimate_profile,
     exact_profile,
+    log_normal_cdf,
     mode_utility,
+    normal_cdf,
     pairwise_prob,
     _borda_scores,
     _draw_orders,
@@ -101,6 +104,31 @@ def test_pairwise_prob_pl_golden():
     spec2 = ProcessSpec(family="pl", beta=(0.5,))
     p2 = pairwise_prob(spec2, alt("a", math.log(3)), alt("b", 0.0))
     assert p2 == pytest.approx(1.0 / (1.0 + 3 ** -0.5), abs=1e-12)
+
+
+def _assert_matches_oracle(got, expected):
+    # Relative agreement where the oracle is a normal float, absolute in
+    # the subnormal tail, where floats themselves carry little precision.
+    normal = np.abs(expected) >= np.finfo(float).tiny
+    assert np.all(np.abs(got - expected)[normal] <= 1e-12 * np.abs(expected[normal]))
+    assert np.all(np.abs(got - expected)[~normal] <= 1e-300)
+
+
+def test_normal_cdf_and_its_log_match_scipy():
+    rng = np.random.default_rng(46)
+    t = np.concatenate([np.linspace(-60.0, 40.0, 100_001), rng.standard_normal(10_000)])
+    _assert_matches_oracle(log_normal_cdf(t), special.log_ndtr(t))
+    _assert_matches_oracle(np.array([normal_cdf(x) for x in t.tolist()]), special.ndtr(t))
+    assert log_normal_cdf(np.array([-math.inf, math.inf])).tolist() == [-math.inf, 0.0]
+    assert log_normal_cdf(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("family", ["tm", "pl"])
+def test_pairwise_prob_saturates_at_huge_gaps(family):
+    # exp(1000) overflows a float; the probability must still round to 0 or 1
+    spec = ProcessSpec(family=family, beta=(1.0,))
+    assert pairwise_prob(spec, alt("a", 500.0), alt("b", -500.0)) == 1.0
+    assert pairwise_prob(spec, alt("a", -500.0), alt("b", 500.0)) == 0.0
 
 
 def test_pairwise_prob_matches_random_utility_draws():
