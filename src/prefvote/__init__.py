@@ -12,6 +12,7 @@ from .learning import (
     FitResult,
     NumericError,
     fit_voter,
+    fit_voters,
     objective_and_gradient,
 )
 from .pipeline import SummaryModel, decide, gaussian_kl, summarize
@@ -74,6 +75,7 @@ __all__ = [
     "estimate_profile",
     "exact_profile",
     "fit_voter",
+    "fit_voters",
     "gaussian_kl",
     "marginalize_profile",
     "mode_utility",

@@ -16,7 +16,9 @@ import sys
 from dataclasses import fields as dataclass_fields
 
 from . import experiments, fileio, processes, scc
-from .learning import FitConfig, NumericError, fit_voter
+# fit_voter is unused here and in experiments, which fit through fit_voters;
+# bench/test_bench.py checks that bench/tracing.py rebinds it in both.
+from .learning import FitConfig, NumericError, fit_voter, fit_voters  # noqa: F401
 from .pipeline import decide, summarize
 
 
@@ -97,17 +99,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     grouped = fileio.group_comparisons(table)
     if not grouped:
         raise fileio.ParseError("no comparison records in file")
-    model_records = []
-    for voter_id, diffs in grouped.items():
-        result = fit_voter(diffs, config)
-        model_records.append(
-            fileio.VoterModelRecord(
-                voter_id=voter_id,
-                beta=tuple(result.beta.tolist()),
-                converged=result.converged,
-                iterations=result.iterations,
-            )
+    try:
+        results = fit_voters(grouped.values(), config)
+    except NumericError as exc:
+        raise NumericError(list(grouped)[exc.voter]) from None
+    model_records = [
+        fileio.VoterModelRecord(
+            voter_id=voter_id,
+            beta=tuple(result.beta.tolist()),
+            converged=result.converged,
+            iterations=result.iterations,
         )
+        for voter_id, result in zip(grouped, results)
+    ]
     fileio.save_voter_models(args.out, model_records, config)
     print(f"fitted {len(model_records)} voters -> {args.out}", file=sys.stderr)
     return 0

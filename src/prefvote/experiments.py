@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import processes
-from .learning import FitConfig, fit_voter
+from .learning import fit_voter, fit_voters  # noqa: F401 (see cli)
 from .pipeline import as_population, decide, summarize
 from .profiles import Alternative, _as_count, _as_int, _finite_array
 
@@ -203,12 +202,12 @@ def _step2_run(config: SyntheticConfig, run_index: int) -> tuple[float, ...]:
     true_betas = gen_population(config, rng)
     pool_size = max(config.comparisons_grid)
     pools = [gen_voter_comparisons(b, pool_size, rng) for b in true_betas]
-    fitted: dict[int, np.ndarray] = {}
-    fit_config = FitConfig()
-    for count in config.comparisons_grid:
-        fitted[count] = np.array(
-            [fit_voter(pool[:count], fit_config).beta for pool in pools]
+    fitted = {
+        count: np.array(
+            [fit.beta for fit in fit_voters([pool[:count] for pool in pools])]
         )
+        for count in config.comparisons_grid
+    }
     matches = {count: 0 for count in config.comparisons_grid}
     for _ in range(config.n_test_instances):
         alts = _instance_alternatives(config, rng)
@@ -268,6 +267,9 @@ def _collect_runs(
     n_workers = min(n_jobs, n_cpus, config.n_runs)
     if n_workers <= 1:
         return [worker(config, k) for k in indices]
+    # Imported here: it loads multiprocessing, which only pools need.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(partial(worker, config), indices))
 

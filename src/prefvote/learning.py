@@ -8,23 +8,25 @@ comparison is log Phi(beta . (chosen - rejected)), so the fit maximizes
 
 with d_j the feature difference.  For lambda > 0 the negated objective
 is 2*lambda-strongly convex, so it has one minimizer even on linearly
-separable data, and ``fit_voter`` returns that ridge optimum at float
+separable data, and the fit returns that ridge optimum at float
 resolution from any starting point.  At lambda = 0 on separable data no
 optimum exists (Albert & Anderson 1984): the likelihood keeps rising
 along a separating direction.  ``FitResult.iterations`` counts Newton
 steps.
-Everything here is a pure function of its arguments, so fitting many
-voters concurrently needs no coordination.
 
 A voter's comparisons are one ``(n, d)`` float array whose row j is
 d_j = chosen_j - rejected_j; the file parser and the simulator produce
-exactly that.
+exactly that.  ``fit_voters`` fits many voters in one call, stepping
+voters of the same shape together; a voter's result does not depend on
+which other voters share its call, bit for bit, and ``fit_voter`` is the
+call with one voter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +35,18 @@ from .profiles import _as_count, _as_finite, _finite_array
 
 
 class NumericError(RuntimeError):
-    """The fit produced a non-finite objective or parameters."""
+    """A fit produced a non-finite objective or weights.
+
+    ``voter`` names the voter: its position in the ``fit_voters`` call, or
+    an id that a caller put in its place.
+    """
+
+    def __init__(self, voter: object) -> None:
+        super().__init__(voter)
+        self.voter = voter
+
+    def __str__(self) -> str:
+        return f"voter {self.voter!r}: fit produced a non-finite objective or weights"
 
 
 @dataclass(frozen=True)
@@ -86,51 +99,98 @@ def objective_and_gradient(
             f"{diffs.shape[1]}"
         )
     value, grad, _ = _derivatives(beta, diffs, l2_penalty)
-    return value, grad
+    return float(value), grad
 
 
 def _derivatives(
     beta: np.ndarray, diffs: np.ndarray, l2_penalty: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Objective, gradient and per-comparison curvature at ``beta``.
 
-    With t = diffs @ beta and r = phi(t) / Phi(t), taken in log space to
-    survive t << 0, the Hessian is ``diffs.T @ (curvature * diffs)`` plus
-    the ridge term 2 * lambda * I, where curvature = -d/dt r(t) =
-    r (t + r) is positive for all t.
+    ``beta`` is ``(..., d)`` and ``diffs`` ``(..., n, d)``: one voter, or
+    a stack of voters with one row of ``beta`` each.  With t = diffs @ beta
+    and r = phi(t) / Phi(t), taken in log space to survive t << 0, the
+    Hessian is ``diffs.T @ (curvature * diffs)`` plus the ridge term
+    2 * lambda * I, where curvature = -d/dt r(t) = r (t + r) is positive
+    for all t.
     """
-    t = diffs @ beta
-    log_cdf = log_normal_cdf(t)
+    t = (diffs @ beta[..., None])[..., 0]
+    log_cdf = log_normal_cdf(t.ravel()).reshape(t.shape)
     ratio = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_cdf)
-    value = -float(log_cdf.sum()) + l2_penalty * float(beta @ beta)
-    grad = -(diffs * ratio[:, None]).sum(axis=0) + 2.0 * l2_penalty * beta
+    value = -log_cdf.sum(axis=-1) + l2_penalty * _dots(beta, beta)
+    grad = -(diffs * ratio[..., None]).sum(axis=-2) + 2.0 * l2_penalty * beta
     return value, grad, ratio * (t + ratio)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(..., d)`` arrays.
+
+    A stacked ``(1, d) @ (d, 1)`` product per row: it gives the bits of
+    the 1-D ``a @ b`` for every stack size, which ``einsum`` does not.
+    """
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 #: Sufficient-decrease constant of the Armijo condition.
 _ARMIJO = 1e-4
 
+#: Most voters stepped together.  Peak memory grows with this, not with
+#: the number of voters; larger blocks fit no faster at n <= 100, d = 23.
+_BLOCK = 64
+
 
 def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
-    """Fit one voter's utility weights by penalized maximum likelihood.
+    """Fit one voter's utility weights: ``fit_voters([data], config)[0]``."""
+    return fit_voters([data], config)[0]
 
-    ``data`` is the voter's ``(n, d)`` chosen-minus-rejected array.
-    Damped Newton (Nocedal & Wright, ch. 3): steps are halved to meet the
-    Armijo condition until the gradient inf-norm meets ``gradient_tolerance``
-    or no halved step lowers the objective at float resolution; then full
-    steps go on while each one lowers the gradient inf-norm.  The step falls
-    back to the gradient (steepest descent) where the Hessian is singular
-    and, only while halving, where the Newton step is not downhill.  For
-    ``l2_penalty`` > 0 the result is thus the unique ridge optimum at float
-    resolution; at 0 on separable data there is none, and the weights are
-    finite but of arbitrary scale.  ``iterations`` counts Newton steps (at
-    most ``max_iterations``), and the objective never rises along them
-    beyond float resolution.
+
+def fit_voters(
+    arrays: Iterable[np.ndarray], config: FitConfig | None = None
+) -> list[FitResult]:
+    """Fit each voter's utility weights by penalized maximum likelihood.
+
+    Each entry of ``arrays`` is one voter's ``(n, d)`` chosen-minus-rejected
+    array.  Damped Newton (Nocedal & Wright, ch. 3): steps are halved to
+    meet the Armijo condition until the gradient inf-norm meets
+    ``gradient_tolerance`` or no halved step lowers the objective at float
+    resolution; then full steps go on while each one lowers the gradient
+    inf-norm.  The step falls back to the gradient (steepest descent) where
+    the Hessian is singular and, only while halving, where the Newton step
+    is not downhill.  For ``l2_penalty`` > 0 the result is thus the unique
+    ridge optimum at float resolution; at 0 on separable data there is
+    none, and the weights are finite but of arbitrary scale.
+    ``iterations`` counts Newton steps (at most ``max_iterations``), and
+    the objective never rises along them beyond float resolution.
     ``converged`` says whether the final gradient inf-norm meets the
-    tolerance.  Same data and config give the same result.
+    tolerance.
+
+    Voters of the same shape are stacked into blocks and stepped together.
+    Every choice above is made per voter, and a voter leaves its block
+    where it would stop alone, so the same data and config give the same
+    result to the bit, whichever voters share the call.  Raises ``NumericError`` naming the
+    position of the first voter whose fit is not finite.
     """
     if config is None:
         config = FitConfig()
+    checked = [_comparison_array(data, config) for data in arrays]
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for index, diffs in enumerate(checked):
+        shapes.setdefault(diffs.shape, []).append(index)
+    results: list[FitResult] = [None] * len(checked)  # type: ignore[list-item]
+    for members in shapes.values():
+        for start in range(0, len(members), _BLOCK):
+            block = members[start : start + _BLOCK]
+            stacked = np.stack([checked[index] for index in block])
+            for index, result in zip(block, _fit_block(stacked, config)):
+                results[index] = result
+    for index, result in enumerate(results):
+        if not (math.isfinite(result.final_objective) and np.isfinite(result.beta).all()):
+            raise NumericError(index)
+    return results
+
+
+def _comparison_array(data: np.ndarray, config: FitConfig) -> np.ndarray:
+    """One voter's checked ``(n, d)`` array, with n and d at least one."""
     try:
         empty = len(data) == 0
     except TypeError:  # a scalar, which _finite_array refuses by its shape
@@ -141,51 +201,101 @@ def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
     d = diffs.shape[1]
     if d == 0:
         raise ValueError("comparison differences need at least one feature")
-    beta = np.zeros(d) if config.initial_beta is None else config.initial_beta.copy()
-    if beta.shape != (d,):
-        raise ValueError(f"initial_beta has shape {beta.shape}, expected ({d},)")
-    l2_penalty = config.l2_penalty
+    start = config.initial_beta
+    if start is not None and start.shape != (d,):
+        raise ValueError(f"initial_beta has shape {start.shape}, expected ({d},)")
+    return diffs
+
+
+def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
+    """``fit_voters`` on one ``(V, n, d)`` stack of voters.
+
+    The stack keeps only the voters still stepping, so all of them have
+    taken ``iterations`` steps.  Every voter's first trial point is its
+    full step: the first point its line search tries, and the only one
+    the full-step rule does.
+    """
+    count, _, d = diffs.shape
+    l2_penalty, tolerance = config.l2_penalty, config.gradient_tolerance
     ridge = 2.0 * l2_penalty * np.eye(d)
+    start = np.zeros(d) if config.initial_beta is None else config.initial_beta
+    beta = np.tile(start, (count, 1))
     value, grad, curvature = _derivatives(beta, diffs, l2_penalty)
-    grad_norm = np.max(np.abs(grad))
-    backtracking = grad_norm > config.gradient_tolerance
+    grad_norm = np.abs(grad).max(axis=1)
+    backtracking = grad_norm > tolerance
+    voters = np.arange(count)  # block position of each row still stepping
+    results: list[FitResult] = [None] * count  # type: ignore[list-item]
+
+    def finish(rows: Iterable[int], iterations: int) -> None:
+        for row in rows:
+            results[voters[row]] = FitResult(
+                beta=beta[row].copy(),
+                final_objective=float(value[row]),
+                converged=bool(grad_norm[row] <= tolerance),
+                iterations=iterations,
+            )
+
     iterations = 0
     while iterations < config.max_iterations:
-        hessian = (diffs * curvature[:, None]).T @ diffs + ridge
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:  # H can be singular at l2_penalty = 0
-            step = grad
-        slope = float(grad @ step)
-        if backtracking and not 0.0 < slope < math.inf:  # steepest descent
-            step, slope = grad, float(grad @ grad)
+        hessian = (diffs * curvature[..., None]).transpose(0, 2, 1) @ diffs + ridge
+        step = _newton_steps(hessian, grad)
+        slope = _dots(grad, step)
+        steepest = backtracking & ~((0.0 < slope) & (slope < math.inf))
+        if np.count_nonzero(steepest):
+            step[steepest] = grad[steepest]
+            slope[steepest] = _dots(grad[steepest], grad[steepest])
+        point = beta - step
+        trial = list(_derivatives(point, diffs, l2_penalty))
         # Halve while the decrease Armijo asks for is finite and resolvable.
+        # The voters in ``armijo`` take a point that meets it.
+        target = value - _ARMIJO * slope
+        armijo = backtracking & (-math.inf < target) & (target < value)
+        halving = armijo & ~(trial[0] <= target)
         length = 1.0
-        while backtracking and (
-            -math.inf < (target := value - _ARMIJO * length * slope) < value
-        ):
-            point = beta - length * step
-            trial = _derivatives(point, diffs, l2_penalty)
-            if trial[0] <= target:
-                break
+        while np.count_nonzero(halving):
             length /= 2.0
-        else:
-            # Past the tolerance, or the Armijo decrease is below float
-            # resolution: only full steps that lower the gradient from here.
-            backtracking = False
-            point = beta - step
-            trial = _derivatives(point, diffs, l2_penalty)
-            if not np.max(np.abs(trial[1])) < grad_norm:
-                break
+            rows = halving.nonzero()[0]
+            target = value[rows] - _ARMIJO * length * slope[rows]
+            resolvable = (-math.inf < target) & (target < value[rows])
+            dropped = rows[~resolvable]  # these take the full-step rule
+            armijo[dropped] = halving[dropped] = False
+            rows, target = rows[resolvable], target[resolvable]
+            halved = beta[rows] - length * step[rows]
+            found = _derivatives(halved, diffs[rows], l2_penalty)
+            sufficient = found[0] <= target
+            done = rows[sufficient]
+            halving[done] = False
+            for array, source in zip((point, *trial), (halved, *found)):
+                array[done] = source[sufficient]
+        # Past the tolerance, or the Armijo decrease is below float
+        # resolution: only full steps that lower the gradient from here.
+        taken = armijo | (np.abs(trial[1]).max(axis=1) < grad_norm)
+        moving = np.count_nonzero(taken)
+        if moving < len(taken):  # the others stop where they are
+            finish((~taken).nonzero()[0], iterations)
+            if not moving:
+                return results
+            voters, diffs, point, armijo = (
+                voters[taken], diffs[taken], point[taken], armijo[taken]
+            )
+            trial = [array[taken] for array in trial]
         beta, (value, grad, curvature) = point, trial
-        grad_norm = np.max(np.abs(grad))
-        backtracking = backtracking and grad_norm > config.gradient_tolerance
+        grad_norm = np.abs(grad).max(axis=1)
+        backtracking = armijo & (grad_norm > tolerance)
         iterations += 1
-    if not (np.isfinite(value) and np.isfinite(beta).all()):
-        raise NumericError("fit produced a non-finite objective or weights")
-    return FitResult(
-        beta=beta,
-        final_objective=value,
-        converged=bool(grad_norm <= config.gradient_tolerance),
-        iterations=iterations,
-    )
+    finish(range(len(voters)), iterations)
+    return results
+
+
+def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve H step = g per voter; where H is singular the step is g."""
+    try:
+        return np.linalg.solve(hessian, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # H can be singular at l2_penalty = 0
+        steps = grad.copy()
+        for row in range(len(grad)):
+            try:
+                steps[row] = np.linalg.solve(hessian[row], grad[row])
+            except np.linalg.LinAlgError:
+                pass
+        return steps

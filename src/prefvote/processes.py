@@ -125,20 +125,26 @@ def log_normal_cdf(t: np.ndarray) -> np.ndarray:
 
     The relative error stays near float resolution for every t: the value
     is log1p(-erfc(t / sqrt 2) / 2) for t >= -1, where Phi is near 1, and
-    log(erfc(-t / sqrt 2) / 2) below, with one ``math.erfc`` per entry.
-    Under t = -37, just above where erfc turns subnormal, it sums eight
-    terms of the asymptotic series Phi(t) = phi(t) / -t * (1 - 1/t^2 +
-    3/t^4 - 15/t^6 + ...) instead.
+    log(erfc(-t / sqrt 2) / 2) below, with one ``math.erfc`` per entry and
+    each logarithm taken only on its own entries.  Under t = -37, just
+    above where erfc turns subnormal, it sums eight terms of the
+    asymptotic series Phi(t) = phi(t) / -t * (1 - 1/t^2 + 3/t^4 - 15/t^6
+    + ...) instead.
     """
     t = np.asarray(t, dtype=float)
     upper = t >= -1.0
-    x = np.where(upper, t, -t) * _SQRT_HALF
-    erfc = np.fromiter(map(math.erfc, x.tolist()), float, len(x))
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.where(upper, np.log1p(-0.5 * erfc), np.log(0.5 * erfc))
-        tail = t < -37.0
-        if tail.any():
-            s = t[tail]
+    mixed = np.count_nonzero(upper) < len(t)
+    x = (np.where(upper, t, -t) if mixed else t) * _SQRT_HALF
+    half = np.fromiter(map(math.erfc, x.tolist()), float, len(x))
+    half *= 0.5  # 1 - Phi(t) where upper, Phi(t) elsewhere
+    if not mixed:
+        return np.log1p(-half)
+    out = np.log1p(-half, out=np.empty_like(t), where=upper)
+    tail = t < -37.0
+    np.log(half, out=out, where=~upper ^ tail)  # below -1, bar the tail
+    if tail.any():
+        s = t[tail]
+        with np.errstate(over="ignore"):
             inverse = 1.0 / (s * s)
             term = series = 1.0
             for k in range(1, 9):

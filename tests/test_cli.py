@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from prefvote import cli
 from prefvote.cli import main
+from prefvote.learning import NumericError
 
 COMPARISONS = """voter_id,c_1,c_2,r_1,r_2
 v1,1,0,0,1
@@ -82,6 +83,21 @@ def test_fit_flags_recorded(workdir):
     assert fit["max_iterations"] == 77
 
 
+def test_numeric_failure_names_the_voter_id(workdir, capsys, monkeypatch):
+    def second_voter_fails(arrays, config):
+        assert len(list(arrays)) == 2  # one call for the whole file
+        raise NumericError(1)
+
+    monkeypatch.setattr(cli, "fit_voters", second_voter_fails)
+    out = workdir / "models.json"
+    code = main(["fit", "--comparisons", str(workdir / "comparisons.csv"),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: voter 'v2': fit produced a non-finite objective or weights\n"
+    assert not out.exists()
+
+
 def test_decide_single_alternative(workdir, capsys):
     (workdir / "one.csv").write_text("id,f_1,f_2\nonly,1,2\n")
     summary = str(workdir / "summary.json")
@@ -144,9 +160,9 @@ def test_fit_refuses_non_finite_options_before_reading_data(
     workdir, capsys, monkeypatch, flags, field
 ):
     def no_fit(*args, **kwargs):
-        raise AssertionError("fit_voter ran despite a bad option")
+        raise AssertionError("fit_voters ran despite a bad option")
 
-    monkeypatch.setattr(cli, "fit_voter", no_fit)
+    monkeypatch.setattr(cli, "fit_voters", no_fit)
     out = workdir / "m.json"
     for comparisons in ("comparisons.csv", "missing.csv"):
         code = main(["fit", "--comparisons", str(workdir / comparisons),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -327,7 +328,7 @@ def test_collect_runs_caps_workers_at_cpus_and_runs(
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(
         experiments.os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False
     )

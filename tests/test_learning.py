@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prefvote import learning
 from prefvote.experiments import gen_voter_comparisons
 from prefvote.learning import (
     FitConfig,
@@ -10,8 +13,10 @@ from prefvote.learning import (
     NumericError,
     _derivatives,
     fit_voter,
+    fit_voters,
     objective_and_gradient,
 )
+from prefvote.processes import _LOG_SQRT_2PI, log_normal_cdf
 
 # mpmath log(ncdf(t)) at 40 digits
 LOG_PHI = {
@@ -235,6 +240,140 @@ def test_non_finite_objective_raises_numeric_error():
     # log Phi underflows to -inf at a margin of -1e200
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         fit_voter(np.array([[1.0]]), FitConfig(initial_beta=[-1e200]))
+
+
+def test_numeric_error_names_the_first_failing_voter():
+    # Only the first voter's margin is -1e200; the second one's is +1e200,
+    # from where the ridge pulls it back to a finite optimum.
+    config = FitConfig(initial_beta=[-1e200])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="^voter 0: fit produced") as raised:
+            fit_voters([np.array([[1.0]]), np.array([[-1.0]])], config)
+        second = fit_voters([np.array([[-1.0]])], config)[0]
+    assert raised.value.voter == 0
+    assert second.converged and np.isfinite(second.beta).all()
+
+
+def _same_fit(first: FitResult, second: FitResult) -> bool:
+    """Equal to the bit in all four fields."""
+    return (
+        first.beta.tobytes() == second.beta.tobytes()
+        and first.final_objective.hex() == second.final_objective.hex()
+        and first.converged == second.converged
+        and first.iterations == second.iterations
+    )
+
+
+def _loop_fit(diffs: np.ndarray, config: FitConfig) -> FitResult:
+    """The one-voter Newton loop that the stacked one replaced: the reference.
+
+    It makes the same choices in Python scalars, one voter at a time, with
+    the same arithmetic, so results must agree to the bit.
+    """
+    l2_penalty, tolerance = config.l2_penalty, config.gradient_tolerance
+
+    def derivatives(beta):
+        t = diffs @ beta
+        log_cdf = log_normal_cdf(t)
+        ratio = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_cdf)
+        value = -float(log_cdf.sum()) + l2_penalty * float(beta @ beta)
+        grad = -(diffs * ratio[:, None]).sum(axis=0) + 2.0 * l2_penalty * beta
+        return value, grad, ratio * (t + ratio)
+
+    d = diffs.shape[1]
+    beta = np.zeros(d) if config.initial_beta is None else config.initial_beta.copy()
+    ridge = 2.0 * l2_penalty * np.eye(d)
+    value, grad, curvature = derivatives(beta)
+    grad_norm = np.max(np.abs(grad))
+    backtracking = grad_norm > tolerance
+    iterations = 0
+    while iterations < config.max_iterations:
+        hessian = (diffs * curvature[:, None]).T @ diffs + ridge
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        slope = float(grad @ step)
+        if backtracking and not 0.0 < slope < math.inf:
+            step, slope = grad, float(grad @ grad)
+        length = 1.0
+        while backtracking and (
+            -math.inf < (target := value - learning._ARMIJO * length * slope) < value
+        ):
+            point = beta - length * step
+            trial = derivatives(point)
+            if trial[0] <= target:
+                break
+            length /= 2.0
+        else:
+            backtracking = False
+            point = beta - step
+            trial = derivatives(point)
+            if not np.max(np.abs(trial[1])) < grad_norm:
+                break
+        beta, (value, grad, curvature) = point, trial
+        grad_norm = np.max(np.abs(grad))
+        backtracking = backtracking and grad_norm > tolerance
+        iterations += 1
+    return FitResult(beta, value, bool(grad_norm <= tolerance), iterations)
+
+
+@st.composite
+def _voters(draw):
+    """Voters of one dimension and mixed sizes, some separable or degenerate.
+
+    Returns them with a start, at zero or far from the optimum, where the
+    Newton step overshoots and the line search halves it more than once.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    start = draw(st.sampled_from([None, 3.0, 30.0]))
+    if start is not None:
+        start = rng.normal(0.0, start, d)
+    arrays = []
+    for _ in range(draw(st.integers(1, 7))):
+        data = rng.normal(0.0, 1.0, (draw(st.sampled_from([1, 3, 8])), d))
+        kind = draw(st.sampled_from(["noisy", "separable", "zero column"]))
+        if kind == "separable":
+            data *= np.where(data @ rng.normal(0.0, 1.0, d) < 0, -1.0, 1.0)[:, None]
+        elif kind == "zero column":  # a singular Hessian at l2_penalty = 0
+            data[:, -1] = 0.0
+        arrays.append(data)
+    return arrays, start
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _voters(),
+    st.sampled_from([0.0, 1e-6, 0.5]),
+    st.sampled_from([1, 3, 500]),
+    st.sampled_from([1e-3, 1e-8, 1e-300]),
+)
+def test_a_voter_fits_the_same_whichever_voters_share_the_call(voters, l2, budget, tol):
+    # A tolerance of 1e-300 is never met, so fits end in the full-step phase.
+    arrays, start = voters
+    config = FitConfig(
+        l2_penalty=l2, max_iterations=budget, gradient_tolerance=tol, initial_beta=start
+    )
+    with np.errstate(all="ignore"):
+        together = fit_voters(arrays, config)
+        alone = [fit_voters([data], config)[0] for data in arrays]
+        loop = [_loop_fit(data, config) for data in arrays]
+    assert all(map(_same_fit, together, alone))
+    assert all(map(_same_fit, alone, loop))
+
+
+def test_fit_voters_splits_large_groups_into_blocks():
+    # More voters of one shape than a block holds, between two other shapes.
+    rng = np.random.default_rng(17)
+    count = learning._BLOCK + 3
+    arrays = [gen_voter_comparisons(rng.standard_normal(4), 6, rng) for _ in range(count)]
+    arrays[1:1] = [rng.normal(0.0, 1.0, (9, 4))]
+    arrays.append(rng.normal(0.0, 1.0, (2, 4)))
+    together = fit_voters(arrays)
+    assert len(together) == len(arrays)
+    assert all(_same_fit(fit, fit_voter(data)) for data, fit in zip(arrays, together))
+    assert fit_voters([]) == []
 
 
 def test_fit_takes_newton_steps_when_the_slope_underflows():

@@ -37,6 +37,16 @@ def test_import_does_not_load_scipy_optimize():
     assert _run_probe(probe) == "[]"
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only simulate --jobs uses the pool, so fit, summarize and decide
+    # children need not load multiprocessing.
+    probe = (
+        "import sys, prefvote.cli\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    assert _run_probe(probe) == "False"
+
+
 def _scipy_modules_after(tmp_path, commands) -> str:
     # Runs each command through prefvote.cli.main in one fresh interpreter,
     # in tmp_path, and returns the scipy modules it left loaded.

@@ -123,6 +123,22 @@ def test_normal_cdf_and_its_log_match_scipy():
     assert log_normal_cdf(np.empty(0)).shape == (0,)
 
 
+def test_log_normal_cdf_takes_each_logarithm_only_where_it_applies():
+    # The same bits as evaluating both logarithms everywhere and picking
+    # per entry, on whole arrays and on chunks of every kind (all entries
+    # at or above -1, and mixed); the tail below -37 is left out.
+    t = np.linspace(-60.0, 40.0, 400_001)
+    t = t[t >= -37.0]
+    upper = t >= -1.0
+    x = np.where(upper, t, -t) * math.sqrt(0.5)
+    half = 0.5 * np.array([math.erfc(v) for v in x.tolist()])
+    with np.errstate(divide="ignore"):  # 1 - Phi underflows to 0 above t = 38
+        expected = np.where(upper, np.log1p(-half), np.log(half))
+    assert log_normal_cdf(t).tobytes() == expected.tobytes()
+    chunks = np.array_split(np.arange(len(t)), 3000)
+    assert all(log_normal_cdf(t[k]).tobytes() == expected[k].tobytes() for k in chunks)
+
+
 @pytest.mark.parametrize("family", ["tm", "pl"])
 def test_pairwise_prob_saturates_at_huge_gaps(family):
     # exp(1000) overflows a float; the probability must still round to 0 or 1
