@@ -175,8 +175,7 @@ def ground_truth_winner(
     """
     n_samples = _as_count(n_samples, "n_samples")
     population = as_population(betas)
-    alts = processes._sorted_alternatives(alternatives, population.shape[1])
-    mode = processes._mode_utilities(population, alts)
+    alts, mode = processes._scored_alternatives(alternatives, population)
     if len(alts) == 1:
         return alts[0]
     voter_idx = rng.integers(0, population.shape[0], size=n_samples)

@@ -66,6 +66,10 @@ LEGALITY_NONE = "none"
 LEGALITY_LEGAL = "legal"
 LEGALITY_ILLEGAL = "illegal"
 
+#: Feature values of the relation and legality columns.
+_RELATION_CODES = {RELATION_PASSENGERS: 0.0, RELATION_PEDESTRIANS: 1.0}
+_LEGALITY_CODES = {LEGALITY_NONE: 0.0, LEGALITY_LEGAL: 1.0, LEGALITY_ILLEGAL: -1.0}
+
 MM_FEATURE_NAMES = CHARACTER_TYPES + ("relation", "legality", "total_characters")
 MM_DIM = len(MM_FEATURE_NAMES)
 
@@ -313,26 +317,18 @@ def encode_mm_alternative(
         if count != int(count) or count < 0:
             raise ValueError(f"count for {name!r} must be a nonnegative integer")
         vector[k] = float(count)
-    if relation == RELATION_PASSENGERS:
-        vector[20] = 0.0
-    elif relation == RELATION_PEDESTRIANS:
-        vector[20] = 1.0
-    else:
+    if relation not in _RELATION_CODES:
         raise ValueError(
             f"relation must be {RELATION_PASSENGERS!r} or "
             f"{RELATION_PEDESTRIANS!r}, got {relation!r}"
         )
-    if legality == LEGALITY_NONE:
-        vector[21] = 0.0
-    elif legality == LEGALITY_LEGAL:
-        vector[21] = 1.0
-    elif legality == LEGALITY_ILLEGAL:
-        vector[21] = -1.0
-    else:
+    if legality not in _LEGALITY_CODES:
         raise ValueError(
             f"legality must be one of {LEGALITY_NONE!r}, {LEGALITY_LEGAL!r}, "
             f"{LEGALITY_ILLEGAL!r}, got {legality!r}"
         )
+    vector[20] = _RELATION_CODES[relation]
+    vector[21] = _LEGALITY_CODES[legality]
     vector[22] = vector[:20].sum()
     return vector
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .profiles import Alternative, _as_count, _finite_array
-from .processes import _mode_utilities, _sorted_alternatives
+from .processes import _scored_alternatives
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,6 @@ def decide(model: SummaryModel, alternatives: Sequence[Alternative]) -> Alternat
     Exact ties go to the lexicographically smallest id.  Every utility must
     be finite.
     """
-    alts = _sorted_alternatives(alternatives, model.dim)
-    return alts[int(np.argmax(_mode_utilities(model.beta_hat, alts)))]
+    alts, utilities = _scored_alternatives(alternatives, model.beta_hat)
+    return alts[int(np.argmax(utilities))]
 

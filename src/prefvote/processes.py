@@ -12,6 +12,9 @@ and ranking by decreasing utility:
 ``u(x) = beta . features(x)`` in either case.  Both families marginalize
 cleanly: the exact profile over a subset equals the marginal of the exact
 profile over any superset.
+
+Every entry point of the package that takes alternatives checks and
+scores them through ``_scored_alternatives``; see its contract there.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ EXACT_PROFILE_MAX_SIZE = 8
 _TM_NOISE_SCALE = math.sqrt(0.5)
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_TINY = np.finfo(float).tiny
 
 
 class ExactProfileUnsupported(ValueError):
@@ -72,47 +76,43 @@ def mode_utility(spec: ProcessSpec, alternative: Alternative) -> float:
     In both families ``a`` swap-dominates ``b`` in every profile the
     process induces exactly when ``a``'s mode utility is at least ``b``'s.
     """
-    alts = _sorted_alternatives([alternative], spec.dim)
-    return float(_mode_utilities(spec.beta, alts)[0])
+    return float(_scored_alternatives([alternative], spec.beta)[1][0])
 
 
-def _sorted_alternatives(
-    alternatives: Iterable[Alternative], dim: int
-) -> list[Alternative]:
-    """Id-sorted alternatives, checked for unique ids and dimension ``dim``."""
+def _scored_alternatives(
+    alternatives: Iterable[Alternative], weights: Sequence[float] | np.ndarray
+) -> tuple[list[Alternative], np.ndarray]:
+    """The alternative set in id order and its utilities ``weights @ features.T``.
+
+    ``weights`` is one ``(d,)`` vector, giving utilities of shape ``(m,)``,
+    or an ``(N, d)`` population, giving one row per voter, shape ``(N, m)``.
+    The set must be nonempty with unique ids, every alternative must have
+    d features, and every utility must be finite, a lone alternative's
+    included.  Id order makes exact ties go to the smallest id.
+    """
+    weights = np.asarray(weights, dtype=float)
     alts = sorted(alternatives, key=lambda alt: alt.id)
     if not alts:
         raise ValueError("alternative set must be nonempty")
-    ids = [alt.id for alt in alts]
-    if len(set(ids)) != len(ids):
+    if len({alt.id for alt in alts}) != len(alts):
         raise ValueError("alternative ids must be unique within a set")
+    dim = weights.shape[-1]
     for alt in alts:
         if len(alt.features) != dim:
             raise ValueError(
                 f"alternative {alt.id!r} has dimension {len(alt.features)}, "
                 f"expected {dim}"
             )
-    return alts
-
-
-def _mode_utilities(
-    weights: Sequence[float] | np.ndarray, alts: Sequence[Alternative]
-) -> np.ndarray:
-    """Utilities ``weights @ features.T`` of ``alts``, which must all be finite.
-
-    ``weights`` is one ``(d,)`` vector, giving shape ``(m,)``, or an
-    ``(N, d)`` population, giving one row per voter, shape ``(N, m)``.
-    """
     features = np.array([alt.features for alt in alts], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        utilities = np.asarray(weights, dtype=float) @ features.T
+        utilities = weights @ features.T
     if not np.isfinite(utilities).all():
         rows = utilities.reshape(-1, len(alts))
         row, k = np.argwhere(~np.isfinite(rows))[0]
         raise ValueError(
             f"alternative {alts[k].id!r} has non-finite utility {rows[row, k]}"
         )
-    return utilities
+    return alts, utilities
 
 
 def normal_cdf(t: float) -> float:
@@ -226,10 +226,12 @@ def exact_profile(
     """Closed-form ranking distribution over the alternative set.
 
     Available for the ``"pl"`` family up to ``EXACT_PROFILE_MAX_SIZE``
-    alternatives and for ``"tm"`` only on pairs (no closed form exists for
-    larger Thurstone sets; estimate_profile covers those).
+    alternatives, at any spread of utilities, and for ``"tm"`` only on
+    pairs (no closed form exists for larger Thurstone sets;
+    estimate_profile covers those).  A lone alternative of either family
+    is ranked first with weight 1.
     """
-    alts = _sorted_alternatives(alternatives, spec.dim)
+    alts, mu = _scored_alternatives(alternatives, spec.beta)
     m = len(alts)
     if m > EXACT_PROFILE_MAX_SIZE:
         raise ValueError(
@@ -237,9 +239,7 @@ def exact_profile(
             f"got {m}"
         )
     ids = [alt.id for alt in alts]
-    if m == 1:
-        return AnonymousProfile.from_orders(ids, [[0]], [1.0])
-    if spec.family == TM:
+    if spec.family == TM and m > 1:
         if m > 2:
             raise ExactProfileUnsupported(
                 "no closed-form ranking distribution for the tm family "
@@ -247,12 +247,20 @@ def exact_profile(
             )
         p = pairwise_prob(spec, alts[0], alts[1])
         return AnonymousProfile.from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
-    mu = _mode_utilities(spec.beta, alts)
-    weights = np.exp(mu - mu.max())
+    # Stage s of a row picks its column s with chance w[s] / sum(w[s:]);
+    # the last stage's chance is 1 and is left out.  Where the weights
+    # left have all underflowed, below the smallest normal float, that
+    # chance comes from a log-sum-exp over the utilities left instead.
     perms = np.array(list(itertools.permutations(range(m))))
-    w = weights[perms]
-    denom = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    return AnonymousProfile.from_orders(ids, perms, np.prod(w / denom, axis=1))
+    w = np.exp(mu - mu.max())[perms]
+    left = np.cumsum(w[:, ::-1], axis=1)[:, :0:-1]
+    chances = w[:, :-1] / np.maximum(left, _TINY)
+    rows, stages = np.nonzero(left < _TINY)
+    if len(rows):
+        tail = np.where(np.arange(m) >= stages[:, None], mu[perms[rows]], -np.inf)
+        tail = np.exp(tail - tail.max(axis=1, keepdims=True))
+        chances[rows, stages] = tail[np.arange(len(rows)), stages] / tail.sum(axis=1)
+    return AnonymousProfile.from_orders(ids, perms, np.prod(chances, axis=1))
 
 
 def estimate_profile(
@@ -263,12 +271,11 @@ def estimate_profile(
 ) -> AnonymousProfile:
     """Monte-Carlo ranking distribution from ``n_samples`` draws."""
     n_samples = _as_count(n_samples, "n_samples")
-    alts = _sorted_alternatives(alternatives, spec.dim)
+    alts, mu = _scored_alternatives(alternatives, spec.beta)
     m = len(alts)
     ids = [alt.id for alt in alts]
     if m == 1:
         return AnonymousProfile.from_orders(ids, [[0]], [1.0])
-    mu = _mode_utilities(spec.beta, alts)
     orders = _draw_orders(spec.family, mu, n_samples, rng)
     # Count equal rows by sorting them; small integer columns sort by radix.
     rows = orders.astype(np.min_scalar_type(m - 1))

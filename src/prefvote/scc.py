@@ -3,10 +3,12 @@
 Five classic rules are provided over anonymous profiles: plurality, Borda,
 Copeland, maximin, and Bucklin.  All return the full winner set (never
 empty); scores within ``SCORE_TIE_TOL`` of the best count as tied.
+Plurality and Borda scores and Bucklin's top-k weights come from one
+positional scorer over the profile's position matrix.
 
 The checkers audit a rule against swap dominance: swap-dominance
-efficiency, its strong form, and stability of winners under restriction
-to a subset of alternatives.
+efficiency and its strong form (one scan of the dominance matrix), and
+stability of winners under restriction to a subset of alternatives.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,11 +58,15 @@ def positional_scores(
         )
     if np.any(vector[:-1] < vector[1:]):
         raise ValueError("score vector must be non-increasing")
-    positions, weights = profile.position_matrix()
+    return _positional(profile.ids, *profile.position_matrix(), vector)
+
+
+def _positional(
+    ids: Sequence[str], positions: np.ndarray, weights: np.ndarray, vector: np.ndarray
+) -> dict[str, float]:
+    """Each id's ``math.fsum`` of ``weight * vector[rank]`` over a position matrix."""
     terms = weights[:, None] * vector[positions]
-    return {
-        alt: math.fsum(column) for alt, column in zip(profile.ids, terms.T.tolist())
-    }
+    return {alt: math.fsum(column) for alt, column in zip(ids, terms.T.tolist())}
 
 
 def copeland_scores(profile: AnonymousProfile) -> dict[str, int]:
@@ -106,14 +112,13 @@ def _outcome(
     m = len(ids)
     if m == 1:
         return profile.alternatives, 1.0 if margin else None
+    if kind in (PLURALITY, BORDA, BUCKLIN):
+        # Top-k weights and both score vectors are credits by rank.
+        matrix, ranks = profile.position_matrix(), np.arange(m)
     if kind == BUCKLIN:
-        positions, weights = profile.position_matrix()
         scores, closest = {}, math.inf
         for k in range(1, m):
-            masses = {
-                a: math.fsum(weights[rank < k].tolist())
-                for a, rank in zip(ids, positions.T)
-            }
+            masses = _positional(ids, *matrix, (ranks < k).astype(float))
             if not scores:
                 scores = {a: s for a, s in masses.items() if s > 0.5 + SCORE_TIE_TOL}
             if margin:
@@ -122,9 +127,9 @@ def _outcome(
                 break
         scores = scores or dict.fromkeys(ids, 0.0)  # no majority: all tie
     elif kind == PLURALITY:
-        scores = positional_scores(profile, [1.0] + [0.0] * (m - 1))
+        scores = _positional(ids, *matrix, (ranks < 1).astype(float))
     elif kind == BORDA:
-        scores = positional_scores(profile, [float(m - 1 - k) for k in range(m)])
+        scores = _positional(ids, *matrix, (m - 1.0) - ranks)
     elif kind == COPELAND:
         scores = copeland_scores(profile)
     else:
@@ -176,34 +181,29 @@ class EfficiencyReport:
     notes: tuple[str, ...] = ()
 
 
-def _dominance_pairs(profile: AnonymousProfile) -> list[tuple[str, str, bool]]:
-    """Every (a, b, mutual) with ``a`` swap-dominating ``b != a``.
-
-    ``mutual`` tells whether ``b`` dominates ``a`` back.
-    """
-    ids = profile.ids
-    dominance = profile.dominance_matrix()
-    first, second = np.nonzero(dominance)
-    mutual = dominance[second, first].tolist()
-    return [
-        (ids[i], ids[j], back)
-        for i, j, back in zip(first.tolist(), second.tolist(), mutual)
-        if i != j
-    ]
-
-
 def _efficiency_report(
-    kind: str,
-    profile: AnonymousProfile,
-    violates: Callable[[bool, bool, bool], bool],
+    kind: str, profile: AnonymousProfile, strong: bool
 ) -> EfficiencyReport:
-    """Audit where ``violates(a_wins, b_wins, mutual)`` flags a pair."""
+    """Audit every ordered pair (a, b) with ``a`` swap-dominating ``b != a``.
+
+    The weak audit flags the pair when ``b`` wins and ``a`` does not.  The
+    strong audit flags it when ``b`` wins, unless ``b`` dominates ``a``
+    back: then it flags it when exactly one of the two wins.
+    """
     winners, _ = _outcome(kind, profile)
-    violations = [
-        (a, b)
-        for a, b, mutual in _dominance_pairs(profile)
-        if violates(a in winners, b in winners, mutual)
-    ]
+    ids = profile.ids
+    wins = [a in winners for a in ids]
+    dominance = profile.dominance_matrix().tolist()
+    violations = []
+    for i, j in itertools.permutations(range(len(ids)), 2):
+        if not dominance[i][j]:
+            continue
+        if strong:
+            violated = wins[i] != wins[j] if dominance[j][i] else wins[j]
+        else:
+            violated = wins[j] and not wins[i]
+        if violated:
+            violations.append((ids[i], ids[j]))
     return EfficiencyReport(
         kind=kind,
         holds=not violations,
@@ -218,9 +218,7 @@ def check_swd_efficiency(kind: str, profile: AnonymousProfile) -> EfficiencyRepo
     For every pair with ``a`` swap-dominating ``b``, if ``b`` wins then
     ``a`` must win too.
     """
-    return _efficiency_report(
-        kind, profile, lambda a_wins, b_wins, mutual: b_wins and not a_wins
-    )
+    return _efficiency_report(kind, profile, strong=False)
 
 
 def check_strong_swd_efficiency(
@@ -231,11 +229,7 @@ def check_strong_swd_efficiency(
     When ``a`` dominates ``b`` and ``b`` does not dominate back, ``b``
     must lose; when they dominate each other, they win or lose together.
     """
-    return _efficiency_report(
-        kind,
-        profile,
-        lambda a_wins, b_wins, mutual: a_wins != b_wins if mutual else b_wins,
-    )
+    return _efficiency_report(kind, profile, strong=True)
 
 
 @dataclass(frozen=True)
@@ -274,12 +268,13 @@ def check_stability(
 
     Builds the ranking profile over the full alternative set and over the
     subset (exactly, or by sampling ``n_samples`` rankings per profile for
-    ``mode="mc"``), applies the rule to both, and compares.
+    ``mode="mc"``), applies the rule to both, and compares.  The
+    alternative set is checked before the subset.
     """
     _require_rule(kind)
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    alts = sorted(alternatives, key=lambda alt: alt.id)
+    alts, _ = processes._scored_alternatives(alternatives, spec.beta)
     by_id = {alt.id: alt for alt in alts}
     sub_ids = sorted(set(subset_ids))
     if not sub_ids:

@@ -756,6 +756,24 @@ def test_non_finite_utility_exits_2(workdir, capsys, command):
     assert "alternative 'a' has non-finite utility" in captured.err
 
 
+def test_exact_pl_stability_at_a_wide_utility_spread(workdir, capsys):
+    # utilities 800 and 0: b's weight exp(-800) underflows to 0
+    summary = workdir / "wide.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 1,
+                                   "n_voters": 1, "beta": ["800"]}))
+    alternatives = workdir / "wide.csv"
+    alternatives.write_text("id,f_1\na,1\nb,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["axioms", "--check", "stability", "--scc", "borda",
+                     "--family", "pl", "--mode", "exact", "--subset", "a,b",
+                     "--summary", str(summary), "--alternatives", str(alternatives)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "winners_full: a\n" in captured.out
+    assert "stable: true\n" in captured.out
+
+
 def test_axioms_missing_inputs_exit_2(workdir, capsys):
     assert main(["axioms", "--check", "swd", "--scc", "borda"]) == 2
     assert main(["axioms", "--check", "stability", "--scc", "borda"]) == 2

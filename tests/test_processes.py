@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from prefvote.processes import (
     _borda_scores,
     _draw_orders,
     _draw_utilities,
-    _mode_utilities,
+    _scored_alternatives,
 )
+from prefvote.experiments import ground_truth_winner
+from prefvote.pipeline import SummaryModel, decide
 from prefvote.profiles import (
     Alternative,
     AnonymousProfile,
@@ -27,6 +30,7 @@ from prefvote.profiles import (
     marginalize_profile,
     swap_dominates,
 )
+from prefvote.scc import check_stability
 
 # reference: mpmath ncdf(1) at 40 digits
 PHI_1 = 0.8413447460685429
@@ -257,6 +261,110 @@ def test_exact_profile_singleton_and_errors():
         exact_profile(pl, [alt("a", 1.0), alt("a", 2.0)])
 
 
+def log_space_pl_weights(mu):
+    """Sequential-choice weight of every ranking of ``mu``'s columns, each
+    stage's log-sum-exp taken over the alternatives left."""
+    weights = {}
+    for perm in itertools.permutations(range(len(mu))):
+        logs = [mu[perm[s]] - np.logaddexp.reduce(mu[list(perm[s:])]) for s in range(len(mu))]
+        weights[perm] = math.exp(math.fsum(logs))
+    return weights
+
+
+@pytest.mark.parametrize("beta", [800.0, 2000.0, 1e5])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_exact_pl_profile_holds_at_any_utility_spread(beta, m):
+    # exp(mu - max) underflows to 0 past a spread of about 745, where a
+    # stage of weights all 0 would give a 0/0 factor.
+    rng = np.random.default_rng([int(beta), m])
+    spec = ProcessSpec(family="pl", beta=(beta,))
+    for _ in range(20):
+        features = rng.standard_normal(m)
+        features[int(rng.integers(m))] = features[0] + rng.uniform(0, 5.0 / beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = exact_profile(spec, scalar_alts(features))
+        for perm, expected in log_space_pl_weights(beta * features).items():
+            ranking = Ranking(tuple("abcd"[j] for j in perm))
+            assert profile.weight(ranking) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+
+def test_exact_pl_profile_stage_of_underflowed_weights():
+    # a is first in any ranking that weighs more than e^-792; after it, b and
+    # c are 800 and 792 below it, so their weights both underflow to 0.
+    profile = exact_profile(ProcessSpec("pl", (1.0,)), scalar_alts([800.0, 0.0, 8.0]))
+    b_before_c = 1.0 / (1.0 + math.exp(8.0))
+    assert profile.weight(Ranking.from_string("a>b>c")) == pytest.approx(b_before_c)
+    assert profile.weight(Ranking.from_string("a>c>b")) == pytest.approx(1 - b_before_c)
+    # 739 and 740 below a, b and c weigh subnormal floats of a few hundred
+    # units in the last place, too coarse for their ratio.
+    profile = exact_profile(ProcessSpec("pl", (1.0,)), scalar_alts([800.0, 61.0, 60.0]))
+    b_before_c = 1.0 / (1.0 + math.exp(-1.0))
+    assert profile.weight(Ranking.from_string("a>b>c")) == pytest.approx(b_before_c, rel=1e-12)
+
+
+HUGE_BETA = (1e300, 1e300)
+BAD_SETS = {
+    "empty": ([], "alternative set must be nonempty"),
+    "duplicate ids": (
+        [alt("a", 0.0, 0.0), alt("a", 1e-300, 0.0)],
+        "alternative ids must be unique within a set",
+    ),
+    "feature count": (
+        [alt("a", 0.0, 0.0), alt("b", 1e-300)],
+        "alternative 'b' has dimension 1, expected 2",
+    ),
+    "lone feature count": ([alt("b", 1e-300)], "alternative 'b' has dimension 1, expected 2"),
+    "overflow": (
+        [alt("a", 0.0, 0.0), alt("h", 1e300, 1e300)],
+        "alternative 'h' has non-finite utility inf",
+    ),
+    "lone overflow": ([alt("h", 1e300, 1e300)], "alternative 'h' has non-finite utility inf"),
+}
+ENTRY_POINTS = {
+    "decide": lambda alts: decide(SummaryModel(np.array(HUGE_BETA), 1), alts),
+    "ground_truth_winner": lambda alts: ground_truth_winner(
+        [HUGE_BETA], alts, 10, np.random.default_rng(0)
+    ),
+    "mode_utility": lambda alts: mode_utility(ProcessSpec("tm", HUGE_BETA), *alts),
+    "exact_profile": lambda alts: exact_profile(ProcessSpec("pl", HUGE_BETA), alts),
+    "estimate_profile": lambda alts: estimate_profile(
+        ProcessSpec("tm", HUGE_BETA), alts, 10, np.random.default_rng(0)
+    ),
+    "check_stability_exact": lambda alts: check_stability(
+        ProcessSpec("pl", HUGE_BETA), "borda", alts, ["a"], mode="exact"
+    ),
+    "check_stability_mc": lambda alts: check_stability(
+        ProcessSpec("tm", HUGE_BETA), "borda", alts, ["a"], mode="mc", n_samples=10
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in ENTRY_POINTS
+        for case, (alternatives, _) in BAD_SETS.items()
+        # mode_utility scores one alternative, not a set
+        if entry != "mode_utility" or len(alternatives) == 1
+    ],
+)
+def test_entry_points_refuse_bad_alternative_sets_alike(entry, case):
+    alternatives, message = BAD_SETS[case]
+    with pytest.raises(ValueError) as refusal:
+        ENTRY_POINTS[entry](alternatives)
+    assert type(refusal.value) is ValueError
+    assert str(refusal.value) == message
+
+
+def test_good_alternative_set_passes_every_entry_point():
+    # The refusals above come from the bad alternative, not the settings.
+    good = [alt("a", 0.0, 0.0), alt("b", 1e-300, -2e-300)]
+    for name, entry in ENTRY_POINTS.items():
+        entry(good[:1] if name == "mode_utility" else good)
+
+
 def test_pl_consistency_under_marginalization():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -336,7 +444,7 @@ def reference_exact_weights(spec, alternatives, gumbel_scale=1.0):
         return _renormalized(
             [(Ranking((ids[0], ids[1])), p), (Ranking((ids[1], ids[0])), 1.0 - p)]
         )
-    mu = _mode_utilities(spec.beta, alts)
+    _, mu = _scored_alternatives(alts, spec.beta)
     weights = np.exp((mu - mu.max()) / gumbel_scale)
     perms = np.array(list(itertools.permutations(range(m))))
     w = weights[perms]
@@ -354,7 +462,7 @@ def reference_estimate_weights(spec, alternatives, n_samples, rng, branch):
     m = len(ids)
     if m == 1:
         return {Ranking((ids[0],)): 1.0}
-    mu = _mode_utilities(spec.beta, alts)
+    _, mu = _scored_alternatives(alts, spec.beta)
     orders = _draw_orders(spec.family, mu, n_samples, rng)
     items = []
     if branch == "codes":

@@ -305,6 +305,94 @@ def test_swd_efficiency_reports(split_majority_profile):
         assert check_strong_swd_efficiency(kind, split_majority_profile).holds
 
 
+def efficiency_oracle(profile, winners, strong):
+    """Violations of either efficiency audit by a scan over dominance pairs.
+
+    Lists every (a, b, mutual) with ``a`` swap-dominating ``b != a`` and
+    ``mutual`` telling whether ``b`` dominates ``a`` back, then flags a
+    pair by the audit's predicate on which of the two are in ``winners``.
+    """
+    ids = profile.ids
+    dominance = profile.dominance_matrix()
+    first, second = np.nonzero(dominance)
+    pairs = [
+        (ids[i], ids[j], bool(dominance[j, i]))
+        for i, j in zip(first.tolist(), second.tolist())
+        if i != j
+    ]
+    if strong:
+        def violates(a_wins, b_wins, mutual):
+            return a_wins != b_wins if mutual else b_wins
+    else:
+        def violates(a_wins, b_wins, mutual):
+            return b_wins and not a_wins
+    return tuple(sorted(
+        (a, b) for a, b, mutual in pairs if violates(a in winners, b in winners, mutual)
+    ))
+
+
+def audit_profiles(seed, count):
+    """Random profiles with small integer weights; every other one has its
+    support closed under one swap, so that dominance, mutual included,
+    is common."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        m = int(rng.integers(2, 6))
+        ids = "abcde"[:m]
+        perms = list(itertools.permutations(ids))
+        size = int(rng.integers(1, min(len(perms), 6) + 1))
+        chosen = rng.choice(len(perms), size=size, replace=False)
+        support = {
+            Ranking(perms[j]): float(w)
+            for j, w in zip(chosen, rng.integers(1, 4, size))
+        }
+        if case % 2 == 0:
+            a, b = rng.choice(list(ids), 2, replace=False).tolist()
+            for ranking, weight in list(support.items()):
+                image = tuple(b if x == a else a if x == b else x for x in ranking.order)
+                support.setdefault(Ranking(image), float(rng.integers(1, weight + 1)))
+        total = sum(support.values())
+        yield rng, AnonymousProfile({r: w / total for r, w in support.items()})
+
+
+AUDITS = ((False, check_swd_efficiency), (True, check_strong_swd_efficiency))
+
+
+def test_efficiency_audits_match_pair_scan_oracle():
+    mutual_pairs = flagged = 0
+    for _, profile in audit_profiles(31, 240):
+        dominance = profile.dominance_matrix()
+        mutual_pairs += int(np.count_nonzero(dominance & dominance.T)) - len(dominance)
+        for kind in SCC_KINDS:
+            winners = apply_scc(kind, profile)
+            for strong, audit in AUDITS:
+                report = audit(kind, profile)
+                expected = efficiency_oracle(profile, winners, strong)
+                assert report.violations == expected, (profile, kind, strong)
+                assert report.holds is (not expected)
+                assert report.kind == kind
+                flagged += bool(expected)
+    assert mutual_pairs >= 80
+    assert flagged >= 10
+
+
+def test_efficiency_audits_match_oracle_on_any_winner_set(monkeypatch):
+    # The rules are efficient, so the weak audit's predicate only fires on
+    # winner sets no rule picks: audit those instead.
+    flagged = {False: 0, True: 0}
+    for rng, profile in audit_profiles(32, 200):
+        ids = profile.ids
+        winners = frozenset(
+            rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False).tolist()
+        )
+        monkeypatch.setattr(scc, "_outcome", lambda kind, p, margin=False: (winners, None))
+        for strong, audit in AUDITS:
+            expected = efficiency_oracle(profile, winners, strong)
+            assert audit("borda", profile).violations == expected, (profile, winners)
+            flagged[strong] += bool(expected)
+    assert min(flagged.values()) >= 40
+
+
 def test_bucklin_reports_carry_note(split_majority_profile):
     report = check_swd_efficiency("bucklin", split_majority_profile)
     assert report.notes and "pivotal" in report.notes[0]
