@@ -14,7 +14,6 @@ affected group (0 passengers, 1 pedestrians), then crossing legality
 
 from __future__ import annotations
 
-import array
 import csv
 import json
 import math
@@ -73,6 +72,22 @@ _LEGALITY_CODES = {LEGALITY_NONE: 0.0, LEGALITY_LEGAL: 1.0, LEGALITY_ILLEGAL: -1
 MM_FEATURE_NAMES = CHARACTER_TYPES + ("relation", "legality", "total_characters")
 MM_DIM = len(MM_FEATURE_NAMES)
 
+#: Comparison rows converted by one ``np.loadtxt`` call.  One block's row
+#: text is the most the parser holds at once; the time per row is flat
+#: from about 128 rows up, and peak memory grows from about 1024.
+_BLOCK_ROWS = 512
+
+#: The separator controls, which numpy's number reader strips as leading
+#: or trailing whitespace but ``float()`` refuses.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+#: A CSV body row and the 1-based line it ends on.
+_Row = tuple[int, list[str]]
+
+#: Converted comparison rows: their voter ids, ``(n, d)`` differences and
+#: the lines of those whose chosen and rejected vectors are identical.
+_Block = tuple[list[str], np.ndarray, list[int]]
+
 
 class ParseError(ValueError):
     """Malformed input file; ``line`` is 1-based when known."""
@@ -108,21 +123,24 @@ def _format_real(value: float) -> str:
 
 def _csv_rows(
     stream: IO[str], header: Callable[[int], list[str]]
-) -> Iterator[tuple[int, list[str]]]:
+) -> Iterator[_Row]:
     """Numbered CSV rows: the checked header first, then each body row.
 
     ``header(n)`` names the fields expected when the first row has n
     cells; the stripped header must equal it, and every non-blank body row
-    must have as many fields.  Blank rows are skipped.  A row's number is
-    the 1-based line it ends on, and a fault of the CSV layer itself, such
-    as a field over the ``csv`` module's size limit, is a ``ParseError``
-    naming its line.
+    must have as many fields.  One leading byte-order mark, U+FEFF, is
+    dropped from the first header cell.  Blank rows are skipped.  A row's
+    number is the 1-based line it ends on, and a fault of the CSV layer
+    itself, such as a field over the ``csv`` module's size limit, is a
+    ``ParseError`` naming its line.
     """
     reader = csv.reader(stream)
     try:
         first = next(reader, None)
         if first is None:
             raise ParseError("missing header row", line=1)
+        if first:
+            first[0] = first[0].removeprefix("\ufeff")
         expected = header(len(first))
         got = [cell.strip() for cell in first]
         if got != expected:
@@ -192,28 +210,25 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     ``voter_id,c_1,...,c_d,r_1,...,r_d``.  An empty body is valid.  A row
     whose chosen and rejected vectors are identical carries no
     information; it is kept, with a warning that names its line.  A row
-    whose difference overflows to infinity is malformed.
+    whose difference overflows to infinity is malformed.  Numbers are
+    read as ``float()`` reads them, and the first malformed line in the
+    file is the one reported.
     """
     rows = _csv_rows(stream, _comparison_header)
     _, header = next(rows)
     d = len(header) // 2
     voters: list[str] = []
-    values = array.array("d")
-    for line, row in rows:
-        voter = row[0].strip()
-        if not voter:
-            raise ParseError("empty voter_id", line=line)
-        reals = _comparison_reals(row[1:], d, line)
-        if reals[:d] == reals[d:]:
+    diffs = [np.empty((0, d))]
+    for block_voters, block_diffs, identical in _comparison_blocks(rows, d):
+        for line in identical:
             warnings.warn(
                 f"line {line}: comparison has identical chosen and rejected "
                 "feature vectors; it carries no information",
                 stacklevel=2,
             )
-        voters.append(voter)
-        values.extend(reals)
-    pairs = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
-    return ComparisonTable(tuple(voters), pairs[:, :d] - pairs[:, d:])
+        voters.extend(block_voters)
+        diffs.append(block_diffs)
+    return ComparisonTable(tuple(voters), np.concatenate(diffs))
 
 
 def _comparison_header(n: int) -> list[str]:
@@ -223,6 +238,105 @@ def _comparison_header(n: int) -> list[str]:
         + [f"c_{k}" for k in range(1, d + 1)]
         + [f"r_{k}" for k in range(1, d + 1)]
     )
+
+
+def _comparison_blocks(rows: Iterator[_Row], d: int) -> Iterator[_Block]:
+    """The body rows converted, in order.
+
+    Rows come in blocks of ``_BLOCK_ROWS``, each converted by one
+    ``np.loadtxt`` call.  A block that numpy refuses, or whose values fail
+    a check, is read again one row at a time with ``float()``, which
+    either raises the block's first fault or accepts what only
+    ``float()`` reads, such as ``1_0`` or non-ASCII digits.
+    """
+    for block in _blocks(rows, _BLOCK_ROWS):
+        converted = _loadtxt_block(block, d)
+        if converted is not None:
+            yield converted
+            continue
+        converted, fault = _float_block(block, d)
+        yield converted
+        if fault is not None:
+            raise fault
+
+
+def _blocks(rows: Iterator[_Row], size: int) -> Iterator[list[_Row]]:
+    """Consecutive runs of ``size`` rows, the last one maybe shorter.
+
+    When ``rows`` raises ``ParseError``, the rows read before it come
+    out first, so that a fault among them is raised before the later one.
+    """
+    block: list[_Row] = []
+    try:
+        for row in rows:
+            block.append(row)
+            if len(block) == size:
+                yield block
+                block = []
+    except ParseError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _loadtxt_block(block: list[_Row], d: int) -> _Block | None:
+    """A block converted by numpy, or None.
+
+    None means that a row needs the per-row reading: an empty voter id,
+    a field that numpy and ``float()`` may read differently, or a value
+    or difference that is not finite.
+    """
+    voters = [row[0].strip() for _, row in block]
+    lines = [",".join(row[1:]) for _, row in block]
+    text = "".join(lines)
+    if not all(voters) or any(char in text for char in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        pairs = np.loadtxt(
+            lines, delimiter=",", comments=None, dtype=float, ndmin=2
+        )
+    except ValueError:
+        return None
+    # A quoted comma or line break in a field changes the shape.
+    if pairs.shape != (len(block), 2 * d):
+        return None
+    chosen, rejected = pairs[:, :d], pairs[:, d:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = chosen - rejected
+    # A finite difference also has finite operands.
+    if not np.isfinite(diffs).all():
+        return None
+    identical = np.flatnonzero((chosen == rejected).all(axis=1))
+    return voters, diffs, [block[k][0] for k in identical.tolist()]
+
+
+def _float_block(block: list[_Row], d: int) -> tuple[_Block, ParseError | None]:
+    """A block read row by row with ``float()``, up to its first fault.
+
+    Returns the rows before the fault, converted, and the fault, or None
+    when every row is good.
+    """
+    voters: list[str] = []
+    reals: list[list[float]] = []
+    identical: list[int] = []
+    fault = None
+    for line, row in block:
+        voter = row[0].strip()
+        try:
+            if not voter:
+                raise ParseError("empty voter_id", line=line)
+            values = _comparison_reals(row[1:], d, line)
+        except ParseError as exc:
+            fault = exc
+            break
+        if values[:d] == values[d:]:
+            identical.append(line)
+        voters.append(voter)
+        reals.append(values)
+    pairs = np.array(reals, dtype=float).reshape(len(reals), 2 * d)
+    return (voters, pairs[:, :d] - pairs[:, d:], identical), fault
 
 
 def _comparison_reals(tokens: list[str], d: int, line: int) -> list[float]:

@@ -109,9 +109,15 @@ def _scored_alternatives(
     if not np.isfinite(utilities).all():
         rows = utilities.reshape(-1, len(alts))
         row, k = np.argwhere(~np.isfinite(rows))[0]
-        raise ValueError(
-            f"alternative {alts[k].id!r} has non-finite utility {rows[row, k]}"
-        )
+        # BLAS sums in an order that depends on the product's shape, so
+        # report a left-to-right sum, the same in any set, unless that sum
+        # stays finite where BLAS overflowed.
+        value = 0.0
+        for w, x in zip(weights.reshape(-1, dim)[row].tolist(), alts[k].features):
+            value += w * x
+        if math.isfinite(value):
+            value = rows[row, k]
+        raise ValueError(f"alternative {alts[k].id!r} has non-finite utility {value}")
     return alts, utilities
 
 

@@ -148,6 +148,48 @@ def test_fit_overflowing_difference_is_data_error(workdir, capsys):
     assert not out.exists()
 
 
+def test_fit_warns_before_a_later_blocks_error(workdir):
+    # Line 3 repeats its chosen vector; line 2003 is in a later block of
+    # rows, and its fault is still reported after line 3's warning.
+    rows = ["voter_id,c_1,r_1", "v0,1,0", "v0,2,2"]
+    rows += [f"v{k % 9},{k % 5},{k % 7 + 5}" for k in range(1999)]
+    rows += ["v1,x,0", "v2,1,0"]
+    bad = workdir / "late.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    out = workdir / "m.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "prefvote.cli", "fit",
+         "--comparisons", str(bad), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert not out.exists()
+    lines = done.stderr.splitlines()
+    warned = [k for k, line in enumerate(lines) if "line 3: comparison has identical" in line]
+    assert len(warned) == 1 and "UserWarning" in lines[warned[0]]
+    assert lines[-1] == "error: line 2003: non-numeric value 'x'"
+    assert warned[0] < len(lines) - 1
+
+
+def test_byte_order_mark_is_accepted(workdir, capsys):
+    bom = workdir / "bom"
+    bom.mkdir()
+    for name in ("comparisons.csv", "alternatives.csv"):
+        (bom / name).write_text("\ufeff" + (workdir / name).read_text(), encoding="utf-8")
+    assert (bom / "comparisons.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = []
+    for folder in (workdir, bom):
+        models, summary = str(folder / "models.json"), str(folder / "summary.json")
+        assert main(["fit", "--comparisons", str(folder / "comparisons.csv"),
+                     "--out", models]) == 0
+        assert main(["summarize", "--models", models, "--out", summary]) == 0
+        capsys.readouterr()
+        assert main(["decide", "--summary", summary,
+                     "--alternatives", str(folder / "alternatives.csv")]) == 0
+        outputs.append((open(models, "rb").read(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [

@@ -1,14 +1,21 @@
+import array
 import csv
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prefvote import fileio
 from prefvote.fileio import (
     CHARACTER_TYPES,
     MM_DIM,
     MM_FEATURE_NAMES,
+    ComparisonTable,
     ParseError,
     VoterModelRecord,
     encode_mm_alternative,
@@ -98,6 +105,210 @@ def test_overflowing_differences_are_parse_errors():
     )
     assert np.isfinite(table.diffs).all()
     assert table.diffs[0, 0] == 1e308 - 9e307
+
+
+def comparison_reals_oracle(tokens, d, line):
+    """The 2d finite reals of one row, checked to subtract without overflow."""
+    try:
+        reals = [float(token) for token in tokens]
+    except ValueError:
+        reals = [fileio._parse_float(token, line) for token in tokens]
+    if not math.isfinite(sum(map(abs, reals))):
+        for token in tokens:
+            fileio._parse_float(token, line)
+        for c, r in zip(reals[:d], reals[d:]):
+            if not math.isfinite(c - r):
+                raise ParseError(
+                    f"chosen minus rejected overflows: {c!r} - {r!r}", line=line
+                )
+    return reals
+
+
+def comparisons_oracle(stream):
+    """The per-row comparison parser: one ``float()`` per field.
+
+    Each row is checked, warned about and converted before the next is
+    read, so its faults, warnings and values are the reference that the
+    block parser must reproduce.
+    """
+    rows = fileio._csv_rows(stream, fileio._comparison_header)
+    _, header = next(rows)
+    d = len(header) // 2
+    voters = []
+    values = array.array("d")
+    for line, row in rows:
+        voter = row[0].strip()
+        if not voter:
+            raise ParseError("empty voter_id", line=line)
+        reals = comparison_reals_oracle(row[1:], d, line)
+        if reals[:d] == reals[d:]:
+            warnings.warn(
+                f"line {line}: comparison has identical chosen and rejected "
+                "feature vectors; it carries no information",
+                stacklevel=2,
+            )
+        voters.append(voter)
+        values.extend(reals)
+    pairs = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
+    return ComparisonTable(tuple(voters), pairs[:, :d] - pairs[:, d:])
+
+
+def parse_outcome(parser, text):
+    """The table or ``ParseError`` text ``parser`` gives, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = parser(io.StringIO(text, newline=""))
+        except ParseError as exc:
+            result = ("ParseError", str(exc))
+        else:
+            diffs = table.diffs
+            result = (table.voter_ids, diffs.dtype, diffs.shape, diffs.tobytes())
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def assert_parsers_agree(text, block_rows, monkeypatch):
+    # raising=False: the per-row parser has no blocks to size
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", block_rows, raising=False)
+    expected = parse_outcome(comparisons_oracle, text)
+    assert parse_outcome(parse_comparisons, text) == expected, repr(text)
+    return expected
+
+
+def csv_text(header, rows, end="\n"):
+    return end.join([header, *rows]) + end
+
+
+# Row bodies after "v1,"; both parsers read a d=1 file with an identical
+# row before each and two rows after, of which one is identical.
+HAND_CASES = {
+    "quoted LF": '"1\n",0',
+    "quoted CR": '"1\r",0',
+    "underscore": "1_0,0",
+    "padded": " 1 ,0",
+    "Arabic-Indic digit": "١,0",
+    "hash": "1#2,0",
+    "quoted comma": '"1,5",0',
+    "empty token": ",0",
+    "nan": "nan,0",
+    "hex": "0x10,0",
+    "NUL": "1e5\x00,0",
+    "quoted comma and LF": '"1\n,2",0',
+    "+inf": "+inf,0",
+    "1e400": "1e400,0",
+    "Fortran exponent": "1D5,0",
+    "tabs": "\t2\t,0",
+    "form feed": "\x0c2,0",
+    "file separator": "\x1c2,0",
+    "unit separator": "2\x1f,0",
+}
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 1024])
+@pytest.mark.parametrize("case", HAND_CASES)
+def test_block_parser_matches_per_row_parser_on_hand_cases(case, block_rows, monkeypatch):
+    rows = ["v0,1,1", "v1," + HAND_CASES[case], "v2,3,4", "v2,5,5"]
+    assert_parsers_agree(csv_text("voter_id,c_1,r_1", rows), block_rows, monkeypatch)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 1024])
+@pytest.mark.parametrize(
+    "end, rows",
+    [
+        ("\r\n", ["v0,1,1", "v1,2,0", "v1,1_0,0"]),
+        ("\n", ["v0,1,1", "  ", "v1,2,0"]),
+        ("\r", ["v0,1,1", "", "v1,x,0", "v1,2"]),
+        # a row's fault comes before a later row's wrong field count
+        ("\n", ["v0,1,1", "v1,1e308,-1e308", "v1,2"]),
+        ("\n", ["v0,1,1", ",1,0", "v1,2,0,1"]),
+        ("\n", ["v0,1,1", "v1,1,0", "v1," + "9" * 131073 + ",0"]),
+        # quoted commas in every row of a block keep its column count even
+        ("\n", ["v0,1,1", "v1,2,0", 'v1,"1,5",0']),
+        ("\n", ['v1,"1,5",0', 'v1,"2,5",0', 'v1,"3,5",0']),
+    ],
+)
+def test_block_parser_matches_per_row_parser_on_hand_files(end, rows, block_rows, monkeypatch):
+    assert_parsers_agree(csv_text("voter_id,c_1,r_1", rows, end), block_rows, monkeypatch)
+
+
+CLEAN_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "9e307", "-0.0", "0.5", "5e-324"]),
+)
+# Tokens that only float() reads, that neither parser reads, and that
+# numpy reads but float() does not.
+MESSY_TOKENS = st.one_of(
+    st.sampled_from(
+        [" 1 ", "\t2\t", "\x0c2", " 2", "2\x85", "1_0", "١",
+         "1.0e+0_1", "1\n", "\n1", "1\r", "1\r\n", "", " ", "1#2", "1,5",
+         "1\n,2", "nan", "-nan", "inf", "+inf", "-inf", "infinity", "1e400",
+         "-1e400", "0x10", "1D5", "1e5\x00", "1e", '"1"', "\x1c2", "2\x1f",
+         "9" * 131073]
+    ),
+    st.text(alphabet="0123456789.e+-_ ,\n\r\"#\x1d٢", max_size=5),
+)
+
+
+@st.composite
+def messy_comparison_csv(draw):
+    """CSV text for a d = 1..3 comparison file with every kind of fault.
+
+    Most rows are clean, so that whole blocks also convert; messy tokens,
+    quoting, line ends, blank rows, wrong field counts, identical rows
+    and overflowing pairs come in at random.
+    """
+    d = draw(st.integers(1, 3))
+    messy_share = draw(st.sampled_from([0, 0, 1, 4]))
+    token = st.one_of(*[CLEAN_TOKENS] * 8, *[MESSY_TOKENS] * messy_share)
+
+    def field(text):
+        how = draw(st.sampled_from(["auto", "auto", "auto", "quoted", "raw"]))
+        if how == "quoted" or (how == "auto" and any(c in text for c in ',"\r\n')):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    header = ["voter_id"] + [f"c_{k}" for k in range(1, d + 1)]
+    header += [f"r_{k}" for k in range(1, d + 1)]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(
+            ["row"] * 12 + ["identical"] * 3 + ["overflow", "blank", "blank", "width"]
+        ))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        voter = draw(st.sampled_from(["v1", "v2", " v3 ", "v\n4"] * 5 + ["", " "]))
+        tokens = [draw(token) for _ in range(2 * d)]
+        if kind == "identical":
+            tokens[d:] = tokens[:d]
+        elif kind == "overflow":
+            k = draw(st.integers(0, d - 1))
+            tokens[k], tokens[d + k] = "1e308", "-1e308"
+        elif kind == "width":
+            tokens = tokens[1:] if draw(st.booleans()) else tokens + ["0"]
+        lines.append(",".join(field(text) for text in [voter, *tokens]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=messy_comparison_csv(), block_rows=st.sampled_from([2, 3]))
+def test_block_parser_matches_per_row_parser(text, block_rows):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_parsers_agree(text, block_rows, monkeypatch)
+
+
+def test_block_parser_reads_many_blocks_like_the_per_row_parser(monkeypatch):
+    rng = np.random.default_rng(23)
+    pairs = rng.integers(-2, 3, size=(40, 4)).astype(float)
+    pairs[::7] /= 3.0
+    rows = [f"v{k % 5}," + ",".join(map(repr, row.tolist())) for k, row in enumerate(pairs)]
+    text = csv_text(COMPARISONS_HEADER.strip(), rows)
+    result, caught = assert_parsers_agree(text, 3, monkeypatch)
+    assert result[2] == (40, 2)
+    assert len(caught) == int(np.all(pairs[:, :2] == pairs[:, 2:], axis=1).sum()) > 0
 
 
 def test_group_comparisons_preserves_first_appearance_order():
@@ -193,6 +404,29 @@ def test_parse_profile_errors():
     # weight-sum violations come from the profile constructor
     with pytest.raises(ValueError, match="sum"):
         parse_profile(io.StringIO("weight,ranking\n0.4,a>b\n0.4,b>a\n"))
+
+
+@pytest.mark.parametrize(
+    "parse, text, view",
+    [
+        (
+            parse_comparisons,
+            COMPARISONS_HEADER + "v1,1,0,0,1\nv2,0.5,1,1,0\n",
+            lambda table: (table.voter_ids, table.diffs.tobytes()),
+        ),
+        (parse_alternatives, "id,f_1,f_2\nx,1.5,-2\ny,0,3\n", list),
+        (parse_profile, "weight,ranking\n0.35,a>b>c\n0.65,b>a>c\n",
+         lambda profile: profile.support),
+    ],
+)
+def test_byte_order_mark_is_dropped_from_the_header(parse, text, view):
+    def read(text):
+        return view(parse(io.StringIO(text, newline="")))
+
+    assert read("\ufeff" + text) == read(text)
+    # one mark only; a second is part of the first header cell
+    with pytest.raises(ParseError, match="line 1: bad header"):
+        read("\ufeff\ufeff" + text)
 
 
 def test_character_types_are_alphabetical_and_complete():

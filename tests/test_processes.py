@@ -320,11 +320,23 @@ BAD_SETS = {
         "alternative 'h' has non-finite utility inf",
     ),
     "lone overflow": ([alt("h", 1e300, 1e300)], "alternative 'h' has non-finite utility inf"),
+    # 1e600 - 1e600: BLAS gives inf or -inf by the product's shape
+    "cancelling overflow": (
+        [alt("a", 0.0, 0.0), alt("h", 1e300, -1e300)],
+        "alternative 'h' has non-finite utility nan",
+    ),
+    "lone cancelling overflow": (
+        [alt("h", 1e300, -1e300)],
+        "alternative 'h' has non-finite utility nan",
+    ),
 }
 ENTRY_POINTS = {
     "decide": lambda alts: decide(SummaryModel(np.array(HUGE_BETA), 1), alts),
     "ground_truth_winner": lambda alts: ground_truth_winner(
         [HUGE_BETA], alts, 10, np.random.default_rng(0)
+    ),
+    "ground_truth_winner_2_voters": lambda alts: ground_truth_winner(
+        [HUGE_BETA, HUGE_BETA], alts, 10, np.random.default_rng(0)
     ),
     "mode_utility": lambda alts: mode_utility(ProcessSpec("tm", HUGE_BETA), *alts),
     "exact_profile": lambda alts: exact_profile(ProcessSpec("pl", HUGE_BETA), alts),
@@ -356,6 +368,23 @@ def test_entry_points_refuse_bad_alternative_sets_alike(entry, case):
         ENTRY_POINTS[entry](alternatives)
     assert type(refusal.value) is ValueError
     assert str(refusal.value) == message
+
+
+def test_refusals_name_a_non_finite_utility():
+    # A left-to-right sum can stay finite where BLAS, summing in another
+    # order, overflows; the refusal then names the product's value.
+    rng = np.random.default_rng(5)
+    values = [1e308, -1e308, 9e307, -9e307, 1.0, 0.0]
+    refused = 0
+    for _ in range(300):
+        d, m, n = (int(v) for v in rng.integers([2, 1, 1], [12, 4, 3]))
+        alts = [alt(f"x{k}", *rng.choice(values, size=d)) for k in range(m)]
+        try:
+            _scored_alternatives(alts, np.ones((n, d)))
+        except ValueError as exc:
+            refused += 1
+            assert not math.isfinite(float(str(exc).rsplit(" ", 1)[1])), exc
+    assert refused >= 100
 
 
 def test_good_alternative_set_passes_every_entry_point():
