@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
@@ -213,19 +214,32 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     whose difference overflows to infinity is malformed.  Numbers are
     read as ``float()`` reads them, and the first malformed line in the
     file is the one reported.
+
+    Rows come in blocks of ``_BLOCK_ROWS``, each converted by one
+    ``np.loadtxt`` call.  A block that numpy refuses, or whose values fail
+    a check, is read again one row at a time with ``_parse_float``, which
+    either raises the block's first fault or accepts what only
+    ``float()`` reads, such as ``1_0`` or non-ASCII digits.
     """
     rows = _csv_rows(stream, _comparison_header)
     _, header = next(rows)
     d = len(header) // 2
     voters: list[str] = []
     diffs = [np.empty((0, d))]
-    for block_voters, block_diffs, identical in _comparison_blocks(rows, d):
+    for block in _blocks(rows, _BLOCK_ROWS):
+        fault = None
+        converted = _loadtxt_block(block, d)
+        if converted is None:
+            converted, fault = _float_block(block, d)
+        block_voters, block_diffs, identical = converted
         for line in identical:
             warnings.warn(
                 f"line {line}: comparison has identical chosen and rejected "
                 "feature vectors; it carries no information",
                 stacklevel=2,
             )
+        if fault is not None:
+            raise fault
         voters.extend(block_voters)
         diffs.append(block_diffs)
     return ComparisonTable(tuple(voters), np.concatenate(diffs))
@@ -238,26 +252,6 @@ def _comparison_header(n: int) -> list[str]:
         + [f"c_{k}" for k in range(1, d + 1)]
         + [f"r_{k}" for k in range(1, d + 1)]
     )
-
-
-def _comparison_blocks(rows: Iterator[_Row], d: int) -> Iterator[_Block]:
-    """The body rows converted, in order.
-
-    Rows come in blocks of ``_BLOCK_ROWS``, each converted by one
-    ``np.loadtxt`` call.  A block that numpy refuses, or whose values fail
-    a check, is read again one row at a time with ``float()``, which
-    either raises the block's first fault or accepts what only
-    ``float()`` reads, such as ``1_0`` or non-ASCII digits.
-    """
-    for block in _blocks(rows, _BLOCK_ROWS):
-        converted = _loadtxt_block(block, d)
-        if converted is not None:
-            yield converted
-            continue
-        converted, fault = _float_block(block, d)
-        yield converted
-        if fault is not None:
-            raise fault
 
 
 def _blocks(rows: Iterator[_Row], size: int) -> Iterator[list[_Row]]:
@@ -313,7 +307,7 @@ def _loadtxt_block(block: list[_Row], d: int) -> _Block | None:
 
 
 def _float_block(block: list[_Row], d: int) -> tuple[_Block, ParseError | None]:
-    """A block read row by row with ``float()``, up to its first fault.
+    """A block read row by row with ``_parse_float``, up to its first fault.
 
     Returns the rows before the fault, converted, and the fault, or None
     when every row is good.
@@ -327,7 +321,12 @@ def _float_block(block: list[_Row], d: int) -> tuple[_Block, ParseError | None]:
         try:
             if not voter:
                 raise ParseError("empty voter_id", line=line)
-            values = _comparison_reals(row[1:], d, line)
+            values = [_parse_float(token, line) for token in row[1:]]
+            for c, r in zip(values[:d], values[d:]):
+                if not math.isfinite(c - r):
+                    raise ParseError(
+                        f"chosen minus rejected overflows: {c!r} - {r!r}", line=line
+                    )
         except ParseError as exc:
             fault = exc
             break
@@ -337,26 +336,6 @@ def _float_block(block: list[_Row], d: int) -> tuple[_Block, ParseError | None]:
         reals.append(values)
     pairs = np.array(reals, dtype=float).reshape(len(reals), 2 * d)
     return (voters, pairs[:, :d] - pairs[:, d:], identical), fault
-
-
-def _comparison_reals(tokens: list[str], d: int, line: int) -> list[float]:
-    """The 2d finite reals of one row, checked to subtract without overflow."""
-    try:
-        reals = [float(token) for token in tokens]
-    except ValueError:
-        # Parse again, token by token, to raise the line-numbered error.
-        reals = [_parse_float(token, line) for token in tokens]
-    # The sum of magnitudes is finite unless a value is non-finite or some
-    # chosen-minus-rejected difference may overflow; only then look closer.
-    if not math.isfinite(sum(map(abs, reals))):
-        for token in tokens:
-            _parse_float(token, line)
-        for c, r in zip(reals[:d], reals[d:]):
-            if not math.isfinite(c - r):
-                raise ParseError(
-                    f"chosen minus rejected overflows: {c!r} - {r!r}", line=line
-                )
-    return reals
 
 
 def group_comparisons(table: ComparisonTable) -> dict[str, np.ndarray]:
@@ -428,7 +407,11 @@ def encode_mm_alternative(
     vector = np.zeros(MM_DIM)
     for k, name in enumerate(CHARACTER_TYPES):
         count = counts.get(name, 0)
-        if count != int(count) or count < 0:
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, numbers.Real)
+            or not (count >= 0 and float(count).is_integer())  # NaN and inf fail
+        ):
             raise ValueError(f"count for {name!r} must be a nonnegative integer")
         vector[k] = float(count)
     if relation not in _RELATION_CODES:
@@ -468,16 +451,16 @@ def save_voter_models(
     dims = {len(record.beta) for record in records}
     if len(dims) > 1:
         raise ValueError(f"voter models disagree on dimension: {sorted(dims)}")
-    payload = {
-        "format": VOTER_MODELS_FORMAT,
-        "version": FILE_VERSION,
-        "d": dims.pop(),
-        "fit": {
+    _save_json(
+        path,
+        VOTER_MODELS_FORMAT,
+        dims.pop(),
+        fit={
             "l2_penalty": _format_real(fit_config.l2_penalty),
             "gradient_tolerance": _format_real(fit_config.gradient_tolerance),
             "max_iterations": fit_config.max_iterations,
         },
-        "voters": [
+        voters=[
             {
                 "voter_id": record.voter_id,
                 "beta": [_format_real(v) for v in record.beta],
@@ -486,10 +469,7 @@ def save_voter_models(
             }
             for record in records
         ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    )
 
 
 def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
@@ -541,16 +521,13 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
 
 def save_summary_model(path: str, model: SummaryModel) -> None:
     """Write a summary model as JSON."""
-    payload = {
-        "format": SUMMARY_MODEL_FORMAT,
-        "version": FILE_VERSION,
-        "d": model.dim,
-        "n_voters": model.n_voters,
-        "beta": [_format_real(v) for v in model.beta_hat],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _save_json(
+        path,
+        SUMMARY_MODEL_FORMAT,
+        model.dim,
+        n_voters=model.n_voters,
+        beta=[_format_real(v) for v in model.beta_hat],
+    )
 
 
 def load_summary_model(path: str) -> SummaryModel:
@@ -577,6 +554,14 @@ def load_json_object(path: str, what: str) -> dict:
     if not isinstance(payload, dict):
         raise ParseError(f"{what} must hold a JSON object")
     return payload
+
+
+def _save_json(path: str, file_format: str, d: int, **fields: object) -> None:
+    """Write a model file: the format, version and ``d``, then ``fields``."""
+    payload = {"format": file_format, "version": FILE_VERSION, "d": d, **fields}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def _load_json(path: str, expected_format: str) -> tuple[dict, int]:

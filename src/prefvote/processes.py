@@ -139,12 +139,9 @@ def log_normal_cdf(t: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     upper = t >= -1.0
-    mixed = np.count_nonzero(upper) < len(t)
-    x = (np.where(upper, t, -t) if mixed else t) * _SQRT_HALF
+    x = np.where(upper, t, -t) * _SQRT_HALF
     half = np.fromiter(map(math.erfc, x.tolist()), float, len(x))
     half *= 0.5  # 1 - Phi(t) where upper, Phi(t) elsewhere
-    if not mixed:
-        return np.log1p(-half)
     out = np.log1p(-half, out=np.empty_like(t), where=upper)
     tail = t < -37.0
     np.log(half, out=out, where=~upper ^ tail)  # below -1, bar the tail

@@ -69,7 +69,9 @@ def _finite_array(values: object, name: str, ndim: int = 1) -> np.ndarray:
     if array.ndim != ndim:
         raise ValueError(f"{wanted}, got shape {array.shape}")
     if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite, got NaN or inf")
+        raise ValueError(
+            f"{name} must be finite, got a non-finite entry (NaN or inf)"
+        )
     return array
 
 
@@ -79,19 +81,20 @@ class Alternative:
 
     Ids double as the deterministic tie-break key everywhere: when scores
     or utilities tie exactly, the lexicographically smallest id wins.
-    Features must be finite.
+    Features must be a 1-dimensional sequence of finite reals; a string
+    is not one.
     """
 
     id: str
     features: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("alternative id must be a nonempty string")
-        features = tuple(float(v) for v in self.features)
-        if not all(map(math.isfinite, features)):
-            raise ValueError(f"alternative {self.id!r} has a non-finite feature")
-        object.__setattr__(self, "features", features)
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(
+                f"alternative id must be a nonempty string, got {self.id!r}"
+            )
+        features = _finite_array(self.features, f"alternative {self.id!r} features")
+        object.__setattr__(self, "features", tuple(features.tolist()))
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,11 @@ class Ranking:
     order: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.order, str):
+            raise ValueError(
+                f"ranking order must be a sequence of ids, got the string "
+                f"{self.order!r}; use Ranking.from_string to parse 'a>b>c'"
+            )
         order = tuple(self.order)
         if not order:
             raise ValueError("ranking must cover at least one alternative")

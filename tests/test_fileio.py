@@ -458,6 +458,12 @@ def test_encode_mm_legality_signs():
     assert encode_mm_alternative({}, "passengers", "none")[21] == 0.0
 
 
+@pytest.mark.parametrize("count", [math.inf, math.nan, True, -1, 1.5, "2"])
+def test_encode_mm_refuses_counts_that_are_not_nonnegative_integers(count):
+    with pytest.raises(ValueError, match="count for 'man' must be a nonnegative"):
+        encode_mm_alternative({"man": count}, "passengers", "none")
+
+
 def test_encode_mm_distinguishes_inputs():
     a = encode_mm_alternative({"cat": 1}, "passengers", "none")
     b = encode_mm_alternative({"dog": 1}, "passengers", "none")

@@ -39,6 +39,36 @@ def test_ranking_rejects_duplicates_and_empty():
         Ranking(("a", "b")).position("z")
 
 
+def test_ranking_refuses_a_string_order():
+    # a string would be read as one id per character
+    with pytest.raises(ValueError, match="Ranking.from_string"):
+        Ranking("abc")
+    with pytest.raises(ValueError, match="Ranking.from_string"):
+        Ranking("a>b")
+
+
+@pytest.mark.parametrize("features", ["12", 5])
+def test_alternative_refuses_string_and_scalar_features(features):
+    # "12" would be read as the features (1.0, 2.0)
+    with pytest.raises(ValueError, match="1-dimensional array of reals"):
+        Alternative("a", features)
+
+
+def test_alternative_refuses_a_non_string_id():
+    # an int id would break the id sort that every tie-break relies on
+    with pytest.raises(ValueError, match="nonempty string, got 5"):
+        Alternative(5, (1.0,))
+    with pytest.raises(ValueError, match="nonempty string"):
+        Alternative("", (1.0,))
+
+
+def test_alternative_features_keep_their_bits():
+    values = np.array([0.1, -5e-324, 1e308, -0.0])
+    alt = Alternative("a", values)
+    assert all(type(v) is float for v in alt.features)
+    assert np.array(alt.features).tobytes() == values.tobytes()
+
+
 def test_profile_validation():
     r1 = Ranking.from_string("a>b")
     r2 = Ranking.from_string("b>a")
