@@ -15,7 +15,7 @@ from .learning import (
     fit_voters,
     objective_and_gradient,
 )
-from .pipeline import SummaryModel, decide, gaussian_kl, summarize
+from .pipeline import SummaryModel, decide, summarize
 from .processes import (
     ExactProfileUnsupported,
     ProcessSpec,
@@ -27,13 +27,9 @@ from .processes import (
 from .profiles import (
     Alternative,
     AnonymousProfile,
-    PreorderReport,
     Ranking,
-    check_total_preorder,
     marginalize_profile,
-    restrict_ranking,
     swap_dominates,
-    swap_ranking,
 )
 from .scc import (
     SCC_KINDS,
@@ -58,7 +54,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "NumericError",
-    "PreorderReport",
     "ProcessSpec",
     "Ranking",
     "SCC_KINDS",
@@ -69,21 +64,17 @@ __all__ = [
     "check_stability",
     "check_strong_swd_efficiency",
     "check_swd_efficiency",
-    "check_total_preorder",
     "copeland_scores",
     "decide",
     "estimate_profile",
     "exact_profile",
     "fit_voter",
     "fit_voters",
-    "gaussian_kl",
     "marginalize_profile",
     "mode_utility",
     "objective_and_gradient",
     "pairwise_prob",
     "positional_scores",
-    "restrict_ranking",
     "summarize",
     "swap_dominates",
-    "swap_ranking",
 ]

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
@@ -410,7 +411,8 @@ def encode_mm_alternative(
         if (
             isinstance(count, bool)
             or not isinstance(count, numbers.Real)
-            or not (count >= 0 and float(count).is_integer())  # NaN and inf fail
+            # NaN, inf and ints past the float range fail
+            or not (0 <= count <= sys.float_info.max and float(count).is_integer())
         ):
             raise ValueError(f"count for {name!r} must be a nonnegative integer")
         vector[k] = float(count)
@@ -479,7 +481,7 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
     a setting the block leaves out takes its ``FitConfig`` default.
     """
     payload, d = _load_json(path, VOTER_MODELS_FORMAT)
-    records = []
+    records, seen = [], set()
     voters = payload.get("voters", [])
     if not isinstance(voters, list):
         raise ParseError("voters must be a list")
@@ -487,6 +489,9 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
         voter_id = _require(entry, "voter_id", "voter entry")
         if not isinstance(voter_id, str) or not voter_id:
             raise ParseError(f"voter_id must be a nonempty string, got {voter_id!r}")
+        if voter_id in seen:
+            raise ParseError(f"duplicate voter_id {voter_id!r}")
+        seen.add(voter_id)
         where = f"voter {voter_id!r}"
         beta = _parse_beta(_require(entry, "beta", where), where)
         if len(beta) != d:

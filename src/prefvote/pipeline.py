@@ -11,7 +11,6 @@ summary process in the limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,15 +58,6 @@ def summarize(betas: np.ndarray | Sequence[np.ndarray]) -> SummaryModel:
     population = as_population(betas)
     return SummaryModel(
         beta_hat=population.mean(axis=0), n_voters=population.shape[0]
-    )
-
-
-def gaussian_kl(mean1: float, var1: float, mean2: float, var2: float) -> float:
-    """KL divergence between two univariate normal distributions."""
-    if not (var1 > 0 and var2 > 0):
-        raise ValueError("variances must be positive")
-    return 0.5 * (
-        math.log(var2 / var1) + (var1 + (mean1 - mean2) ** 2) / var2 - 1.0
     )
 
 

@@ -3,9 +3,8 @@
 A ranking is a strict total order over alternative ids, most preferred
 first.  An anonymous profile assigns a nonnegative weight (voter fraction)
 to each ranking of one fixed alternative set; weights sum to one.  On top
-of these two types the module provides restriction/marginalization, the
-pairwise swap operation, and the swap-dominance relation together with a
-total-preorder report for it.
+of these two types the module provides marginalization and the
+swap-dominance relation.
 """
 
 from __future__ import annotations
@@ -129,17 +128,6 @@ class Ranking:
     @property
     def alternatives(self) -> frozenset[str]:
         return frozenset(self.order)
-
-    def position(self, alt: str) -> int:
-        """1-based rank of ``alt`` (1 = most preferred)."""
-        try:
-            return self.order.index(alt) + 1
-        except ValueError:
-            raise KeyError(f"{alt!r} is not ranked") from None
-
-    def prefers(self, a: str, b: str) -> bool:
-        """True when ``a`` is ranked strictly above ``b``."""
-        return self.position(a) < self.position(b)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -299,16 +287,6 @@ class AnonymousProfile:
         """The alternatives in id order; rows and columns of the matrices."""
         return self._ids
 
-    def weight(self, ranking: Ranking) -> float:
-        """Weight of ``ranking``; 0.0 outside the support or the alternative set."""
-        if ranking.alternatives != self._alternatives:
-            return 0.0
-        rank = {alt: r for r, alt in enumerate(ranking.order)}
-        row = np.array([[rank[alt] for alt in self._ids]], dtype=self._positions.dtype)
-        keys, key = _row_keys(self._positions), _row_keys(row)[0]
-        k = int(np.searchsorted(keys, key))
-        return float(self._weights[k]) if k < len(keys) and keys[k] == key else 0.0
-
     def position_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """The support as read-only arrays ``(positions, weights)``.
 
@@ -368,17 +346,6 @@ class AnonymousProfile:
         return f"AnonymousProfile({{{parts}}})"
 
 
-def restrict_ranking(ranking: Ranking, subset: Iterable[str]) -> Ranking:
-    """Keep only the alternatives in ``subset``, preserving their order."""
-    subset = frozenset(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    missing = subset - ranking.alternatives
-    if missing:
-        raise ValueError(f"subset contains unranked alternatives: {sorted(missing)}")
-    return Ranking(tuple(alt for alt in ranking.order if alt in subset))
-
-
 def marginalize_profile(
     profile: AnonymousProfile, subset: Iterable[str]
 ) -> AnonymousProfile:
@@ -402,18 +369,6 @@ def marginalize_profile(
     return blank._build(tuple(sorted(subset)), orders, weights)
 
 
-def swap_ranking(ranking: Ranking, a: str, b: str) -> Ranking:
-    """Exchange the positions of ``a`` and ``b``; identity when ``a == b``."""
-    if a not in ranking.alternatives or b not in ranking.alternatives:
-        raise ValueError(f"both {a!r} and {b!r} must be ranked")
-    if a == b:
-        return ranking
-    swapped = tuple(
-        b if alt == a else a if alt == b else alt for alt in ranking.order
-    )
-    return Ranking(swapped)
-
-
 def swap_dominates(profile: AnonymousProfile, a: str, b: str) -> bool:
     """True when ``a`` swap-dominates ``b`` in ``profile``.
 
@@ -429,35 +384,3 @@ def swap_dominates(profile: AnonymousProfile, a: str, b: str) -> bool:
     ids = profile.ids
     return bool(profile.dominance_matrix()[ids.index(a), ids.index(b)])
 
-
-@dataclass(frozen=True)
-class PreorderReport:
-    """Outcome of checking swap dominance for totality and transitivity.
-
-    ``relation`` holds every ordered pair (a, b) with a swap-dominating b,
-    including the reflexive pairs (a, a), which hold vacuously.
-    """
-
-    is_total_preorder: bool
-    is_total: bool
-    is_transitive: bool
-    relation: frozenset[tuple[str, str]]
-
-
-def check_total_preorder(profile: AnonymousProfile) -> PreorderReport:
-    """Compute the swap-dominance relation and test it for total preorder."""
-    ids = profile.ids
-    if len(ids) < 2:
-        raise ValueError("need at least two alternatives")
-    dominance = profile.dominance_matrix()
-    is_total = bool(np.all(dominance | dominance.T))
-    steps = dominance.astype(np.int64)
-    is_transitive = not np.any((steps @ steps > 0) & ~dominance)
-    return PreorderReport(
-        is_total_preorder=is_total and is_transitive,
-        is_total=is_total,
-        is_transitive=is_transitive,
-        relation=frozenset(
-            (ids[i], ids[j]) for i, j in zip(*np.nonzero(dominance))
-        ),
-    )

@@ -14,6 +14,7 @@ import sys
 import time
 
 import numpy as np
+from oracles import gaussian_kl
 from scipy import stats
 
 from prefvote.experiments import (
@@ -29,7 +30,7 @@ from prefvote.learning import (
     fit_voter,
     objective_and_gradient,
 )
-from prefvote.pipeline import decide, gaussian_kl, summarize
+from prefvote.pipeline import decide, summarize
 from prefvote.processes import (
     EXACT_PROFILE_MAX_SIZE,
     ProcessSpec,

@@ -700,6 +700,20 @@ def test_summarize_on_non_string_voter_id_exits_2(workdir, capsys):
     assert "voter_id must be a nonempty string" in capsys.readouterr().err
 
 
+def test_summarize_on_repeated_voter_id_exits_2(workdir, capsys):
+    # This file used to summarize with exit code 0, as 2 voters.
+    models = workdir / "models.json"
+    models.write_text(json.dumps({
+        "format": "voter-models", "version": 1, "d": 2,
+        "voters": [{"voter_id": "v", "beta": ["1", "0"]}] * 2,
+    }))
+    code = main(["summarize", "--models", str(models),
+                 "--out", str(workdir / "summary.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate voter_id 'v'\n"
+    assert not (workdir / "summary.json").exists()
+
+
 def test_summarize_on_out_of_range_fit_block_exits_2(workdir, capsys):
     # The fit block's types were checked, its ranges not: this file used
     # to summarize with exit code 0.

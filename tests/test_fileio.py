@@ -458,7 +458,7 @@ def test_encode_mm_legality_signs():
     assert encode_mm_alternative({}, "passengers", "none")[21] == 0.0
 
 
-@pytest.mark.parametrize("count", [math.inf, math.nan, True, -1, 1.5, "2"])
+@pytest.mark.parametrize("count", [math.inf, math.nan, True, -1, 1.5, "2", 10**400])
 def test_encode_mm_refuses_counts_that_are_not_nonnegative_integers(count):
     with pytest.raises(ValueError, match="count for 'man' must be a nonnegative"):
         encode_mm_alternative({"man": count}, "passengers", "none")
@@ -596,6 +596,16 @@ def test_voter_models_missing_or_mistyped_fields(tmp_path, entry, message):
     payload = {"format": "voter-models", "version": 1, "d": 1, "voters": [entry]}
     open(path, "w").write(json.dumps(payload))
     with pytest.raises(ParseError, match=message):
+        load_voter_models(path)
+
+
+def test_voter_models_refuse_a_repeated_voter_id(tmp_path):
+    # Such a file used to load, and summarize counted the voter twice.
+    path = str(tmp_path / "models.json")
+    voters = [{"voter_id": v, "beta": ["1.0"]} for v in ("v", "w", "v")]
+    payload = {"format": "voter-models", "version": 1, "d": 1, "voters": voters}
+    open(path, "w").write(json.dumps(payload))
+    with pytest.raises(ParseError, match="duplicate voter_id 'v'"):
         load_voter_models(path)
 
 

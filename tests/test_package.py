@@ -16,6 +16,18 @@ def test_export_list_resolves_without_duplicates():
     assert set(names) <= set(namespace)
 
 
+def test_test_only_helpers_are_not_in_the_package():
+    # Their reference forms live in tests/oracles.py; a ranking's weight
+    # reads as profile.support.get(ranking, 0.0).
+    dropped = ("PreorderReport", "check_total_preorder", "restrict_ranking",
+               "swap_ranking", "gaussian_kl")
+    for module in (prefvote, prefvote.profiles, prefvote.pipeline):
+        assert [name for name in dropped if hasattr(module, name)] == []
+    assert not hasattr(prefvote.Ranking, "position")
+    assert not hasattr(prefvote.Ranking, "prefers")
+    assert not hasattr(prefvote.AnonymousProfile, "weight")
+
+
 def _run_probe(probe: str) -> str:
     source = os.path.dirname(os.path.dirname(prefvote.__file__))
     env = dict(os.environ)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import gaussian_kl
 
 from prefvote.pipeline import (
     SummaryModel,
     as_population,
     decide,
-    gaussian_kl,
     summarize,
 )
 from prefvote.processes import ProcessSpec, exact_profile

@@ -48,7 +48,7 @@ def scalar_alts(mus):
 
 def total_variation(p, q):
     keys = set(p.support) | set(q.support)
-    return 0.5 * sum(abs(p.weight(r) - q.weight(r)) for r in keys)
+    return 0.5 * sum(abs(p.support.get(r, 0.0) - q.support.get(r, 0.0)) for r in keys)
 
 
 def test_spec_validation():
@@ -167,22 +167,22 @@ def test_exact_profile_pl_golden():
     spec = ProcessSpec(family="pl", beta=(1.0,))
     profile = exact_profile(spec, scalar_alts([math.log(4), math.log(2), 0.0]))
     # sequential-choice closed form with weights 4:2:1
-    assert profile.weight(Ranking.from_string("a>b>c")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("a>b>c"), 0.0) == pytest.approx(
         8 / 21, abs=1e-12
     )
-    assert profile.weight(Ranking.from_string("a>c>b")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("a>c>b"), 0.0) == pytest.approx(
         4 / 21, abs=1e-12
     )
-    assert profile.weight(Ranking.from_string("b>a>c")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("b>a>c"), 0.0) == pytest.approx(
         8 / 35, abs=1e-12
     )
-    assert profile.weight(Ranking.from_string("b>c>a")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("b>c>a"), 0.0) == pytest.approx(
         2 / 35, abs=1e-12
     )
-    assert profile.weight(Ranking.from_string("c>a>b")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("c>a>b"), 0.0) == pytest.approx(
         2 / 21, abs=1e-12
     )
-    assert profile.weight(Ranking.from_string("c>b>a")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("c>b>a"), 0.0) == pytest.approx(
         1 / 21, abs=1e-12
     )
     assert math.fsum(profile.support.values()) == pytest.approx(1.0, abs=1e-12)
@@ -225,13 +225,13 @@ def test_exact_profile_pl_uniform():
     spec = ProcessSpec(family="pl", beta=(1.0,))
     profile = exact_profile(spec, scalar_alts([2.0, 2.0, 2.0]))
     for ranking in profile.support:
-        assert profile.weight(ranking) == pytest.approx(1 / 6, abs=1e-12)
+        assert profile.support.get(ranking, 0.0) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_exact_profile_pl_pair():
     spec = ProcessSpec(family="pl", beta=(1.0,))
     profile = exact_profile(spec, scalar_alts([math.log(2), 0.0]))
-    assert profile.weight(Ranking.from_string("a>b")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("a>b"), 0.0) == pytest.approx(
         2 / 3, abs=1e-12
     )
 
@@ -239,10 +239,10 @@ def test_exact_profile_pl_pair():
 def test_exact_profile_tm_pair():
     spec = ProcessSpec(family="tm", beta=(1.0,))
     profile = exact_profile(spec, scalar_alts([1.0, 0.0]))
-    assert profile.weight(Ranking.from_string("a>b")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("a>b"), 0.0) == pytest.approx(
         PHI_1, abs=1e-12
     )
-    assert profile.weight(Ranking.from_string("b>a")) == pytest.approx(
+    assert profile.support.get(Ranking.from_string("b>a"), 0.0) == pytest.approx(
         1 - PHI_1, abs=1e-12
     )
 
@@ -250,7 +250,7 @@ def test_exact_profile_tm_pair():
 def test_exact_profile_singleton_and_errors():
     tm = ProcessSpec(family="tm", beta=(1.0,))
     single = exact_profile(tm, scalar_alts([3.0]))
-    assert single.weight(Ranking(("a",))) == 1.0
+    assert single.support.get(Ranking(("a",)), 0.0) == 1.0
     with pytest.raises(ExactProfileUnsupported):
         exact_profile(tm, scalar_alts([1.0, 2.0, 3.0]))
     assert issubclass(ExactProfileUnsupported, ValueError)
@@ -286,7 +286,8 @@ def test_exact_pl_profile_holds_at_any_utility_spread(beta, m):
             profile = exact_profile(spec, scalar_alts(features))
         for perm, expected in log_space_pl_weights(beta * features).items():
             ranking = Ranking(tuple("abcd"[j] for j in perm))
-            assert profile.weight(ranking) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+            weight = profile.support.get(ranking, 0.0)
+            assert weight == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 def test_exact_pl_profile_stage_of_underflowed_weights():
@@ -294,13 +295,15 @@ def test_exact_pl_profile_stage_of_underflowed_weights():
     # c are 800 and 792 below it, so their weights both underflow to 0.
     profile = exact_profile(ProcessSpec("pl", (1.0,)), scalar_alts([800.0, 0.0, 8.0]))
     b_before_c = 1.0 / (1.0 + math.exp(8.0))
-    assert profile.weight(Ranking.from_string("a>b>c")) == pytest.approx(b_before_c)
-    assert profile.weight(Ranking.from_string("a>c>b")) == pytest.approx(1 - b_before_c)
+    weight = profile.support
+    assert weight[Ranking.from_string("a>b>c")] == pytest.approx(b_before_c)
+    assert weight[Ranking.from_string("a>c>b")] == pytest.approx(1 - b_before_c)
     # 739 and 740 below a, b and c weigh subnormal floats of a few hundred
     # units in the last place, too coarse for their ratio.
     profile = exact_profile(ProcessSpec("pl", (1.0,)), scalar_alts([800.0, 61.0, 60.0]))
     b_before_c = 1.0 / (1.0 + math.exp(-1.0))
-    assert profile.weight(Ranking.from_string("a>b>c")) == pytest.approx(b_before_c, rel=1e-12)
+    weight = profile.support[Ranking.from_string("a>b>c")]
+    assert weight == pytest.approx(b_before_c, rel=1e-12)
 
 
 HUGE_BETA = (1e300, 1e300)
@@ -406,7 +409,8 @@ def test_pl_consistency_under_marginalization():
         marginal = marginalize_profile(full, chosen)
         direct = exact_profile(spec, [a for a in alts if a.id in chosen])
         for ranking in set(marginal.support) | set(direct.support):
-            assert abs(marginal.weight(ranking) - direct.weight(ranking)) <= 1e-9
+            gap = marginal.support.get(ranking, 0.0) - direct.support.get(ranking, 0.0)
+            assert abs(gap) <= 1e-9
 
 
 def test_tm_pair_consistency_via_sampling():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import position, prefers
 
 from prefvote import processes, scc
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
@@ -70,7 +71,7 @@ def test_pairwise_matrix_equals_fsum_scan(bloc_profile, split_majority_profile):
         for i, j in itertools.permutations(range(len(profile.ids)), 2):
             a, b = profile.ids[i], profile.ids[j]
             scan = math.fsum(
-                w for r, w in profile.support.items() if r.prefers(a, b)
+                w for r, w in profile.support.items() if prefers(r, a, b)
             )
             assert matrix[i, j] == scan
 
@@ -88,7 +89,7 @@ def test_positional_and_bucklin_equal_fsum_scans(
         ]
         for alt in profile.ids:
             ranks = [
-                (r.position(alt) - 1, w) for r, w in profile.support.items()
+                (position(r, alt) - 1, w) for r, w in profile.support.items()
             ]
             assert scores[alt] == math.fsum(w * vector[k] for k, w in ranks)
             assert [table[alt] for table in masses] == [
@@ -109,7 +110,7 @@ def bucklin_oracle(profile):
     m = len(ids)
     mass = {
         (alt, k): math.fsum(
-            w for r, w in profile.support.items() if r.position(alt) <= k
+            w for r, w in profile.support.items() if position(r, alt) <= k
         )
         for alt in ids
         for k in range(1, m + 1)
@@ -144,15 +145,15 @@ def scan_oracle(kind, profile):
     items = profile.support.items()
 
     def support(a, b):
-        return math.fsum(w for r, w in items if r.prefers(a, b))
+        return math.fsum(w for r, w in items if prefers(r, a, b))
 
     if kind == "plurality":
         scores = {
-            a: math.fsum(w for r, w in items if r.position(a) == 1) for a in ids
+            a: math.fsum(w for r, w in items if position(r, a) == 1) for a in ids
         }
     elif kind == "borda":
         scores = {
-            a: math.fsum(w * float(m - r.position(a)) for r, w in items)
+            a: math.fsum(w * float(m - position(r, a)) for r, w in items)
             for a in ids
         }
     elif kind == "copeland":
