@@ -15,7 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,9 +37,14 @@ def _as_int(value: object, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _is_real(value: object) -> bool:
+    """True for a real number; booleans and strings are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_finite(value: object, name: str) -> float:
     """``value`` as a finite Python float; booleans and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError(f"{name} must be a finite real, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
@@ -53,6 +58,21 @@ def _as_count(value: object, name: str) -> int:
     if count < 1:
         raise ValueError(f"{name} must be at least 1")
     return count
+
+
+def _as_subset(ids: Iterable[str]) -> frozenset[str]:
+    """A nonempty collection of alternative ids as a frozenset.
+
+    A bare string is refused: iterating it would yield its characters.
+    """
+    if isinstance(ids, str):
+        raise ValueError(
+            f"subset must be a collection of alternative ids, got the string {ids!r}"
+        )
+    subset = frozenset(ids)
+    if not subset:
+        raise ValueError("subset must be nonempty")
+    return subset
 
 
 def _finite_array(values: object, name: str, ndim: int = 1) -> np.ndarray:
@@ -180,12 +200,17 @@ class AnonymousProfile:
     Weights are voter fractions.  The constructor checks that every
     ranking covers the same alternatives, that weights are finite and
     nonnegative, and that they sum to one within ``WEIGHT_SUM_TOL``; it
-    then renormalizes exactly and drops zero-weight rankings.  Only the
-    key-sorted arrays of :meth:`position_matrix` are stored.
+    then renormalizes exactly and drops zero-weight rankings.
+
+    A profile holds the key-sorted arrays of :meth:`position_matrix` and
+    one store of values derived from them on first use: the
+    :attr:`support` view, the dominance and pairwise matrices, each
+    rule's winners (and margin) from :mod:`prefvote.scc`, and the most
+    recent marginal from :func:`marginalize_profile`.  A profile cannot
+    change once built, so a stored value never goes stale.
     """
 
-    __slots__ = ("_alternatives", "_ids", "_positions", "_weights", "_support",
-                 "_dominance", "_pairwise")
+    __slots__ = ("_alternatives", "_ids", "_positions", "_weights", "_memo")
 
     def __init__(self, support: Mapping[Ranking, float]) -> None:
         rankings = list(support)
@@ -197,6 +222,11 @@ class AnonymousProfile:
                 raise ValueError(
                     f"ranking {ranking.to_string()!r} does not cover the "
                     f"alternative set {sorted(alts)}"
+                )
+        for ranking, weight in support.items():
+            if not _is_real(weight):
+                raise ValueError(
+                    f"weight on {ranking.to_string()!r} must be a real, got {weight!r}"
                 )
         ids = tuple(sorted(alts))
         index = {alt: j for j, alt in enumerate(ids)}
@@ -211,10 +241,16 @@ class AnonymousProfile:
         ``(K, m)`` integer array ``orders`` ranks them by column index,
         most preferred first, and weighs ``weights[k]``.  Equal rows are
         merged, their weights summed with ``math.fsum``; the weights are
-        checked and renormalized as in the constructor.
+        checked and renormalized as in the constructor; booleans and
+        strings are not weights.
         """
         ids, m = tuple(ids), len(ids)
-        orders, weights = np.asarray(orders), np.asarray(weights, dtype=float)
+        orders, weights = np.asarray(orders), np.asarray(weights)
+        if weights.dtype.kind not in "iuf":
+            bad = [w for w in weights.ravel().tolist() if not _is_real(w)]
+            if bad:
+                raise ValueError(f"weights must be reals, got {bad[0]!r}")
+        weights = weights.astype(float, copy=False)
         if (
             not ids or not all(ids) or list(ids) != sorted(set(ids))
             or orders.dtype.kind not in "iu" or orders.shape[1:] != (m,)
@@ -263,20 +299,28 @@ class AnonymousProfile:
         self._ids = ids
         self._positions = _frozen(positions)
         self._weights = _frozen(weights)
-        self._support = self._dominance = self._pairwise = None
+        self._memo = {}
         return self
+
+    def _cached(self, key: Hashable, compute: Callable[[], object]):
+        """The value stored under ``key``, from ``compute()`` on first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     @property
     def support(self) -> Mapping[Ranking, float]:
         """Read-only view of the positive-weight rankings, in key order."""
-        if self._support is None:
-            ids = self._ids
-            orders = np.argsort(self._positions, axis=1).tolist()
-            self._support = MappingProxyType({
-                Ranking(tuple(ids[j] for j in order)): weight
-                for order, weight in zip(orders, self._weights.tolist())
-            })
-        return self._support
+        return self._cached("support", self._support_view)
+
+    def _support_view(self) -> Mapping[Ranking, float]:
+        ids = self._ids
+        orders = np.argsort(self._positions, axis=1).tolist()
+        return MappingProxyType({
+            Ranking(tuple(ids[j] for j in order)): weight
+            for order, weight in zip(orders, self._weights.tolist())
+        })
 
     @property
     def alternatives(self) -> frozenset[str]:
@@ -304,10 +348,10 @@ class AnonymousProfile:
         (see :func:`swap_dominates`); the diagonal holds vacuously.  It is
         computed once per profile object.
         """
-        if self._dominance is None:
-            relation = _dominance_relation(self._positions, self._weights)
-            self._dominance = _frozen(relation)
-        return self._dominance
+        return self._cached(
+            "dominance",
+            lambda: _frozen(_dominance_relation(self._positions, self._weights)),
+        )
 
     def pairwise_matrix(self) -> np.ndarray:
         """Pairwise supports as a read-only ``(m, m)`` float matrix.
@@ -317,15 +361,16 @@ class AnonymousProfile:
         is exactly rounded whatever the order of the support; the
         diagonal is zero.  It is computed once per profile object.
         """
-        if self._pairwise is None:
-            positions, weights = self._positions, self._weights
-            m = len(self._ids)
-            support = np.zeros((m, m))
-            for i, j in itertools.permutations(range(m), 2):
-                above = positions[:, i] < positions[:, j]
-                support[i, j] = math.fsum(weights[above].tolist())
-            self._pairwise = _frozen(support)
-        return self._pairwise
+        return self._cached("pairwise", self._pairwise_supports)
+
+    def _pairwise_supports(self) -> np.ndarray:
+        positions, weights = self._positions, self._weights
+        m = len(self._ids)
+        support = np.zeros((m, m))
+        for i, j in itertools.permutations(range(m), 2):
+            above = positions[:, i] < positions[:, j]
+            support[i, j] = math.fsum(weights[above].tolist())
+        return _frozen(support)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnonymousProfile):
@@ -354,19 +399,24 @@ def marginalize_profile(
     The weight of a restricted ranking is the ``math.fsum`` total of all
     full rankings that restrict to it, so marginalizing to the full set is
     the identity and marginalizing in stages equals marginalizing directly.
+    ``subset`` is a collection of ids, not a string.  The profile keeps
+    its most recent marginal, so asking for the same subset again returns
+    the same object.
     """
-    subset = frozenset(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
+    subset = _as_subset(subset)
     if not subset <= profile.alternatives:
         extra = sorted(subset - profile.alternatives)
         raise ValueError(f"subset is not contained in the profile: {extra}")
-    columns = [j for j, alt in enumerate(profile.ids) if alt in subset]
-    positions, weights = profile.position_matrix()
-    orders = np.argsort(positions[:, columns], axis=1)
-    # Rows from argsort are valid orders, so from_orders' checks are skipped.
-    blank = AnonymousProfile.__new__(AnonymousProfile)
-    return blank._build(tuple(sorted(subset)), orders, weights)
+    last = profile._cached("marginal", dict)  # at most one {subset: marginal}
+    if subset not in last:
+        columns = [j for j, alt in enumerate(profile.ids) if alt in subset]
+        positions, weights = profile.position_matrix()
+        orders = np.argsort(positions[:, columns], axis=1)
+        # Rows from argsort are valid orders, so from_orders' checks are skipped.
+        blank = AnonymousProfile.__new__(AnonymousProfile)
+        last.clear()
+        last[subset] = blank._build(tuple(sorted(subset)), orders, weights)
+    return last[subset]
 
 
 def swap_dominates(profile: AnonymousProfile, a: str, b: str) -> bool:

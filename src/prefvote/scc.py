@@ -9,6 +9,12 @@ positional scorer over the profile's position matrix.
 The checkers audit a rule against swap dominance: swap-dominance
 efficiency and its strong form (one scan of the dominance matrix), and
 stability of winners under restriction to a subset of alternatives.
+
+Every rule application goes through one scorer, whose winners (and
+margin, when asked for) a profile keeps under the rule's name.  Auditing
+one profile against every rule and check therefore scores each rule
+once, and a stability check reuses the profile's most recent marginal.
+A profile cannot change once built, so neither can go stale.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import processes
-from .profiles import Alternative, AnonymousProfile, _finite_array, marginalize_profile
+from .profiles import (
+    Alternative,
+    AnonymousProfile,
+    _as_subset,
+    _finite_array,
+    marginalize_profile,
+)
 from .processes import ProcessSpec
 
 PLURALITY = "plurality"
@@ -98,6 +110,18 @@ def _outcome(
 ) -> tuple[frozenset[str], float | None]:
     """Winner set of the named rule and, if ``margin`` is set, its margin.
 
+    The profile keeps the result, so each (rule, margin) pair is scored
+    once per profile object.
+    """
+    _require_rule(kind)
+    return profile._cached((kind, margin), lambda: _score(kind, profile, margin))
+
+
+def _score(
+    kind: str, profile: AnonymousProfile, margin: bool
+) -> tuple[frozenset[str], float | None]:
+    """:func:`_outcome` computed afresh.
+
     Each rule scores the profile once; Bucklin stops at the pivotal k
     unless the margin is wanted.  The margin is None unless wanted, 1.0
     with a single alternative, and otherwise:
@@ -107,7 +131,6 @@ def _outcome(
     - Copeland: twice the smallest distance of a pairwise support from 1/2;
     - Bucklin: twice the smallest distance of a top-k weight from 1/2, k < m.
     """
-    _require_rule(kind)
     ids = profile.ids
     m = len(ids)
     if m == 1:
@@ -269,16 +292,15 @@ def check_stability(
     Builds the ranking profile over the full alternative set and over the
     subset (exactly, or by sampling ``n_samples`` rankings per profile for
     ``mode="mc"``), applies the rule to both, and compares.  The
-    alternative set is checked before the subset.
+    alternative set is checked before the subset, a collection of ids
+    (not a string).
     """
     _require_rule(kind)
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     alts, _ = processes._scored_alternatives(alternatives, spec.beta)
     by_id = {alt.id: alt for alt in alts}
-    sub_ids = sorted(set(subset_ids))
-    if not sub_ids:
-        raise ValueError("subset must be nonempty")
+    sub_ids = sorted(_as_subset(subset_ids))
     missing = [i for i in sub_ids if i not in by_id]
     if missing:
         raise ValueError(f"subset ids not in the alternative set: {missing}")
@@ -297,10 +319,12 @@ def check_stability(
 def check_profile_stability(
     kind: str, profile: AnonymousProfile, subset_ids: Iterable[str]
 ) -> StabilityReport:
-    """Stability check on a fixed profile, via marginalization."""
+    """Stability check on a fixed profile, via marginalization.
+
+    ``subset_ids`` is a collection of ids, not a string.
+    """
     _require_rule(kind)
-    sub_ids = sorted(set(subset_ids))
-    sub_profile = marginalize_profile(profile, sub_ids)
+    sub_profile = marginalize_profile(profile, subset_ids)
     return _stability_from_profiles(kind, profile, sub_profile)
 
 

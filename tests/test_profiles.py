@@ -396,3 +396,47 @@ def test_marginals_match_restrict_and_sum():
         assert set(marginal.support) == set(expected)
         for ranking, weight in expected.items():
             assert abs(marginal.support[ranking] - weight) <= 1e-15
+
+
+def test_marginalize_refuses_a_string_subset():
+    # A string is an iterable of its characters: "cd" used to marginalize
+    # onto {"c", "d"}, and "ab" over ids ab, c, d failed as ['a', 'b'].
+    profile = AnonymousProfile(
+        {Ranking(("ab", "c", "d")): 0.5, Ranking(("d", "c", "ab")): 0.5}
+    )
+    for subset in ("cd", "ab", ""):
+        with pytest.raises(ValueError, match="collection of alternative ids"):
+            marginalize_profile(profile, subset)
+    assert marginalize_profile(profile, ["ab"]).ids == ("ab",)
+    with pytest.raises(ValueError, match="nonempty"):
+        marginalize_profile(profile, [])
+
+
+def test_profile_refuses_weights_that_are_not_reals():
+    a_b = Ranking(("a", "b"))
+    for bad in ("1", True, b"1", np.bool_(True), None, 1 + 0j):
+        with pytest.raises(ValueError, match=r"weight on 'a>b' must be a real"):
+            AnonymousProfile({a_b: bad})
+    for bad in (
+        ["1"], [True], np.array([True]), [b"1"], [1 + 0j], np.array(["1"], dtype=object)
+    ):
+        with pytest.raises(ValueError, match="weights must be reals"):
+            AnonymousProfile.from_orders(("a", "b"), [[0, 1]], bad)
+    # Integer, numpy and object arrays of reals still pass.
+    expected = AnonymousProfile({a_b: 1.0})
+    for good in (
+        [1], np.array([1], dtype=np.int8), [np.float32(1)], np.array([1.0], dtype=object)
+    ):
+        assert AnonymousProfile.from_orders(("a", "b"), [[0, 1]], good) == expected
+    assert AnonymousProfile({a_b: np.float64(1.0)}) == AnonymousProfile({a_b: 1})
+
+
+def test_profile_keeps_only_its_most_recent_marginal(bloc_profile):
+    first = marginalize_profile(bloc_profile, {"w", "x", "y"})
+    assert marginalize_profile(bloc_profile, ["y", "x", "w"]) is first
+    second = marginalize_profile(bloc_profile, {"u", "v"})
+    assert second is not first and second.ids == ("u", "v")
+    assert bloc_profile._memo["marginal"] == {frozenset({"u", "v"}): second}
+    again = marginalize_profile(bloc_profile, {"w", "x", "y"})
+    assert again is not first and again == first
+    assert list(bloc_profile._memo["marginal"].values()) == [again]

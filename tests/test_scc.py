@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from oracles import position, prefers
 
 from prefvote import processes, scc
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
-from prefvote.profiles import Alternative, AnonymousProfile, Ranking
+from prefvote.profiles import Alternative, AnonymousProfile, Ranking, marginalize_profile
 from prefvote.scc import (
     SCC_KINDS,
     SCORE_TIE_TOL,
@@ -559,3 +560,108 @@ def test_mc_stability_scores_each_profile_once(monkeypatch, kind, matrix):
     alts = [Alternative(i, (f,)) for i, f in zip("abcd", (1.0, 0.5, 0.0, -0.5))]
     check_stability(spec, kind, alts, ["a", "b"], mode="mc", n_samples=500)
     assert calls == [4, 2]
+
+
+def test_stability_refuses_a_string_subset():
+    # "ab" used to be read as the ids "a" and "b".
+    profile = AnonymousProfile(
+        {Ranking(("ab", "c", "d")): 0.6, Ranking(("d", "c", "ab")): 0.4}
+    )
+    with pytest.raises(ValueError, match="collection of alternative ids"):
+        check_profile_stability("borda", profile, "ab")
+    assert check_profile_stability("borda", profile, ["ab"]).winners_subset == {"ab"}
+    spec = ProcessSpec(family="pl", beta=(1.0,))
+    alts = [Alternative("ab", (1.0,)), Alternative("c", (0.0,)), Alternative("d", (-1.0,))]
+    with pytest.raises(ValueError, match="collection of alternative ids"):
+        check_stability(spec, "borda", alts, "ab")
+    with pytest.raises(ValueError, match="collection of alternative ids"):
+        check_stability(spec, "borda", alts, "cd", mode="mc", n_samples=100)
+
+
+def cache_contract_cases():
+    """(ids, orders, weights, subsets): seeded sparse profiles and one exact
+    PL profile at m=5, as the arrays a fresh equal profile is built from."""
+    rng = np.random.default_rng(2201)
+    for _ in range(12):
+        m = int(rng.integers(3, 7))
+        ids = tuple("abcdef"[:m])
+        size = int(rng.integers(1, 9))
+        orders = np.array([rng.permutation(m) for _ in range(size)])
+        weights = rng.dirichlet(np.ones(size))
+        subsets = [
+            sorted(rng.choice(ids, size=int(rng.integers(1, m)), replace=False).tolist())
+            for _ in range(2)
+        ]
+        yield ids, orders, weights, subsets
+    alts = [Alternative(i, (f,)) for i, f in zip("abcde", (1.0, 0.6, 0.1, -0.4, -1.0))]
+    exact = exact_profile(ProcessSpec(family="pl", beta=(1.3,)), alts)
+    positions, weights = exact.position_matrix()
+    yield exact.ids, np.argsort(positions, axis=1), weights, [["a", "c", "e"], ["b", "d"]]
+
+
+def audit_calls(subsets):
+    """Every rule through every check, each stability check on each subset."""
+    calls = []
+    for kind in SCC_KINDS:
+        calls += [
+            (apply_scc, kind), (check_swd_efficiency, kind), (check_strong_swd_efficiency, kind)
+        ]
+        calls += [(check_profile_stability, kind, subset) for subset in subsets]
+    return calls
+
+
+def test_audits_on_one_profile_equal_audits_on_fresh_profiles():
+    rng = np.random.default_rng(7)
+    for ids, orders, weights, subsets in cache_contract_cases():
+        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        calls = audit_calls(subsets)
+        for k in rng.permutation(len(calls)).tolist():
+            check, *args = calls[k]
+            fresh = AnonymousProfile.from_orders(ids, orders, weights)
+            assert fresh == profile
+            expected = check(args[0], fresh, *args[1:])
+            assert check(args[0], profile, *args[1:]) == expected, (ids, calls[k])
+
+
+def test_each_rule_is_scored_once_per_profile_and_margin(monkeypatch):
+    runs = collections.Counter()
+    score = scc._score
+
+    def counted(kind, profile, margin):
+        runs[id(profile), kind, margin] += 1
+        return score(kind, profile, margin)
+
+    monkeypatch.setattr(scc, "_score", counted)
+    for ids, orders, weights, subsets in cache_contract_cases():
+        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        marginal = marginalize_profile(profile, subsets[0])
+        runs.clear()
+        for _ in range(2):
+            for check, *args in audit_calls(subsets[:1]):
+                check(args[0], profile, *args[1:])
+            for kind in SCC_KINDS:
+                assert _outcome(kind, profile, True)[0] == apply_scc(kind, profile)
+        assert marginalize_profile(profile, subsets[0]) is marginal
+        expected = {
+            (id(profile), kind, margin): 1 for kind in SCC_KINDS for margin in (False, True)
+        }
+        expected.update({(id(marginal), kind, False): 1 for kind in SCC_KINDS})
+        assert runs == expected
+
+
+def test_stability_on_a_second_subset_replaces_the_marginal():
+    for ids, orders, weights, (first, second) in cache_contract_cases():
+        if first == second:
+            continue
+        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        for kind in SCC_KINDS:
+            check_profile_stability(kind, profile, first)
+            report = check_profile_stability(kind, profile, second)
+            fresh = AnonymousProfile.from_orders(ids, orders, weights)
+            assert report == check_profile_stability(kind, fresh, second), (ids, kind)
+        # The memory bound: one marginal, the last, and one outcome per rule.
+        kept = profile._memo
+        assert list(kept["marginal"]) == [frozenset(second)]
+        assert set(kept) - {"support", "dominance", "pairwise"} == {
+            "marginal", *((kind, False) for kind in SCC_KINDS)
+        }
