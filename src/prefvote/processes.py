@@ -19,14 +19,20 @@ scores them through ``_scored_alternatives``; see its contract there.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .profiles import Alternative, AnonymousProfile, _as_count, _finite_array
+from .profiles import (
+    Alternative,
+    AnonymousProfile,
+    _as_count,
+    _finite_array,
+    _from_positions,
+    _row_keys,
+)
 
 TM = "tm"
 PL = "pl"
@@ -195,14 +201,29 @@ def _draw_utilities(
     return noise
 
 
-def _draw_orders(
-    family: str, mu: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample ``n`` rankings as index rows into the columns of ``mu``."""
-    utilities = _draw_utilities(family, mu, n, rng)
-    # Stable sort: exact utility ties resolve toward the smaller column,
-    # which is the smaller id when columns are in id order.
-    return np.argsort(-utilities, axis=1, kind="stable")
+def _ranking_positions(utilities: np.ndarray) -> np.ndarray:
+    """Each row's ranking by decreasing utility as a row of positions.
+
+    Entry ``[r, j]`` of the ``(n, m)`` result, unsigned integers of the
+    profile's position width, is the 0-based place of column j in row r:
+    the number of columns ranked above it.  Each of the m(m-1)/2 column
+    pairs is compared once, with the tie rule of :func:`_draw_utilities`,
+    so the result equals the inverse of a stable argsort of ``-u`` row by
+    row, without sorting any row.  Utilities must not be NaN.
+    """
+    n, m = utilities.shape
+    columns = list(np.ascontiguousarray(utilities.T))
+    # Column j starts at m - 1 - j, as if every later column beat it; each
+    # pair j < k that j wins then moves j up one place and k down one.
+    positions = np.empty((m, n), dtype=np.min_scalar_type(m - 1))
+    positions[:] = np.arange(m - 1, -1, -1)[:, None]
+    above = np.empty(n, dtype=np.uint8)  # 0 or 1, written as booleans
+    for j in range(m - 1):
+        for k in range(j + 1, m):
+            np.greater_equal(columns[j], columns[k], out=above.view(bool))
+            positions[j] -= above
+            positions[k] += above
+    return np.ascontiguousarray(positions.T)
 
 
 def _borda_scores(utilities: np.ndarray) -> np.ndarray:
@@ -223,6 +244,23 @@ def _borda_scores(utilities: np.ndarray) -> np.ndarray:
     return np.array(scores)
 
 
+def _permutation_rows(m: int) -> np.ndarray:
+    """All m! permutations of ``range(m)`` as ``uint8`` rows in lexicographic order.
+
+    Lexicographic order of position rows is their key order.  The rows
+    starting with v are v followed by the permutations of the other
+    values, each built from the rows for m - 1 by shifting up every
+    entry at or above v.
+    """
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k, dtype=np.uint8), len(rows))
+        rest = np.tile(rows, (k, 1))
+        rest += rest >= first[:, None]
+        rows = np.column_stack((first, rest))
+    return rows
+
+
 def exact_profile(
     spec: ProcessSpec, alternatives: Iterable[Alternative]
 ) -> AnonymousProfile:
@@ -233,6 +271,11 @@ def exact_profile(
     pairs (no closed form exists for larger Thurstone sets;
     estimate_profile covers those).  A lone alternative of either family
     is ranked first with weight 1.
+
+    The m! position rows are enumerated in key order as one array, and
+    each row's weight is computed from its order, so the profile is built
+    without merging or reordering; rows whose weight underflows to zero
+    are dropped.
     """
     alts, mu = _scored_alternatives(alternatives, spec.beta)
     m = len(alts)
@@ -249,21 +292,25 @@ def exact_profile(
                 f"beyond pairs (got {m} alternatives); use estimate_profile"
             )
         p = pairwise_prob(spec, alts[0], alts[1])
-        return AnonymousProfile.from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
+        positions = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        return _from_positions(ids, positions, np.array([p, 1.0 - p]))
+    positions = _permutation_rows(m)
+    # Row k's order, the column at each stage, inverts its positions.
+    orders = np.empty_like(positions)
+    np.put_along_axis(orders, positions, np.arange(m, dtype=np.uint8), axis=1)
     # Stage s of a row picks its column s with chance w[s] / sum(w[s:]);
     # the last stage's chance is 1 and is left out.  Where the weights
     # left have all underflowed, below the smallest normal float, that
     # chance comes from a log-sum-exp over the utilities left instead.
-    perms = np.array(list(itertools.permutations(range(m))))
-    w = np.exp(mu - mu.max())[perms]
+    w = np.exp(mu - mu.max())[orders]
     left = np.cumsum(w[:, ::-1], axis=1)[:, :0:-1]
     chances = w[:, :-1] / np.maximum(left, _TINY)
     rows, stages = np.nonzero(left < _TINY)
     if len(rows):
-        tail = np.where(np.arange(m) >= stages[:, None], mu[perms[rows]], -np.inf)
+        tail = np.where(np.arange(m) >= stages[:, None], mu[orders[rows]], -np.inf)
         tail = np.exp(tail - tail.max(axis=1, keepdims=True))
         chances[rows, stages] = tail[np.arange(len(rows)), stages] / tail.sum(axis=1)
-    return AnonymousProfile.from_orders(ids, perms, np.prod(chances, axis=1))
+    return _from_positions(ids, positions, np.prod(chances, axis=1))
 
 
 def estimate_profile(
@@ -272,17 +319,24 @@ def estimate_profile(
     n_samples: int,
     rng: np.random.Generator,
 ) -> AnonymousProfile:
-    """Monte-Carlo ranking distribution from ``n_samples`` draws."""
+    """Monte-Carlo ranking distribution from ``n_samples`` draws.
+
+    Each draw's position row comes straight from comparing its noisy
+    utilities column pair by column pair (see :func:`_ranking_positions`);
+    equal rows are then counted by sorting their keys, one ``uint64`` per
+    row up to 8 alternatives, so no row itself is sorted.  A ranking's
+    weight is its count over ``n_samples``.  A lone alternative draws
+    nothing.
+    """
     n_samples = _as_count(n_samples, "n_samples")
     alts, mu = _scored_alternatives(alternatives, spec.beta)
-    m = len(alts)
     ids = [alt.id for alt in alts]
-    if m == 1:
-        return AnonymousProfile.from_orders(ids, [[0]], [1.0])
-    orders = _draw_orders(spec.family, mu, n_samples, rng)
-    # Count equal rows by sorting them; small integer columns sort by radix.
-    rows = orders.astype(np.min_scalar_type(m - 1))
-    rows = rows[np.lexsort(rows.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    if len(alts) == 1:
+        return _from_positions(ids, np.zeros((1, 1), dtype=np.uint8), np.ones(1))
+    positions = _ranking_positions(_draw_utilities(spec.family, mu, n_samples, rng))
+    keys = _row_keys(positions)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[starts, n_samples])
-    return AnonymousProfile.from_orders(ids, rows[starts], counts / n_samples)
+    return _from_positions(ids, positions[by_key[starts]], counts / n_samples)

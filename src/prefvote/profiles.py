@@ -159,8 +159,22 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row of a C-contiguous 2-D array."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    """One key per row of a C-contiguous 2-D array; keys order rows as their bytes do.
+
+    A row of at most 8 bytes, which covers every position row of at most
+    8 alternatives, is keyed by one native ``uint64``: its bytes read as a
+    big-endian number, zero-filled at the low end.  Integers sort and
+    search much faster than byte strings.  A wider row is keyed by its
+    bytes viewed as one opaque byte string.
+    """
+    width = rows.itemsize * rows.shape[1]
+    if width > 8:
+        return rows.view(np.dtype((np.void, width)))[:, 0]
+    # Reversed into the high end of a little-endian word, a row's first
+    # byte is the key's most significant.
+    padded = np.zeros((len(rows), 8), dtype=np.uint8)
+    padded[:, 8 - width:] = rows.view(np.uint8)[:, ::-1]
+    return padded.view("<u8")[:, 0]
 
 
 def _dominance_relation(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -171,26 +185,30 @@ def _dominance_relation(positions: np.ndarray, weights: np.ndarray) -> np.ndarra
     and j exchanged; an image outside the support weighs zero.  Rankings
     outside the support that rank i above j need no check: they weigh
     zero, and their images are support rows checked here.  Each pass of
-    the loop looks up the images for one i and every j > i at once.
+    the loop looks up the images of every row for a block of pairs i < j:
+    all pairs at once for a small profile, and about 2**15 images per
+    pass for a large one, which bounds the temporaries.
     """
     n_rows, m = positions.shape
     keys = _row_keys(positions)
+    pair_i, pair_j = np.triu_indices(m, 1)
+    # Row p of swaps permutes the columns so that pair p's i and j trade places.
+    swaps = np.tile(np.arange(m), (len(pair_i), 1))
+    swaps[np.arange(len(pair_i)), pair_i] = pair_j
+    swaps[np.arange(len(pair_i)), pair_j] = pair_i
     relation = np.eye(m, dtype=bool)
-    for i in range(m - 1):
-        js = np.arange(i + 1, m)
-        cols = np.arange(len(js))
-        images = np.repeat(positions[:, None, :], len(js), axis=1)
-        images[:, cols, i] = positions[:, js]
-        images[:, cols, js] = positions[:, i, None]
-        image_keys = _row_keys(images.reshape(-1, m))
+    step = max(1, 2**15 // n_rows)
+    for lo in range(0, len(pair_i), step):
+        i, j = pair_i[lo:lo + step], pair_j[lo:lo + step]
+        image_keys = _row_keys(positions[:, swaps[lo:lo + step]].reshape(-1, m))
         found = np.minimum(np.searchsorted(keys, image_keys), n_rows - 1)
         image_weights = np.where(
             keys[found] == image_keys, weights[found], 0.0
-        ).reshape(n_rows, len(js))
+        ).reshape(n_rows, len(i))
         holds = image_weights >= weights[:, None]
-        j_above_i = positions[:, js] < positions[:, i, None]
-        relation[i, js] = np.all(holds | ~j_above_i, axis=0)
-        relation[js, i] = np.all(holds | j_above_i, axis=0)
+        j_above_i = positions[:, j] < positions[:, i]
+        relation[i, j] = np.all(holds | ~j_above_i, axis=0)
+        relation[j, i] = np.all(holds | j_above_i, axis=0)
     return relation
 
 
@@ -231,7 +249,8 @@ class AnonymousProfile:
         ids = tuple(sorted(alts))
         index = {alt: j for j, alt in enumerate(ids)}
         orders = np.array([[index[alt] for alt in r.order] for r in rankings])
-        self._build(ids, orders, np.array([float(w) for w in support.values()]))
+        weights = np.array([float(w) for w in support.values()])
+        self._build(ids, np.argsort(orders, axis=1), weights)
 
     @classmethod
     def from_orders(cls, ids: Sequence[str], orders, weights) -> "AnonymousProfile":
@@ -263,10 +282,19 @@ class AnonymousProfile:
         if np.count_nonzero(misplaced):
             row = orders[misplaced.any(axis=1).argmax()].tolist()
             raise ValueError(f"order row {row} does not rank each of {list(ids)} once")
-        return cls.__new__(cls)._build(ids, orders, weights)
+        # The inverse of each order row holds every column's position.
+        return cls.__new__(cls)._build(ids, np.argsort(orders, axis=1), weights)
 
-    def _build(self, ids: tuple[str, ...], orders, weights) -> "AnonymousProfile":
-        """Check and renormalize the weights; store the key-sorted arrays."""
+    def _build(
+        self, ids: tuple[str, ...], positions: np.ndarray, weights: np.ndarray
+    ) -> "AnonymousProfile":
+        """Check and renormalize the weights; store the key-sorted arrays.
+
+        Row k of the ``(K, m)`` integer array ``positions`` holds the
+        0-based rank of every column (alternatives in ``ids`` order) in
+        a ranking of weight ``weights[k]``; the rows must be permutations
+        of ``range(m)``.  Equal rows are merged.
+        """
         values = weights.tolist()
         total = math.fsum(values)
         if not (min(values) > 0 and math.isfinite(total)):
@@ -274,13 +302,15 @@ class AnonymousProfile:
             for k, weight in enumerate(values):
                 if not 0.0 <= weight < math.inf:
                     kind = "negative" if weight < 0 else "non-finite"
-                    ranking = ">".join(ids[j] for j in orders[k].tolist())
+                    order = np.argsort(positions[k]).tolist()
+                    ranking = ">".join(ids[j] for j in order)
                     raise ValueError(f"{kind} weight {weight} on {ranking!r}")
-            orders, weights = orders[weights > 0], weights[weights > 0]
+            positions, weights = positions[weights > 0], weights[weights > 0]
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"profile weights sum to {total}, expected 1")
-        # The inverse of each order row holds every column's position.
-        positions = np.argsort(orders, axis=1).astype(np.min_scalar_type(len(ids) - 1))
+        positions = np.ascontiguousarray(
+            positions, dtype=np.min_scalar_type(len(ids) - 1)
+        )
         keys = _row_keys(positions)
         by_key = np.argsort(keys, kind="stable")
         positions, weights, keys = positions[by_key], weights[by_key], keys[by_key]
@@ -337,7 +367,10 @@ class AnonymousProfile:
         Row k of the ``(K, m)`` position matrix holds the 0-based rank of
         every alternative (columns in ``ids`` order) in one support
         ranking, whose weight is ``weights[k]``.  Rows are in key order: by
-        their bytes, which order rows totally for any m.
+        their bytes, which order rows totally for any m.  The positions
+        are unsigned integers of the smallest width that holds m - 1
+        (``uint8`` up to 256 alternatives), so a row of at most 8
+        alternatives fits one ``uint64`` key.
         """
         return self._positions, self._weights
 
@@ -391,6 +424,14 @@ class AnonymousProfile:
         return f"AnonymousProfile({{{parts}}})"
 
 
+def _from_positions(
+    ids: Sequence[str], positions: np.ndarray, weights: np.ndarray
+) -> AnonymousProfile:
+    """A profile from valid position rows, past ``from_orders``' checks."""
+    blank = AnonymousProfile.__new__(AnonymousProfile)
+    return blank._build(tuple(ids), positions, weights)
+
+
 def marginalize_profile(
     profile: AnonymousProfile, subset: Iterable[str]
 ) -> AnonymousProfile:
@@ -411,11 +452,11 @@ def marginalize_profile(
     if subset not in last:
         columns = [j for j, alt in enumerate(profile.ids) if alt in subset]
         positions, weights = profile.position_matrix()
-        orders = np.argsort(positions[:, columns], axis=1)
-        # Rows from argsort are valid orders, so from_orders' checks are skipped.
-        blank = AnonymousProfile.__new__(AnonymousProfile)
+        # A column's position among the kept ones is its rank in the row.
+        # Ranks are valid position rows, so from_orders' checks are skipped.
+        ranks = np.argsort(np.argsort(positions[:, columns], axis=1), axis=1)
         last.clear()
-        last[subset] = blank._build(tuple(sorted(subset)), orders, weights)
+        last[subset] = _from_positions(sorted(subset), ranks, weights)
     return last[subset]
 
 

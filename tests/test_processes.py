@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import permutations_exact_profile, sorted_estimate_profile
 from scipy import special
 
 from prefvote.processes import (
@@ -17,8 +18,8 @@ from prefvote.processes import (
     normal_cdf,
     pairwise_prob,
     _borda_scores,
-    _draw_orders,
     _draw_utilities,
+    _ranking_positions,
     _scored_alternatives,
 )
 from prefvote.experiments import ground_truth_winner
@@ -488,6 +489,10 @@ def reference_exact_weights(spec, alternatives, gumbel_scale=1.0):
     )
 
 
+def _stable_orders(utilities):
+    return np.argsort(-utilities, axis=1, kind="stable")
+
+
 def reference_estimate_weights(spec, alternatives, n_samples, rng, branch):
     """Copy of the previous estimate_profile's two counting branches."""
     alts = sorted(alternatives, key=lambda a: a.id)
@@ -496,7 +501,7 @@ def reference_estimate_weights(spec, alternatives, n_samples, rng, branch):
     if m == 1:
         return {Ranking((ids[0],)): 1.0}
     _, mu = _scored_alternatives(alts, spec.beta)
-    orders = _draw_orders(spec.family, mu, n_samples, rng)
+    orders = _stable_orders(_draw_utilities(spec.family, mu, n_samples, rng))
     items = []
     if branch == "codes":
         powers = (m ** np.arange(m, dtype=np.int64))[::-1]
@@ -565,23 +570,22 @@ def reference_borda_counts(orders):
     return scores
 
 
-def _stable_orders(utilities):
-    return np.argsort(-utilities, axis=1, kind="stable")
+def _tie_heavy_utilities(rng, n, m):
+    """Continuous draws, small integers (many exact ties) and a mix of
+    signed zeros and infinities, which a stable sort treats as ties too."""
+    tie_values = np.array([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf])
+    return (
+        rng.standard_normal((n, m)),
+        rng.integers(-2, 3, size=(n, m)).astype(float),
+        tie_values[rng.integers(0, len(tie_values), size=(n, m))],
+    )
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_borda_scores_equal_sorted_order_counts(m):
     rng = np.random.default_rng(300 + m)
-    # Continuous draws, small integers (many exact ties) and a mix of
-    # signed zeros and infinities, which a stable sort treats as ties too.
-    tie_values = np.array([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf])
     for n in (1, 7, 1000):
-        samples = (
-            rng.standard_normal((n, m)),
-            rng.integers(-2, 3, size=(n, m)).astype(float),
-            tie_values[rng.integers(0, len(tie_values), size=(n, m))],
-        )
-        for utilities in samples:
+        for utilities in _tie_heavy_utilities(rng, n, m):
             expected = reference_borda_counts(_stable_orders(utilities))
             assert np.array_equal(_borda_scores(utilities), expected)
 
@@ -592,10 +596,54 @@ def test_borda_scores_break_exact_ties_toward_the_smaller_column():
     assert _borda_scores(np.array([[1.0, 2.0, 2.0]])).tolist() == [0, 2, 1]
 
 
+@pytest.mark.parametrize("m", range(2, 11))
+def test_ranking_positions_invert_a_stable_sort(m):
+    rng = np.random.default_rng(400 + m)
+    for n in (1, 7, 1000):
+        for utilities in _tie_heavy_utilities(rng, n, m):
+            expected = np.argsort(_stable_orders(utilities), axis=1)
+            positions = _ranking_positions(utilities)
+            assert positions.dtype == np.uint8 and positions.flags.c_contiguous
+            assert np.array_equal(positions, expected)
+
+
+def _assert_same_arrays(profile, reference):
+    """Equal position bytes, dtype, row order and weights, to the bit."""
+    assert profile.ids == reference.ids
+    positions, weights = profile.position_matrix()
+    expected_positions, expected_weights = reference.position_matrix()
+    assert positions.dtype == expected_positions.dtype == np.uint8
+    assert positions.tobytes() == expected_positions.tobytes()
+    assert positions.shape == expected_positions.shape
+    assert weights.tobytes() == expected_weights.tobytes()
+
+
+@pytest.mark.parametrize("m", [*range(1, 10), 16])
 @pytest.mark.parametrize("family", ["tm", "pl"])
-def test_draw_orders_sort_the_drawn_utilities(family):
-    mu = np.array([0.3, -1.0, 0.3, 2.0])
-    utilities = _draw_utilities(family, mu, 500, np.random.default_rng(4))
-    orders = _draw_orders(family, mu, 500, np.random.default_rng(4))
-    assert utilities.shape == (500, 4)
-    assert np.array_equal(orders, _stable_orders(utilities))
+def test_estimate_profile_arrays_equal_the_sorting_builder(family, m):
+    for seed in range(3):
+        alts, beta, _ = _seeded_instance(500 + 10 * m + seed, m)
+        spec = ProcessSpec(family, beta)
+        profile = estimate_profile(spec, alts, 2_000, np.random.default_rng(seed))
+        reference = sorted_estimate_profile(
+            spec, alts, 2_000, np.random.default_rng(seed)
+        )
+        _assert_same_arrays(profile, reference)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_exact_profile_arrays_equal_the_permutations_builder(m):
+    alts, beta, _ = _seeded_instance(600 + m, m)
+    families = ("pl", "tm") if m <= 2 else ("pl",)
+    for family in families:
+        spec = ProcessSpec(family, beta)
+        reference = permutations_exact_profile(spec, alts)
+        _assert_same_arrays(exact_profile(spec, alts), reference)
+    # Utility spreads past 745, where exp underflows and rows drop.
+    for spread in (300.0, 800.0, 2000.0):
+        alts = scalar_alts(np.linspace(0.0, spread, m)[::-1])
+        spec = ProcessSpec("pl", (1.0,))
+        profile = exact_profile(spec, alts)
+        _assert_same_arrays(profile, permutations_exact_profile(spec, alts))
+        if spread > 745 and m > 1:
+            assert len(profile.position_matrix()[1]) < math.factorial(m)

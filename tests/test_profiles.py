@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import prefers, restrict_ranking, swap_ranking, total_preorder
+from oracles import (
+    prefers,
+    restrict_ranking,
+    swap_dominance_by_scan,
+    swap_ranking,
+    total_preorder,
+)
 
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
 from prefvote.profiles import (
     Alternative,
     AnonymousProfile,
     Ranking,
+    _row_keys,
     marginalize_profile,
     swap_dominates,
 )
@@ -221,18 +228,6 @@ def test_mutual_dominance_iff_swap_invariant(profile):
         assert mutual == invariant
 
 
-def candidate_set_swap_dominates(profile, a, b):
-    """Reference: the per-call scan over the support and its swap images."""
-    weight = profile.support
-    candidates = set(weight)
-    candidates.update(swap_ranking(r, a, b) for r in weight)
-    for ranking in candidates:
-        if prefers(ranking, a, b):
-            if weight.get(ranking, 0.0) < weight.get(swap_ranking(ranking, a, b), 0.0):
-                return False
-    return True
-
-
 def _seeded_profiles():
     rng = np.random.default_rng(41)
     out = []
@@ -258,26 +253,90 @@ def test_dominance_matrix_matches_brute_force(index):
     assert relation.diagonal().all()
 
 
-def test_dominance_on_sixteen_alternatives_matches_candidate_scan():
-    rng = np.random.default_rng(16)
-    ids = [f"x{k:02d}" for k in range(16)]
+def _swap_rich_profile(rng, m):
+    """Swap images of a base ranking and of each other, plus strangers,
+    made symmetric in x00 and x01.
+
+    Each ranking and its x00/x01 swap image weigh the same, so x00 and
+    x01 dominate each other only because an image of equal weight
+    passes.  The other weights repeat from a short list, and the
+    strangers' images mostly lie outside the support.
+    """
+    ids = [f"x{k:02d}" for k in range(m)]
     base = list(rng.permutation(ids))
     support = {Ranking(tuple(base)): 0.3}
-    # swap images of the base ranking and of each other, plus strangers
     for _ in range(12):
         order = list(rng.choice(list(support)).order)
-        i, j = rng.choice(16, size=2, replace=False)
+        i, j = rng.choice(m, size=2, replace=False)
         order[i], order[j] = order[j], order[i]
         support[Ranking(tuple(order))] = float(rng.choice([0.3, 0.2, 0.1]))
     for _ in range(3):
         support[Ranking(tuple(rng.permutation(ids)))] = 0.2
-    total = sum(support.values())
-    profile = AnonymousProfile({r: w / total for r, w in support.items()})
+    symmetric = {}
+    for ranking, weight in support.items():
+        for r in (ranking, swap_ranking(ranking, "x00", "x01")):
+            symmetric[r] = symmetric.get(r, 0.0) + weight / 2
+    total = sum(symmetric.values())
+    return AnonymousProfile({r: w / total for r, w in symmetric.items()})
+
+
+def test_dominance_on_sixteen_alternatives_matches_candidate_scan():
+    profile = _swap_rich_profile(np.random.default_rng(16), 16)
     assert len(profile.ids) == 16
-    for a, b in itertools.permutations(ids, 2):
-        assert swap_dominates(profile, a, b) == candidate_set_swap_dominates(
-            profile, a, b
-        )
+    assert (profile.dominance_matrix() == swap_dominance_by_scan(profile)).all()
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 10])
+def test_dominance_matches_support_scan_across_the_key_width(m):
+    # Rows of up to 8 positions get integer keys, wider ones byte strings.
+    rng = np.random.default_rng(90 + m)
+    swap_rich = _swap_rich_profile(rng, m)
+    weight = swap_rich.support
+    assert any(
+        swap_ranking(r, r.order[i], r.order[j]) not in weight
+        for r in weight
+        for i, j in itertools.combinations(range(m), 2)
+    )
+    relation = swap_rich.dominance_matrix()
+    assert relation[0, 1] and relation[1, 0]  # through images of equal weight
+    alts = [
+        Alternative(id=f"x{k:02d}", features=(3.0 * k, rng.standard_normal()))
+        for k in range(m)
+    ]
+    # Utility gaps of about 3, three standard deviations of a pair's noise
+    # difference: mostly the mode ranking and near swaps of it, so some
+    # pairs dominate and some do not.
+    sampled = estimate_profile(ProcessSpec("tm", (1.0, 0.3)), alts, 400, rng)
+    for profile in (swap_rich, sampled):
+        positions, _ = profile.position_matrix()
+        assert _row_keys(positions).dtype.kind == ("u" if m <= 8 else "V")
+        relation = profile.dominance_matrix()
+        off_diagonal = relation[~np.eye(m, dtype=bool)]
+        assert off_diagonal.any() and not off_diagonal.all()
+        assert (relation == swap_dominance_by_scan(profile)).all()
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_dominance_on_exact_profiles_follows_mode_utility(m):
+    # 5,040 and 40,320 rows: the swap images are looked up over several
+    # passes of column pairs.
+    mus = np.random.default_rng(70 + m).normal(0.0, 1.0, m)
+    alts = [Alternative(id=f"x{k}", features=(mu,)) for k, mu in enumerate(mus)]
+    profile = exact_profile(ProcessSpec("pl", (1.0,)), alts)
+    assert (profile.dominance_matrix() == (mus[:, None] >= mus[None, :])).all()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_row_keys_are_integers_in_byte_order(m):
+    rng = np.random.default_rng(80 + m)
+    rows = rng.integers(0, 256, size=(400, m), dtype=np.uint8)
+    rows[::5] = rows[0]
+    rows[1::5, 0] = rows[0, 0]
+    keys = _row_keys(rows)
+    assert keys.dtype == np.uint64
+    by_bytes = sorted(range(len(rows)), key=lambda r: rows[r].tobytes())
+    assert np.argsort(keys, kind="stable").tolist() == by_bytes
+    assert len(set(keys.tolist())) == len({row.tobytes() for row in rows})
 
 
 def test_profile_caches_are_per_object(split_majority_profile):
