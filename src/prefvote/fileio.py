@@ -426,9 +426,13 @@ def encode_mm_alternative(
             f"legality must be one of {LEGALITY_NONE!r}, {LEGALITY_LEGAL!r}, "
             f"{LEGALITY_ILLEGAL!r}, got {legality!r}"
         )
+    with np.errstate(over="ignore"):
+        total = vector[:20].sum()
+    if not math.isfinite(total):
+        raise ValueError("total count overflows: the counts sum past the float range")
     vector[20] = _RELATION_CODES[relation]
     vector[21] = _LEGALITY_CODES[legality]
-    vector[22] = vector[:20].sum()
+    vector[22] = total
     return vector
 
 

@@ -31,6 +31,7 @@ from .profiles import (
     _as_count,
     _finite_array,
     _from_positions,
+    _permutation_rows,
     _row_keys,
 )
 
@@ -242,23 +243,6 @@ def _borda_scores(utilities: np.ndarray) -> np.ndarray:
             scores[j] += wins
             scores[k] += n - wins
     return np.array(scores)
-
-
-def _permutation_rows(m: int) -> np.ndarray:
-    """All m! permutations of ``range(m)`` as ``uint8`` rows in lexicographic order.
-
-    Lexicographic order of position rows is their key order.  The rows
-    starting with v are v followed by the permutations of the other
-    values, each built from the rows for m - 1 by shifting up every
-    entry at or above v.
-    """
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, m + 1):
-        first = np.repeat(np.arange(k, dtype=np.uint8), len(rows))
-        rest = np.tile(rows, (k, 1))
-        rest += rest >= first[:, None]
-        rows = np.column_stack((first, rest))
-    return rows
 
 
 def exact_profile(

@@ -9,6 +9,7 @@ swap-dominance relation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -158,6 +159,170 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# Exact summation.  Every weight total, pairwise support and positional
+# score in the package is the correctly rounded sum of its terms, the
+# float ``math.fsum`` returns, so it does not depend on the order of the
+# rows.  The kernel below gets it in bulk (after Rump, Ogita & Oishi,
+# "Accurate floating-point summation", SIAM J. Sci. Comput. 2008):
+#
+# 1. split every value into limbs, each a multiple of a fixed power of
+#    two, 2**(top - 21 * (t + 1)) for limb t, that is at most 2**21 of
+#    that power in size; the limbs of a value add up to it exactly;
+# 2. add the limbs of one sum limb by limb: a total of fewer than 2**31
+#    such limbs is an integer multiple of the power below 2**53 times
+#    it, so float64 adds it exactly in any order, a product with 0/1
+#    masks included;
+# 3. round once: ``math.fsum`` of the few exact limb totals is the
+#    correctly rounded value of their exact sum, which is the sum of
+#    the original values.
+
+#: Bits per limb: see the comment above.
+_LIMB_BITS = 21
+
+#: Values of at least 2**_LIMB_TOP in magnitude would overflow step 1's
+#: rounding constant; their sums, like those of NaN or inf, are taken by
+#: ``math.fsum`` directly.
+_LIMB_TOP = 960
+
+#: Below this many terms (a profile's rows) each sum is ``math.fsum`` of
+#: its terms.  Splitting costs about 15 us whatever the size.  At 64 rows
+#: a profile's 36 pairwise sums take 11 us over its split weights against
+#: 53 us by ``fsum``, while Borda's sums break even only near 128 rows
+#: and a lone sum near 700 (m = 6, timed on 8 to 720 rows).
+_LIMB_ROWS = 64
+
+
+def _split(values: np.ndarray) -> np.ndarray | None:
+    """The limbs of ``values``, shape ``(T,) + values.shape``.
+
+    Limb t of a value is a multiple of 2**(top - 21 * (t + 1)), where
+    2**top bounds every magnitude, and the T limbs of a value add up to
+    it exactly; T reaches down to the lowest bit of the smallest nonzero
+    value.  None when the last axis, which holds the terms of each sum,
+    is shorter than ``_LIMB_ROWS``, or some magnitude is at least
+    2**_LIMB_TOP or not finite.
+    """
+    if values.shape[-1] < _LIMB_ROWS:
+        return None
+    magnitudes = np.abs(values)
+    largest = float(magnitudes.max())
+    if not largest < 2.0**_LIMB_TOP:  # NaN and inf included
+        return None
+    if largest == 0.0:
+        return np.zeros((1,) + values.shape)
+    top = math.frexp(largest)[1]
+    smallest = float(np.min(magnitudes, where=magnitudes > 0, initial=largest))
+    # A float of exponent e is a multiple of 2**(e - 53), or of 2**-1074.
+    bottom = max(math.frexp(smallest)[1] - 53, -1074)
+    limbs = np.empty((-(-(top - bottom) // _LIMB_BITS),) + values.shape)
+    rest = values.copy()
+    for t, limb in enumerate(limbs):
+        # Adding and taking away 1.5 * 2**(p + 52) rounds |rest| < 2**(p + 51)
+        # to a multiple of 2**p; what is left over is exact.
+        shift = math.ldexp(1.5, top - _LIMB_BITS * (t + 1) + 52)
+        np.add(rest, shift, out=limb)
+        limb -= shift
+        rest -= limb
+    return limbs
+
+
+def _exact_sums(
+    values: np.ndarray,
+    limbs: np.ndarray | None,
+    masks: np.ndarray | None = None,
+    starts: list[int] | None = None,
+) -> list[float]:
+    """Exactly rounded sums of float values: the floats ``math.fsum`` returns.
+
+    ``limbs`` is ``_split(values)``.  The sums run along the last axis
+    of ``values``: by default one per row (one in all for a vector);
+    with a ``(p, K)`` boolean array ``masks``, one per mask row, of the
+    entries of the ``(K,)`` vector ``values`` that it selects; with
+    increasing indices ``starts``, one per run of entries of that
+    vector from a start to the next start (the last to the end).
+    """
+    if limbs is None:
+        if masks is not None:
+            listed = values.tolist()
+            parts = [itertools.compress(listed, mask) for mask in masks.tolist()]
+        elif starts is not None:
+            listed = values.tolist()
+            parts = [listed[lo:hi] for lo, hi in zip(starts, [*starts[1:], None])]
+        else:
+            parts = values.reshape(-1, values.shape[-1]).tolist()
+        return [math.fsum(part) for part in parts]
+    if masks is not None:
+        # einsum adds without BLAS, whose worker threads can stall for
+        # many milliseconds when the other core is busy.
+        totals = np.einsum("tk,pk->tp", limbs, masks)
+    elif starts is not None:
+        totals = np.add.reduceat(limbs, starts, axis=-1)
+    else:
+        totals = limbs.sum(axis=-1)
+    # Each sum's few exact limb totals, rounded once.
+    columns = totals.reshape(len(totals), -1).T.tolist()
+    return [math.fsum(column) for column in columns]
+
+
+def _permutation_rows(m: int) -> np.ndarray:
+    """All m! permutations of ``range(m)`` as ``uint8`` rows in lexicographic order.
+
+    Lexicographic order of position rows is their key order, so row r
+    is the position row of rank r (see :func:`_ranks`).  The rows
+    starting with v are v followed by the permutations of the other
+    values, each built from the rows for m - 1 by shifting up every
+    entry at or above v.
+    """
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k, dtype=np.uint8), len(rows))
+        rest = np.tile(rows, (k, 1))
+        rest += rest >= first[:, None]
+        rows = np.column_stack((first, rest))
+    return rows
+
+
+def _ranks(rows: np.ndarray) -> np.ndarray:
+    """The Lehmer rank of each permutation row: its index among the m! in key order.
+
+    Digit i of a row counts the later entries smaller than entry i; the
+    rank reads the digits in the mixed radix (m, m - 1, ..., 1), so it
+    orders rows exactly as their keys do.
+    """
+    m = rows.shape[1]
+    columns = list(np.ascontiguousarray(rows.T))
+    ranks = np.zeros(len(rows), dtype=np.intp)
+    for i in range(m - 1):
+        ranks *= m - i
+        for later in columns[i + 1:]:
+            ranks += later < columns[i]
+    return ranks
+
+
+#: Largest m whose swap images are looked up in a table of m! rows.
+_SWAP_TABLE_MAX = 8
+
+
+@functools.lru_cache(maxsize=_SWAP_TABLE_MAX)
+def _swap_table(m: int) -> np.ndarray:
+    """Rank of each ranking's swap images, an ``(m(m-1)/2, m!)`` read-only array.
+
+    Entry ``[p, r]`` is the rank of the position row of rank r with the
+    columns of pair p of ``np.triu_indices(m, 1)`` exchanged.  Entries
+    take the smallest unsigned type that holds m! - 1, so the largest
+    table, for m = 8, takes about 2.3 MB, and the cache holds one table
+    for each m up to ``_SWAP_TABLE_MAX``, about 2.5 MB in all.
+    """
+    rows = _permutation_rows(m)
+    pair_i, pair_j = np.triu_indices(m, 1)
+    table = np.empty((len(pair_i), len(rows)), dtype=np.min_scalar_type(len(rows) - 1))
+    for p, (i, j) in enumerate(zip(pair_i, pair_j)):
+        swap = np.arange(m)
+        swap[[i, j]] = j, i
+        table[p] = _ranks(rows[:, swap])
+    return _frozen(table)
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row of a C-contiguous 2-D array; keys order rows as their bytes do.
 
@@ -184,31 +349,49 @@ def _dominance_relation(positions: np.ndarray, weights: np.ndarray) -> np.ndarra
     j above i weighs no more than its swap image, the row with columns i
     and j exchanged; an image outside the support weighs zero.  Rankings
     outside the support that rank i above j need no check: they weigh
-    zero, and their images are support rows checked here.  Each pass of
-    the loop looks up the images of every row for a block of pairs i < j:
-    all pairs at once for a small profile, and about 2**15 images per
-    pass for a large one, which bounds the temporaries.
+    zero, and their images are support rows checked here.
+
+    Up to ``_SWAP_TABLE_MAX`` alternatives, an image is found by rank:
+    the swap table gives the image's rank, and an array over all m!
+    ranks gives the weight of the ranking of that rank.  Wider rows
+    search the sorted row keys for each image.  Each pass of the loop
+    looks up the images of every row for a block of pairs i < j: all
+    pairs at once for a small profile, and about 2**16 images per pass
+    for a large one, which bounds the temporaries.
     """
     n_rows, m = positions.shape
-    keys = _row_keys(positions)
     pair_i, pair_j = np.triu_indices(m, 1)
-    # Row p of swaps permutes the columns so that pair p's i and j trade places.
-    swaps = np.tile(np.arange(m), (len(pair_i), 1))
-    swaps[np.arange(len(pair_i)), pair_i] = pair_j
-    swaps[np.arange(len(pair_i)), pair_j] = pair_i
+    if m <= _SWAP_TABLE_MAX:
+        ranks = _ranks(positions)
+        table = _swap_table(m)
+        weight_of = np.zeros(table.shape[1])  # every ranking's weight, by rank
+        weight_of[ranks] = weights
+
+        def image_weights(lo: int, hi: int) -> np.ndarray:
+            return weight_of[table[lo:hi, ranks]]
+    else:
+        keys = _row_keys(positions)
+        # Row p of swaps permutes the columns so that pair p's i and j trade places.
+        swaps = np.tile(np.arange(m), (len(pair_i), 1))
+        swaps[np.arange(len(pair_i)), pair_i] = pair_j
+        swaps[np.arange(len(pair_i)), pair_j] = pair_i
+
+        def image_weights(lo: int, hi: int) -> np.ndarray:
+            images = positions[:, swaps[lo:hi]].transpose(1, 0, 2)
+            image_keys = _row_keys(np.ascontiguousarray(images).reshape(-1, m))
+            found = np.minimum(np.searchsorted(keys, image_keys), n_rows - 1)
+            found = np.where(keys[found] == image_keys, weights[found], 0.0)
+            return found.reshape(hi - lo, n_rows)
+
+    columns = np.ascontiguousarray(positions.T)
     relation = np.eye(m, dtype=bool)
-    step = max(1, 2**15 // n_rows)
+    step = max(1, 2**16 // n_rows)
     for lo in range(0, len(pair_i), step):
         i, j = pair_i[lo:lo + step], pair_j[lo:lo + step]
-        image_keys = _row_keys(positions[:, swaps[lo:lo + step]].reshape(-1, m))
-        found = np.minimum(np.searchsorted(keys, image_keys), n_rows - 1)
-        image_weights = np.where(
-            keys[found] == image_keys, weights[found], 0.0
-        ).reshape(n_rows, len(i))
-        holds = image_weights >= weights[:, None]
-        j_above_i = positions[:, j] < positions[:, i]
-        relation[i, j] = np.all(holds | ~j_above_i, axis=0)
-        relation[j, i] = np.all(holds | j_above_i, axis=0)
+        holds = image_weights(lo, lo + len(i)) >= weights
+        j_above_i = columns[j] < columns[i]
+        relation[i, j] = np.all(holds | ~j_above_i, axis=1)
+        relation[j, i] = np.all(holds | j_above_i, axis=1)
     return relation
 
 
@@ -222,7 +405,8 @@ class AnonymousProfile:
 
     A profile holds the key-sorted arrays of :meth:`position_matrix` and
     one store of values derived from them on first use: the
-    :attr:`support` view, the dominance and pairwise matrices, each
+    :attr:`support` view, the dominance and pairwise matrices, the
+    weights' limbs for exact sums over masks of its rows, each
     rule's winners (and margin) from :mod:`prefvote.scc`, and the most
     recent marginal from :func:`marginalize_profile`.  A profile cannot
     change once built, so a stored value never goes stale.
@@ -259,7 +443,8 @@ class AnonymousProfile:
         ``ids`` are the alternatives in increasing order.  Row k of the
         ``(K, m)`` integer array ``orders`` ranks them by column index,
         most preferred first, and weighs ``weights[k]``.  Equal rows are
-        merged, their weights summed with ``math.fsum``; the weights are
+        merged, their weights summed exactly rounded (to the float
+        ``math.fsum`` returns, whatever the row order); the weights are
         checked and renormalized as in the constructor; booleans and
         strings are not weights.
         """
@@ -295,11 +480,10 @@ class AnonymousProfile:
         a ranking of weight ``weights[k]``; the rows must be permutations
         of ``range(m)``.  Equal rows are merged.
         """
-        values = weights.tolist()
-        total = math.fsum(values)
-        if not (min(values) > 0 and math.isfinite(total)):
+        total = _exact_sums(weights, _split(weights))[0]
+        if not (weights.min() > 0 and math.isfinite(total)):
             # Some weight is zero, negative, NaN or infinite.
-            for k, weight in enumerate(values):
+            for k, weight in enumerate(weights.tolist()):
                 if not 0.0 <= weight < math.inf:
                     kind = "negative" if weight < 0 else "non-finite"
                     order = np.argsort(positions[k]).tolist()
@@ -318,10 +502,7 @@ class AnonymousProfile:
         if np.count_nonzero(repeats):
             # Equal rows are adjacent in key order: merge them.
             starts = np.flatnonzero(np.concatenate(([True], ~repeats))).tolist()
-            values = weights.tolist()
-            weights = np.array([
-                math.fsum(values[lo:hi]) for lo, hi in zip(starts, starts[1:] + [None])
-            ])
+            weights = np.array(_exact_sums(weights, _split(weights), starts=starts))
             positions = positions[starts]
         if total != 1.0:
             weights = weights / total
@@ -390,20 +571,30 @@ class AnonymousProfile:
         """Pairwise supports as a read-only ``(m, m)`` float matrix.
 
         Entry ``[i, j]`` is the total weight of the rankings that place
-        ``ids[i]`` above ``ids[j]``, summed with ``math.fsum`` so that it
-        is exactly rounded whatever the order of the support; the
-        diagonal is zero.  It is computed once per profile object.
+        ``ids[i]`` above ``ids[j]``, exactly rounded (the float
+        ``math.fsum`` returns), so it does not depend on the order of the
+        support; the diagonal is zero.  It is computed once per profile
+        object.
         """
         return self._cached("pairwise", self._pairwise_supports)
 
     def _pairwise_supports(self) -> np.ndarray:
-        positions, weights = self._positions, self._weights
-        m = len(self._ids)
-        support = np.zeros((m, m))
-        for i, j in itertools.permutations(range(m), 2):
-            above = positions[:, i] < positions[:, j]
-            support[i, j] = math.fsum(weights[above].tolist())
-        return _frozen(support)
+        columns = np.ascontiguousarray(self._positions.T)
+        m, n_rows = columns.shape
+        # Entry [i, j, k]: row k ranks column i above column j (never i = j).
+        above = columns[:, None, :] < columns[None, :, :]
+        sums = self._weight_sums(above.reshape(m * m, n_rows))
+        return _frozen(np.array(sums).reshape(m, m))
+
+    def _weight_sums(self, masks: np.ndarray) -> list[float]:
+        """The exactly rounded weight of the rows that each mask row selects.
+
+        ``masks`` is a ``(p, K)`` boolean array over the support rows.
+        The weights' limbs are split once per profile object.
+        """
+        weights = self._weights
+        limbs = self._cached("limbs", lambda: _split(weights))
+        return _exact_sums(weights, limbs, masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnonymousProfile):
@@ -437,9 +628,10 @@ def marginalize_profile(
 ) -> AnonymousProfile:
     """Project a profile onto a subset of its alternatives.
 
-    The weight of a restricted ranking is the ``math.fsum`` total of all
-    full rankings that restrict to it, so marginalizing to the full set is
-    the identity and marginalizing in stages equals marginalizing directly.
+    The weight of a restricted ranking is the exactly rounded total (the
+    float ``math.fsum`` returns) of all full rankings that restrict to
+    it, so marginalizing to the full set is the identity and
+    marginalizing in stages equals marginalizing directly.
     ``subset`` is a collection of ids, not a string.  The profile keeps
     its most recent marginal, so asking for the same subset again returns
     the same object.

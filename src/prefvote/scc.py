@@ -3,8 +3,10 @@
 Five classic rules are provided over anonymous profiles: plurality, Borda,
 Copeland, maximin, and Bucklin.  All return the full winner set (never
 empty); scores within ``SCORE_TIE_TOL`` of the best count as tied.
-Plurality and Borda scores and Bucklin's top-k weights come from one
-positional scorer over the profile's position matrix.
+Borda and other positional scores are exactly rounded sums of weighted
+credits over the profile's position matrix; plurality scores and
+Bucklin's top-k weights, whose credits are 1 or 0, sum the profile's
+weights over the rows that rank each alternative in the top k.
 
 The checkers audit a rule against swap dominance: swap-dominance
 efficiency and its strong form (one scan of the dominance matrix), and
@@ -30,8 +32,11 @@ from . import processes
 from .profiles import (
     Alternative,
     AnonymousProfile,
+    _as_int,
     _as_subset,
+    _exact_sums,
     _finite_array,
+    _split,
     marginalize_profile,
 )
 from .processes import ProcessSpec
@@ -60,7 +65,9 @@ def positional_scores(
     """Weighted positional score of every alternative.
 
     ``score_vector[k]`` is the credit for appearing at rank k (0-based);
-    the credits must be finite and non-increasing.
+    the credits must be finite and non-increasing.  Each score is the
+    sum of ``weight * credit`` over the support, exactly rounded (the
+    float ``math.fsum`` returns).
     """
     m = len(profile.alternatives)
     vector = _finite_array(score_vector, "score vector")
@@ -76,9 +83,24 @@ def positional_scores(
 def _positional(
     ids: Sequence[str], positions: np.ndarray, weights: np.ndarray, vector: np.ndarray
 ) -> dict[str, float]:
-    """Each id's ``math.fsum`` of ``weight * vector[rank]`` over a position matrix."""
-    terms = weights[:, None] * vector[positions]
-    return {alt: math.fsum(column) for alt, column in zip(ids, terms.T.tolist())}
+    """Each id's sum of ``weight * vector[rank]`` over a position matrix.
+
+    Each sum is exactly rounded (the float ``math.fsum`` returns).
+    """
+    terms = weights * vector[np.ascontiguousarray(positions.T)]  # one row per id
+    return dict(zip(ids, _exact_sums(terms, _split(terms))))
+
+
+def _top_weights(
+    profile: AnonymousProfile, positions: np.ndarray, k: int
+) -> dict[str, float]:
+    """Each id's total weight in the top ``k`` ranks, exactly rounded.
+
+    This is its positional score under credits 1 for ranks below k and 0
+    after: the terms are its rows' weights or zero.  ``positions`` is the
+    profile's position matrix.
+    """
+    return dict(zip(profile.ids, profile._weight_sums((positions < k).T)))
 
 
 def copeland_scores(profile: AnonymousProfile) -> dict[str, int]:
@@ -136,12 +158,11 @@ def _score(
     if m == 1:
         return profile.alternatives, 1.0 if margin else None
     if kind in (PLURALITY, BORDA, BUCKLIN):
-        # Top-k weights and both score vectors are credits by rank.
-        matrix, ranks = profile.position_matrix(), np.arange(m)
+        positions, weights = profile.position_matrix()
     if kind == BUCKLIN:
         scores, closest = {}, math.inf
         for k in range(1, m):
-            masses = _positional(ids, *matrix, (ranks < k).astype(float))
+            masses = _top_weights(profile, positions, k)
             if not scores:
                 scores = {a: s for a, s in masses.items() if s > 0.5 + SCORE_TIE_TOL}
             if margin:
@@ -150,9 +171,9 @@ def _score(
                 break
         scores = scores or dict.fromkeys(ids, 0.0)  # no majority: all tie
     elif kind == PLURALITY:
-        scores = _positional(ids, *matrix, (ranks < 1).astype(float))
+        scores = _top_weights(profile, positions, 1)
     elif kind == BORDA:
-        scores = _positional(ids, *matrix, (m - 1.0) - ranks)
+        scores = _positional(ids, positions, weights, (m - 1.0) - np.arange(m))
     elif kind == COPELAND:
         scores = copeland_scores(profile)
     else:
@@ -291,13 +312,17 @@ def check_stability(
 
     Builds the ranking profile over the full alternative set and over the
     subset (exactly, or by sampling ``n_samples`` rankings per profile for
-    ``mode="mc"``), applies the rule to both, and compares.  The
-    alternative set is checked before the subset, a collection of ids
-    (not a string).
+    ``mode="mc"``), applies the rule to both, and compares.  ``seed``, a
+    nonnegative integer, seeds the sampler; it is checked in both modes,
+    before any profile is built.  The alternative set is checked before
+    the subset, a collection of ids (not a string).
     """
     _require_rule(kind)
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     alts, _ = processes._scored_alternatives(alternatives, spec.beta)
     by_id = {alt.id: alt for alt in alts}
     sub_ids = sorted(_as_subset(subset_ids))

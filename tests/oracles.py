@@ -42,6 +42,29 @@ def swap_ranking(ranking, a, b):
     )
 
 
+def fsum_pairwise_supports(profile):
+    """Pairwise supports as an ``(m, m)`` matrix, one ``math.fsum`` per ordered pair.
+
+    Entry ``[i, j]`` sums the weights of the position rows that rank
+    column i above column j; the diagonal is zero.
+    """
+    positions, weights = profile.position_matrix()
+    m = len(profile.ids)
+    support = np.zeros((m, m))
+    for i, j in itertools.permutations(range(m), 2):
+        above = positions[:, i] < positions[:, j]
+        support[i, j] = math.fsum(weights[above].tolist())
+    return support
+
+
+def fsum_positional_scores(profile, vector):
+    """Each id's ``math.fsum`` of ``weight * vector[rank]``, one column at a time."""
+    positions, weights = profile.position_matrix()
+    terms = weights[:, None] * np.asarray(vector, dtype=float)[positions]
+    columns = terms.T.tolist()
+    return {alt: math.fsum(column) for alt, column in zip(profile.ids, columns)}
+
+
 def swap_dominance_by_scan(profile):
     """Swap dominance as an ``(m, m)`` boolean matrix over ``profile.ids``.
 

@@ -812,6 +812,22 @@ def test_non_finite_utility_exits_2(workdir, capsys, command):
     assert "alternative 'a' has non-finite utility" in captured.err
 
 
+def test_axioms_mc_stability_refuses_a_negative_seed(workdir, capsys):
+    summary = workdir / "unit.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 1,
+                                   "n_voters": 1, "beta": [1.0]}))
+    alternatives = workdir / "pair.csv"
+    alternatives.write_text("id,f_1\na,1\nb,0\n")
+    code = main(["axioms", "--check", "stability", "--scc", "borda",
+                 "--summary", str(summary), "--alternatives", str(alternatives),
+                 "--subset", "a,b", "--family", "tm", "--mode", "mc",
+                 "--seed", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be nonnegative" in captured.err
+
+
 def test_exact_pl_stability_at_a_wide_utility_spread(workdir, capsys):
     # utilities 800 and 0: b's weight exp(-800) underflows to 0
     summary = workdir / "wide.json"

@@ -458,10 +458,24 @@ def test_encode_mm_legality_signs():
     assert encode_mm_alternative({}, "passengers", "none")[21] == 0.0
 
 
-@pytest.mark.parametrize("count", [math.inf, math.nan, True, -1, 1.5, "2", 10**400])
+# Two counts, each within the float range, whose total is not.
+OVERFLOWING_COUNTS = {"man": 10**308, "woman": 10**308}
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        math.inf, math.nan, True, -1, 1.5, "2", 10**400,
+        pytest.param(OVERFLOWING_COUNTS, id="total"),
+    ],
+)
 def test_encode_mm_refuses_counts_that_are_not_nonnegative_integers(count):
-    with pytest.raises(ValueError, match="count for 'man' must be a nonnegative"):
-        encode_mm_alternative({"man": count}, "passengers", "none")
+    if count is OVERFLOWING_COUNTS:
+        counts, message = count, "total count overflows"
+    else:
+        counts, message = {"man": count}, "count for 'man' must be a nonnegative"
+    with pytest.raises(ValueError, match=message):
+        encode_mm_alternative(counts, "passengers", "none")
 
 
 def test_encode_mm_distinguishes_inputs():

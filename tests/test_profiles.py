@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    fsum_pairwise_supports,
     prefers,
     restrict_ranking,
     swap_dominance_by_scan,
@@ -13,12 +14,20 @@ from oracles import (
     total_preorder,
 )
 
+from prefvote import profiles as profiles_module
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
 from prefvote.profiles import (
+    _LIMB_ROWS,
+    _LIMB_TOP,
     Alternative,
     AnonymousProfile,
     Ranking,
+    _exact_sums,
+    _permutation_rows,
+    _ranks,
     _row_keys,
+    _split,
+    _swap_table,
     marginalize_profile,
     swap_dominates,
 )
@@ -499,3 +508,187 @@ def test_profile_keeps_only_its_most_recent_marginal(bloc_profile):
     again = marginalize_profile(bloc_profile, {"w", "x", "y"})
     assert again is not first and again == first
     assert list(bloc_profile._memo["marginal"].values()) == [again]
+
+
+# The exact summation kernel: every sum is the float math.fsum returns.
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _adversarial_sets(rng, n_terms):
+    """Seven sets of ``n_terms`` terms, one per row, each stressing exact rounding."""
+    half = rng.standard_normal(n_terms // 2)
+    sets = [
+        rng.uniform(0.0, 1.0, n_terms) * 5e-324 * rng.integers(1, 2**20, n_terms),
+        10.0 ** rng.uniform(-300, 0, n_terms),
+        rng.standard_normal(n_terms) * 10.0 ** rng.integers(-300, 300, n_terms),
+        rng.uniform(-1.0, 1.0, n_terms) * 10.0 ** rng.integers(-320, -290, n_terms),
+        rng.choice([1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-54, 3 * 2.0**-54], n_terms),
+        np.where(np.arange(n_terms) < n_terms // 2, -1e300, 1e300),
+        np.concatenate([half, -half, rng.standard_normal(n_terms % 2) * 1e-30]),
+    ]
+    return np.array(sets)[:, rng.permutation(n_terms)]
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, _LIMB_ROWS - 1, _LIMB_ROWS, 200, 3000])
+def test_exact_sums_equal_fsum_bit_for_bit(n_terms):
+    rng = np.random.default_rng(n_terms)
+    for trial in range(40):
+        values = _adversarial_sets(rng, n_terms)
+        limbs = _split(values)
+        # Two sets reach 1e300 in magnitude, past the limbs' range: their
+        # sums, like those of fewer terms than _LIMB_ROWS, take fsum.
+        assert (limbs is None) == (
+            n_terms < _LIMB_ROWS or np.abs(values).max() >= 2.0**_LIMB_TOP
+        )
+        expected = [math.fsum(row) for row in values.tolist()]
+        assert _hex(_exact_sums(values, limbs)) == _hex(expected), trial
+        in_range = values[np.abs(values).max(axis=1) < 2.0**_LIMB_TOP]
+        if n_terms >= _LIMB_ROWS:
+            assert _split(in_range) is not None
+        expected = [math.fsum(row) for row in in_range.tolist()]
+        assert _hex(_exact_sums(in_range, _split(in_range))) == _hex(expected), trial
+        vector = values[trial % 7]
+        masks = rng.random((5, n_terms)) < np.array([[0.0, 0.1, 0.5, 0.9, 1.0]]).T
+        expected = [math.fsum(vector[mask].tolist()) for mask in masks]
+        assert _hex(_exact_sums(vector, _split(vector), masks)) == _hex(expected)
+        starts = sorted({0, *np.flatnonzero(rng.random(n_terms) < 0.2).tolist()})
+        ends = [*starts[1:], n_terms]
+        expected = [math.fsum(vector[lo:hi].tolist()) for lo, hi in zip(starts, ends)]
+        got = _exact_sums(vector, _split(vector), starts=starts)
+        assert _hex(got) == _hex(expected)
+
+
+def test_exact_sums_round_half_ulp_ties_to_even():
+    # 1 + 2**-53 and 1 + 3 * 2**-53 lie halfway between neighbouring
+    # floats; the even neighbour wins unless a tiny term breaks the tie.
+    padding = [0.0] * _LIMB_ROWS
+    cases = {
+        (1.0, 2.0**-53): 1.0,
+        (1.0 + 2.0**-52, 2.0**-53): 1.0 + 2.0**-51,
+        (1.0, 2.0**-53, 2.0**-300): 1.0 + 2.0**-52,
+        (1.0, 2.0**-53, -(2.0**-300)): 1.0,
+        (2.0**100, 2.0**47, -(2.0**-900)): 2.0**100,
+        (2.0**100, 2.0**47, 2.0**-900): 2.0**100 + 2.0**48,
+    }
+    for terms, expected in cases.items():
+        values = np.array([*terms, *padding])
+        assert math.fsum(values.tolist()) == expected
+        assert _exact_sums(values, _split(values))[0].hex() == expected.hex()
+
+
+@pytest.mark.parametrize("n_rows", [3, _LIMB_ROWS - 1, _LIMB_ROWS, 500])
+def test_profile_sums_equal_fsum_oracles_on_subnormal_and_tiny_weights(n_rows):
+    rng = np.random.default_rng(7 + n_rows)
+    m = 6
+    orders = np.array([rng.permutation(m) for _ in range(n_rows)])
+    for scale in ("subnormal", "wide"):
+        if scale == "subnormal":
+            tiny = 5e-324 * rng.integers(1, 2**30, n_rows - 1)
+        else:
+            tiny = 10.0 ** rng.uniform(-300, 0, n_rows - 1) / n_rows
+        weights = np.r_[tiny, 1.0 - math.fsum(tiny.tolist())]
+        ids = tuple("abcdef")
+        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        expected = fsum_pairwise_supports(profile)
+        assert _hex(profile.pairwise_matrix().ravel()) == _hex(expected.ravel())
+        # Equal rows merged by from_orders sum like math.fsum, in any order.
+        positions, kept = profile.position_matrix()
+        rows = [tuple(np.argsort(row)) for row in positions]
+        groups = {}
+        for order, weight in zip(map(tuple, orders.tolist()), weights.tolist()):
+            groups.setdefault(order, []).append(weight)
+        total = math.fsum(weights.tolist())
+        merged = [math.fsum(groups[row]) for row in rows]
+        if total != 1.0:
+            merged = [w / total for w in merged]
+        assert _hex(kept) == _hex(merged)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_exact_pl_profiles_sum_like_fsum(m):
+    rng = np.random.default_rng(40 + m)
+    mus = rng.normal(0.0, 2.0, m).tolist()
+    alts = [Alternative(f"x{k}", (mu,)) for k, mu in enumerate(mus)]
+    profile = exact_profile(ProcessSpec("pl", (1.0,)), alts)
+    positions, weights = profile.position_matrix()
+    assert len(weights) == math.factorial(m)
+    expected = fsum_pairwise_supports(profile)
+    assert _hex(profile.pairwise_matrix().ravel()) == _hex(expected.ravel())
+    for k in range(1, m + 1):
+        masks = (positions < k).T
+        expected = [math.fsum(weights[mask].tolist()) for mask in masks]
+        assert _hex(profile._weight_sums(masks)) == _hex(expected)
+
+
+# Swap images by rank, up to 8 alternatives.
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_ranks_order_rows_as_their_keys_do(m):
+    rows = _permutation_rows(m)
+    assert _ranks(rows).tolist() == list(range(math.factorial(m)))
+    rng = np.random.default_rng(60 + m)
+    sample = rows[rng.integers(0, len(rows), 300)]
+    order = np.argsort(_row_keys(sample), kind="stable")
+    assert np.array_equal(np.argsort(_ranks(sample), kind="stable"), order)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_swap_table_holds_the_rank_of_each_swap_image(m):
+    table = _swap_table(m)
+    rows = _permutation_rows(m)
+    pairs = list(zip(*np.triu_indices(m, 1)))
+    assert table.shape == (len(pairs), math.factorial(m)) and not table.flags.writeable
+    assert table.dtype == np.min_scalar_type(math.factorial(m) - 1)
+    rng = np.random.default_rng(m)
+    for rank in rng.integers(0, len(rows), 20).tolist():
+        for p, (i, j) in enumerate(pairs):
+            image = rows[rank].copy()
+            image[[i, j]] = image[[j, i]]
+            assert rows[table[p, rank]].tolist() == image.tolist()
+    if m == 8:
+        assert table.nbytes == 28 * 40_320 * 2  # about 2.3 MB
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_rank_lookup_dominance_matches_scan_with_missing_images(m):
+    rng = np.random.default_rng(100 + m)
+    # Utility gaps of 2.1, two standard deviations of a pair's noise
+    # difference: near the mode ranking, with many images never drawn.
+    alts = [Alternative(f"x{k}", (3.0 * k,)) for k in range(m)]
+    spec = ProcessSpec("tm", (0.7,))
+    cases = [estimate_profile(spec, alts, 12, rng) for _ in range(3)]
+    if m > 2:
+        cases += [_swap_rich_profile(rng, m) for _ in range(2)]
+    missing = 0
+    for profile in cases:
+        weight = profile.support
+        missing += sum(
+            swap_ranking(r, r.order[i], r.order[j]) not in weight
+            for r in weight
+            for i, j in itertools.combinations(range(m), 2)
+        )
+        assert (profile.dominance_matrix() == swap_dominance_by_scan(profile)).all()
+    assert missing
+
+
+@pytest.mark.parametrize("m", [9, 16])
+def test_wide_rows_search_their_keys(monkeypatch, m):
+    def refuse(width):
+        raise AssertionError(f"a swap table for m={width}")
+
+    monkeypatch.setattr(profiles_module, "_swap_table", refuse)
+    profile = _swap_rich_profile(np.random.default_rng(200 + m), m)
+    assert (profile.dominance_matrix() == swap_dominance_by_scan(profile)).all()
+
+
+def test_each_swap_table_is_built_once():
+    _swap_table.cache_clear()
+    rng = np.random.default_rng(5)
+    for m in (4, 6, 4, 6, 6):
+        _swap_rich_profile(rng, m).dominance_matrix()
+    info = _swap_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)

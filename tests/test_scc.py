@@ -1,14 +1,21 @@
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from oracles import position, prefers
+from oracles import fsum_positional_scores, position, prefers
 
 from prefvote import processes, scc
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
-from prefvote.profiles import Alternative, AnonymousProfile, Ranking, marginalize_profile
+from prefvote.profiles import (
+    _LIMB_ROWS,
+    Alternative,
+    AnonymousProfile,
+    Ranking,
+    marginalize_profile,
+)
 from prefvote.scc import (
     SCC_KINDS,
     SCORE_TIE_TOL,
@@ -96,6 +103,49 @@ def test_positional_and_bucklin_equal_fsum_scans(
             assert [table[alt] for table in masses] == [
                 math.fsum(w for k, w in ranks if k <= top) for top in range(m)
             ]
+
+
+SIGNED_CREDITS = [
+    [2.0, 0.5, 0.0, -0.0, -1.0, -7.25],
+    [0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+    [1e-300, 1e-310, 0.0, -5e-324, -1e-300, -1.0],
+    [1e300, 3.0, 1.0, -2.0, -1e150, -1e300],
+    [1.0, 1.0, 1.0, 0.0, -0.0, 0.0],
+]
+
+
+@pytest.mark.parametrize("n_rows", [5, _LIMB_ROWS - 1, _LIMB_ROWS, 700])
+def test_positional_scores_equal_fsum_oracle_on_signed_credits(n_rows):
+    # Mixed signs, -0.0 and subnormal credits on weights from 1e-300 to 1,
+    # on both sides of the row count where the limb sums take over.
+    rng = np.random.default_rng(n_rows)
+    orders = np.array([rng.permutation(6) for _ in range(n_rows)])
+    tiny = 10.0 ** rng.uniform(-300, 0, n_rows - 1) / n_rows
+    weights = np.r_[tiny, 1.0 - math.fsum(tiny.tolist())]
+    profile = AnonymousProfile.from_orders(tuple("abcdef"), orders, weights)
+    for vector in SIGNED_CREDITS:
+        scores = positional_scores(profile, vector)
+        expected = fsum_positional_scores(profile, vector)
+        assert {a: s.hex() for a, s in scores.items()} == {
+            a: s.hex() for a, s in expected.items()
+        }, vector
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_exact_pl_positional_scores_equal_fsum_oracle(m):
+    rng = np.random.default_rng(m)
+    mus = rng.normal(0.0, 2.0, m).tolist()
+    alts = [Alternative(f"x{k}", (mu,)) for k, mu in enumerate(mus)]
+    profile = exact_profile(ProcessSpec("pl", (1.0,)), alts)
+    vectors = [[m - 1.0 - k for k in range(m)]] + [
+        [1.0] * k + [0.0] * (m - k) for k in range(1, m)
+    ]
+    for vector in vectors:
+        scores = positional_scores(profile, vector)
+        expected = fsum_positional_scores(profile, vector)
+        assert {a: s.hex() for a, s in scores.items()} == {
+            a: s.hex() for a, s in expected.items()
+        }, vector
 
 
 def bucklin_oracle(profile):
@@ -457,6 +507,39 @@ def test_check_stability_validation():
         check_stability(spec, "borda", alts, ["a"], mode="approx")
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("7", "seed must be an integer, got '7'"),
+        (-1, "seed must be nonnegative"),
+    ],
+)
+def test_check_stability_refuses_a_bad_seed_before_building_profiles(
+    monkeypatch, mode, seed, message
+):
+    built = []
+    for builder in ("exact_profile", "estimate_profile"):
+        monkeypatch.setattr(processes, builder, lambda *args: built.append(args))
+    spec = ProcessSpec(family="pl", beta=(1.0,))
+    alts = [Alternative("a", (1.0,)), Alternative("b", (0.0,))]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_stability(spec, "borda", alts, ["a"], mode=mode, n_samples=100, seed=seed)
+    assert built == []
+
+
+def test_check_stability_takes_any_integer_seed():
+    spec = ProcessSpec(family="tm", beta=(1.0,))
+    alts = [Alternative("a", (0.2,)), Alternative("b", (0.0,))]
+    reports = [
+        check_stability(spec, "borda", alts, ["a"], mode="mc", n_samples=200, seed=seed)
+        for seed in (5, np.int64(5))
+    ]
+    assert reports[0] == reports[1]
+
+
 def test_check_stability_mc_deterministic():
     spec = ProcessSpec(family="tm", beta=(1.0,))
     alts = [
@@ -662,6 +745,6 @@ def test_stability_on_a_second_subset_replaces_the_marginal():
         # The memory bound: one marginal, the last, and one outcome per rule.
         kept = profile._memo
         assert list(kept["marginal"]) == [frozenset(second)]
-        assert set(kept) - {"support", "dominance", "pairwise"} == {
+        assert set(kept) - {"support", "dominance", "pairwise", "limbs"} == {
             "marginal", *((kind, False) for kind in SCC_KINDS)
         }
