@@ -14,12 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields as dataclass_fields
+from typing import TYPE_CHECKING
 
-from . import experiments, fileio, processes, scc
+from . import fileio, processes, scc
 # fit_voter is unused here and in experiments, which fit through fit_voters;
 # bench/test_bench.py checks that bench/tracing.py rebinds it in both.
 from .learning import FitConfig, NumericError, fit_voter, fit_voters  # noqa: F401
 from .pipeline import decide, summarize
+
+if TYPE_CHECKING:
+    from .experiments import SyntheticConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,9 +140,10 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_json(
-    path: str | None, seed: int | None
-) -> experiments.SyntheticConfig:
+def _config_from_json(path: str | None, seed: int | None) -> SyntheticConfig:
+    # Imported here, as in _cmd_simulate: only simulate runs experiments.
+    from . import experiments
+
     overrides: dict = {}
     if path is not None:
         loaded = fileio.load_json_object(path, "config")
@@ -154,6 +159,8 @@ def _config_from_json(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import experiments
+
     config = _config_from_json(args.config, args.seed)
     if args.step == "step2":
         curve = experiments.eval_step2(config, n_jobs=args.jobs)

@@ -257,6 +257,7 @@ def _collect_runs(
     config: SyntheticConfig,
     n_jobs: int,
 ) -> list[tuple[float, ...]]:
+    n_jobs = _as_count(n_jobs, "n_jobs")
     indices = range(config.n_runs)
     # More workers than usable CPUs or runs only adds start-up cost.
     if hasattr(os, "sched_getaffinity"):

@@ -26,12 +26,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .profiles import (
+    _SWAP_TABLE_MAX,
     Alternative,
     AnonymousProfile,
     _as_count,
     _finite_array,
     _from_positions,
     _permutation_rows,
+    _ranks,
     _row_keys,
 )
 
@@ -256,10 +258,10 @@ def exact_profile(
     estimate_profile covers those).  A lone alternative of either family
     is ranked first with weight 1.
 
-    The m! position rows are enumerated in key order as one array, and
-    each row's weight is computed from its order, so the profile is built
-    without merging or reordering; rows whose weight underflows to zero
-    are dropped.
+    The m! position rows come in key order from the cached table of
+    :func:`_permutation_rows`, and each row's weight is computed from its
+    order, so the profile is built without merging or reordering; rows
+    whose weight underflows to zero are dropped.
     """
     alts, mu = _scored_alternatives(alternatives, spec.beta)
     m = len(alts)
@@ -305,19 +307,32 @@ def estimate_profile(
 ) -> AnonymousProfile:
     """Monte-Carlo ranking distribution from ``n_samples`` draws.
 
-    Each draw's position row comes straight from comparing its noisy
-    utilities column pair by column pair (see :func:`_ranking_positions`);
-    equal rows are then counted by sorting their keys, one ``uint64`` per
-    row up to 8 alternatives, so no row itself is sorted.  A ranking's
-    weight is its count over ``n_samples``.  A lone alternative draws
-    nothing.
+    A ranking's weight is its count over ``n_samples``.  Up to
+    ``_SWAP_TABLE_MAX`` (8) alternatives each draw's ranking is found by
+    its rank (see :func:`_ranks`) and the draws are counted by rank, so
+    nothing is sorted: the ranks drawn, in increasing order, pick their
+    rows from the cached table of all m! position rows.  Wider sets
+    compare each draw's noisy utilities column pair by column pair into
+    a position row (see :func:`_ranking_positions`) and count equal rows
+    by sorting their keys.  A lone alternative draws nothing.
     """
     n_samples = _as_count(n_samples, "n_samples")
     alts, mu = _scored_alternatives(alternatives, spec.beta)
     ids = [alt.id for alt in alts]
-    if len(alts) == 1:
+    m = len(alts)
+    if m == 1:
         return _from_positions(ids, np.zeros((1, 1), dtype=np.uint8), np.ones(1))
-    positions = _ranking_positions(_draw_utilities(spec.family, mu, n_samples, rng))
+    utilities = _draw_utilities(spec.family, mu, n_samples, rng)
+    if m <= _SWAP_TABLE_MAX:
+        # Ranked by increasing value, the negated utilities rank the
+        # columns by decreasing utility with the tie rule of the draws.
+        ranks = _ranks(np.negative(utilities, out=utilities))
+        counts = np.bincount(ranks, minlength=math.factorial(m))
+        present = np.flatnonzero(counts)
+        return _from_positions(
+            ids, _permutation_rows(m)[present], counts[present] / n_samples
+        )
+    positions = _ranking_positions(utilities)
     keys = _row_keys(positions)
     by_key = np.argsort(keys)
     keys = keys[by_key]

@@ -264,14 +264,20 @@ def _exact_sums(
     return [math.fsum(column) for column in columns]
 
 
+#: Largest m whose permutation rows, swap images and ranks are tabled.
+_SWAP_TABLE_MAX = 8
+
+
+@functools.lru_cache(maxsize=_SWAP_TABLE_MAX)
 def _permutation_rows(m: int) -> np.ndarray:
-    """All m! permutations of ``range(m)`` as ``uint8`` rows in lexicographic order.
+    """All m! permutations of ``range(m)``, lexicographic, as read-only ``uint8`` rows.
 
     Lexicographic order of position rows is their key order, so row r
     is the position row of rank r (see :func:`_ranks`).  The rows
     starting with v are v followed by the permutations of the other
     values, each built from the rows for m - 1 by shifting up every
-    entry at or above v.
+    entry at or above v.  The cache holds one table for each m up to
+    ``_SWAP_TABLE_MAX``, about 0.36 MB in all.
     """
     rows = np.zeros((1, 0), dtype=np.uint8)
     for k in range(1, m + 1):
@@ -279,28 +285,28 @@ def _permutation_rows(m: int) -> np.ndarray:
         rest = np.tile(rows, (k, 1))
         rest += rest >= first[:, None]
         rows = np.column_stack((first, rest))
-    return rows
+    return _frozen(rows)
 
 
 def _ranks(rows: np.ndarray) -> np.ndarray:
-    """The Lehmer rank of each permutation row: its index among the m! in key order.
+    """The Lehmer rank of each row's ranking: its index among the m! in key order.
 
-    Digit i of a row counts the later entries smaller than entry i; the
-    rank reads the digits in the mixed radix (m, m - 1, ..., 1), so it
-    orders rows exactly as their keys do.
+    A row of m reals ranks its columns by increasing value, an exact
+    tie going to the smaller column; a permutation row is its own
+    position row.  Digit i of a row counts the later entries smaller
+    than entry i, the later columns ranked above column i; the rank
+    reads the digits in the mixed radix (m, m - 1, ..., 1), so it
+    orders permutation rows exactly as their keys do.  Ranks take the
+    smallest unsigned type that holds m! - 1.
     """
-    m = rows.shape[1]
+    n, m = rows.shape
     columns = list(np.ascontiguousarray(rows.T))
-    ranks = np.zeros(len(rows), dtype=np.intp)
+    ranks = np.zeros(n, dtype=np.min_scalar_type(math.factorial(m) - 1))
     for i in range(m - 1):
         ranks *= m - i
         for later in columns[i + 1:]:
             ranks += later < columns[i]
     return ranks
-
-
-#: Largest m whose swap images are looked up in a table of m! rows.
-_SWAP_TABLE_MAX = 8
 
 
 @functools.lru_cache(maxsize=_SWAP_TABLE_MAX)

@@ -621,6 +621,18 @@ def test_simulate_rejects_unknown_config_keys(workdir, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("step", ["step2", "step3"])
+def test_simulate_refuses_jobs_below_one(workdir, capsys, step, jobs):
+    # Both used to run serially and exit 0.
+    config = workdir / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert main(["simulate", step, "--config", str(config), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_jobs must be at least 1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "override",
     [

@@ -338,6 +338,19 @@ def test_collect_runs_caps_workers_at_cpus_and_runs(
     assert sizes == ([] if expected is None else [expected])
 
 
+@pytest.mark.parametrize("n_jobs", [0, -3, 1.5, 2.0, True, "2"])
+def test_collect_runs_refuses_a_bad_job_count(monkeypatch, n_jobs):
+    # 0 and -3 used to run serially; 1.5 reached ProcessPoolExecutor.
+    def no_pool(max_workers):
+        raise AssertionError("no pool may start")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="n_jobs must be"):
+        experiments._collect_runs(lambda c, k: (k,), SyntheticConfig(n_runs=2), n_jobs)
+    with pytest.raises(ValueError, match="n_jobs must be"):
+        eval_step3(SMALL_STEP3, n_jobs=n_jobs)
+
+
 def test_eval_step2_small_golden():
     curve = eval_step2(SMALL_STEP2)
     assert curve.x_values == (3, 6)

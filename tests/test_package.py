@@ -59,6 +59,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert _run_probe(probe) == "False"
 
 
+def test_cli_import_leaves_experiments_unloaded():
+    # Only simulate runs experiments, so fit, summarize and decide
+    # children need not compile and run it.
+    probe = (
+        "import sys, prefvote.cli\n"
+        "print('prefvote.experiments' in sys.modules)\n"
+    )
+    assert _run_probe(probe) == "False"
+
+
 def _scipy_modules_after(tmp_path, commands) -> str:
     # Runs each command through prefvote.cli.main in one fresh interpreter,
     # in tmp_path, and returns the scipy modules it left loaded.

@@ -30,6 +30,8 @@ from prefvote.profiles import (
     Ranking,
     marginalize_profile,
     swap_dominates,
+    _permutation_rows,
+    _ranks,
 )
 from prefvote.scc import check_stability
 
@@ -605,6 +607,20 @@ def test_ranking_positions_invert_a_stable_sort(m):
             positions = _ranking_positions(utilities)
             assert positions.dtype == np.uint8 and positions.flags.c_contiguous
             assert np.array_equal(positions, expected)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_ranks_of_negated_utilities_are_the_ranks_of_their_positions(m):
+    # estimate_profile counts draws by these ranks up to 8 alternatives.
+    rng = np.random.default_rng(700 + m)
+    rows = _permutation_rows(m)
+    for n in (1, 7, 1000):
+        for utilities in _tie_heavy_utilities(rng, n, m):
+            positions = _ranking_positions(utilities)
+            ranks = _ranks(-utilities)
+            assert ranks.dtype == np.min_scalar_type(math.factorial(m) - 1)
+            assert np.array_equal(ranks, _ranks(positions))
+            assert np.array_equal(rows[ranks], positions)
 
 
 def _assert_same_arrays(profile, reference):

@@ -629,6 +629,7 @@ def test_exact_pl_profiles_sum_like_fsum(m):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_ranks_order_rows_as_their_keys_do(m):
     rows = _permutation_rows(m)
+    assert not rows.flags.writeable and _permutation_rows(m) is rows
     assert _ranks(rows).tolist() == list(range(math.factorial(m)))
     rng = np.random.default_rng(60 + m)
     sample = rows[rng.integers(0, len(rows), 300)]
