@@ -41,7 +41,6 @@ from .scc import (
     check_strong_swd_efficiency,
     check_swd_efficiency,
     copeland_scores,
-    positional_scores,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,6 @@ __all__ = [
     "mode_utility",
     "objective_and_gradient",
     "pairwise_prob",
-    "positional_scores",
     "summarize",
     "swap_dominates",
 ]

@@ -5,8 +5,8 @@ from a comparison CSV, ``summarize`` collapses them into a mean model,
 ``decide`` picks a winner among alternatives, ``simulate`` reproduces the
 synthetic accuracy curves, and ``axioms`` audits voting rules.
 
-Exit codes: 0 success, 1 usage error, 2 malformed or unusable data,
-3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 malformed or unusable data
+(or a request too large for memory), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -502,14 +502,11 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
             raise ParseError(
                 f"{where} has dimension {len(beta)}, file declares {d}"
             )
-        records.append(
-            VoterModelRecord(
-                voter_id=voter_id,
-                beta=beta,
-                converged=_parse_bool(entry.get("converged", True), "converged"),
-                iterations=_parse_int(entry.get("iterations", 0), "iterations"),
-            )
-        )
+        converged = _parse_bool(entry.get("converged", True), "converged")
+        iterations = _parse_int(entry.get("iterations", 0), "iterations")
+        if iterations < 0:
+            raise ParseError(f"{where}: iterations must be nonnegative")
+        records.append(VoterModelRecord(voter_id, beta, converged, iterations))
     if not records:
         raise ParseError("voter-models file has no voters")
     fit = payload.get("fit", {})
@@ -584,7 +581,10 @@ def _load_json(path: str, expected_format: str) -> tuple[dict, int]:
     version = _parse_int(payload.get("version"), "version")
     if version != FILE_VERSION:
         raise ParseError(f"unsupported version {version!r}")
-    return payload, _parse_int(payload.get("d"), "d")
+    d = _parse_int(payload.get("d"), "d")
+    if d < 1:
+        raise ParseError(f"d must be at least 1, got {d}")
+    return payload, d
 
 
 def format_curve(curve: AccuracyCurve) -> str:

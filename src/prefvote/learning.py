@@ -9,10 +9,10 @@ comparison is log Phi(beta . (chosen - rejected)), so the fit maximizes
 with d_j the feature difference.  For lambda > 0 the negated objective
 is 2*lambda-strongly convex, so it has one minimizer even on linearly
 separable data, and the fit returns that ridge optimum at float
-resolution from any starting point.  At lambda = 0 on separable data no
-optimum exists (Albert & Anderson 1984): the likelihood keeps rising
-along a separating direction.  ``FitResult.iterations`` counts Newton
-steps.
+resolution.  At lambda = 0 on separable data no optimum exists (Albert
+& Anderson 1984): the likelihood keeps rising along a separating
+direction.  Every fit starts from zero weights, and
+``FitResult.iterations`` counts its Newton steps.
 
 A voter's comparisons are one ``(n, d)`` float array whose row j is
 d_j = chosen_j - rejected_j; the file parser and the simulator produce
@@ -56,7 +56,6 @@ class FitConfig:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8
     l2_penalty: float = 1e-6
-    initial_beta: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         max_iterations = _as_count(self.max_iterations, "max_iterations")
@@ -69,12 +68,6 @@ class FitConfig:
         object.__setattr__(self, "max_iterations", max_iterations)
         object.__setattr__(self, "gradient_tolerance", tolerance)
         object.__setattr__(self, "l2_penalty", l2_penalty)
-        if self.initial_beta is not None:
-            object.__setattr__(
-                self,
-                "initial_beta",
-                _finite_array(self.initial_beta, "initial_beta"),
-            )
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ def fit_voters(
     """
     if config is None:
         config = FitConfig()
-    checked = [_comparison_array(data, config) for data in arrays]
+    checked = [_comparison_array(data) for data in arrays]
     shapes: dict[tuple[int, ...], list[int]] = {}
     for index, diffs in enumerate(checked):
         shapes.setdefault(diffs.shape, []).append(index)
@@ -189,7 +182,7 @@ def fit_voters(
     return results
 
 
-def _comparison_array(data: np.ndarray, config: FitConfig) -> np.ndarray:
+def _comparison_array(data: np.ndarray) -> np.ndarray:
     """One voter's checked ``(n, d)`` array, with n and d at least one."""
     try:
         empty = len(data) == 0
@@ -198,12 +191,8 @@ def _comparison_array(data: np.ndarray, config: FitConfig) -> np.ndarray:
     if empty:
         raise ValueError("need at least one comparison to fit")
     diffs = _finite_array(data, "comparison differences", ndim=2)
-    d = diffs.shape[1]
-    if d == 0:
+    if diffs.shape[1] == 0:
         raise ValueError("comparison differences need at least one feature")
-    start = config.initial_beta
-    if start is not None and start.shape != (d,):
-        raise ValueError(f"initial_beta has shape {start.shape}, expected ({d},)")
     return diffs
 
 
@@ -218,8 +207,7 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
     count, _, d = diffs.shape
     l2_penalty, tolerance = config.l2_penalty, config.gradient_tolerance
     ridge = 2.0 * l2_penalty * np.eye(d)
-    start = np.zeros(d) if config.initial_beta is None else config.initial_beta
-    beta = np.tile(start, (count, 1))
+    beta = np.zeros((count, d))
     value, grad, curvature = _derivatives(beta, diffs, l2_penalty)
     grad_norm = np.abs(grad).max(axis=1)
     backtracking = grad_norm > tolerance

@@ -22,13 +22,15 @@ from .processes import _scored_alternatives
 
 @dataclass(frozen=True)
 class SummaryModel:
-    """Mean voter weights, all finite, plus the population size they summarize."""
+    """Nonempty, finite mean voter weights plus the population size they summarize."""
 
     beta_hat: np.ndarray
     n_voters: int
 
     def __post_init__(self) -> None:
         beta = _finite_array(self.beta_hat, "beta_hat")
+        if beta.shape[0] == 0:
+            raise ValueError("beta_hat needs at least one feature")
         n_voters = _as_count(self.n_voters, "n_voters")
         object.__setattr__(self, "beta_hat", beta)
         object.__setattr__(self, "n_voters", n_voters)
@@ -42,11 +44,13 @@ def as_population(betas: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     """Voter weight vectors as one ``(N, d)`` float array.
 
     A float array passes through uncopied; a list of equal-length vectors
-    is stacked.  Every weight must be finite.
+    is stacked.  N and d must be at least 1 and every weight finite.
     """
     population = _finite_array(betas, "voter models", ndim=2)
     if population.shape[0] == 0:
         raise ValueError("need a nonempty (N, d) population of voter models")
+    if population.shape[1] == 0:
+        raise ValueError("voter models need at least one feature")
     return population
 
 

@@ -74,10 +74,6 @@ class ProcessSpec:
         beta = _finite_array(self.beta, "beta")
         object.__setattr__(self, "beta", tuple(beta.tolist()))
 
-    @property
-    def dim(self) -> int:
-        return len(self.beta)
-
 
 def mode_utility(spec: ProcessSpec, alternative: Alternative) -> float:
     """Noise-free utility ``beta . features``, which must be finite.

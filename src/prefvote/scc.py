@@ -3,10 +3,10 @@
 Five classic rules are provided over anonymous profiles: plurality, Borda,
 Copeland, maximin, and Bucklin.  All return the full winner set (never
 empty); scores within ``SCORE_TIE_TOL`` of the best count as tied.
-Borda and other positional scores are exactly rounded sums of weighted
-credits over the profile's position matrix; plurality scores and
-Bucklin's top-k weights, whose credits are 1 or 0, sum the profile's
-weights over the rows that rank each alternative in the top k.
+Borda scores are exactly rounded sums of weighted credits over the
+profile's position matrix; plurality scores and Bucklin's top-k weights,
+whose credits are 1 or 0, sum the profile's weights over the rows that
+rank each alternative in the top k.
 
 The checkers audit a rule against swap dominance: swap-dominance
 efficiency and its strong form (one scan of the dominance matrix), and
@@ -35,7 +35,6 @@ from .profiles import (
     _as_int,
     _as_subset,
     _exact_sums,
-    _finite_array,
     _split,
     marginalize_profile,
 )
@@ -59,33 +58,14 @@ _RULE_NOTES = {
 }
 
 
-def positional_scores(
-    profile: AnonymousProfile, score_vector: Sequence[float]
-) -> dict[str, float]:
-    """Weighted positional score of every alternative.
-
-    ``score_vector[k]`` is the credit for appearing at rank k (0-based);
-    the credits must be finite and non-increasing.  Each score is the
-    sum of ``weight * credit`` over the support, exactly rounded (the
-    float ``math.fsum`` returns).
-    """
-    m = len(profile.alternatives)
-    vector = _finite_array(score_vector, "score vector")
-    if len(vector) != m:
-        raise ValueError(
-            f"score vector has length {len(vector)}, profile has {m} alternatives"
-        )
-    if np.any(vector[:-1] < vector[1:]):
-        raise ValueError("score vector must be non-increasing")
-    return _positional(profile.ids, *profile.position_matrix(), vector)
-
-
 def _positional(
     ids: Sequence[str], positions: np.ndarray, weights: np.ndarray, vector: np.ndarray
 ) -> dict[str, float]:
     """Each id's sum of ``weight * vector[rank]`` over a position matrix.
 
-    Each sum is exactly rounded (the float ``math.fsum`` returns).
+    ``vector[k]`` is the finite credit for rank k (0-based); Borda passes
+    m - 1, m - 2, ..., 0.  Each sum of the products is exactly rounded
+    (the float ``math.fsum`` returns), for credits of any sign.
     """
     terms = weights * vector[np.ascontiguousarray(positions.T)]  # one row per id
     return dict(zip(ids, _exact_sums(terms, _split(terms))))

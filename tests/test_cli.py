@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -56,13 +57,13 @@ def test_fit_summarize_decide_flow(workdir, capsys):
     summary = str(workdir / "summary.json")
     assert main(["fit", "--comparisons", str(workdir / "comparisons.csv"),
                  "--out", models]) == 0
-    payload = json.loads(open(models).read())
+    payload = json.loads(pathlib.Path(models).read_text())
     assert payload["format"] == "voter-models"
     assert [v["voter_id"] for v in payload["voters"]] == ["v1", "v2"]
     assert all(v["converged"] for v in payload["voters"])
 
     assert main(["summarize", "--models", models, "--out", summary]) == 0
-    summary_payload = json.loads(open(summary).read())
+    summary_payload = json.loads(pathlib.Path(summary).read_text())
     assert summary_payload["n_voters"] == 2
 
     assert main(["decide", "--summary", summary,
@@ -77,7 +78,7 @@ def test_fit_flags_recorded(workdir):
     assert main(["fit", "--comparisons", str(workdir / "comparisons.csv"),
                  "--out", models, "--l2", "0.001", "--tol", "1e-6",
                  "--max-iter", "77"]) == 0
-    fit = json.loads(open(models).read())["fit"]
+    fit = json.loads(pathlib.Path(models).read_text())["fit"]
     assert float(fit["l2_penalty"]) == 0.001
     assert float(fit["gradient_tolerance"]) == 1e-6
     assert fit["max_iterations"] == 77
@@ -186,7 +187,7 @@ def test_byte_order_mark_is_accepted(workdir, capsys):
         capsys.readouterr()
         assert main(["decide", "--summary", summary,
                      "--alternatives", str(folder / "alternatives.csv")]) == 0
-        outputs.append((open(models, "rb").read(), capsys.readouterr().out))
+        outputs.append((pathlib.Path(models).read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
 
 
@@ -742,6 +743,25 @@ def test_summarize_on_out_of_range_fit_block_exits_2(workdir, capsys):
     assert not (workdir / "summary.json").exists()
 
 
+def test_model_files_without_features_exit_2(workdir, capsys):
+    models, summary = workdir / "models.json", workdir / "summary.json"
+    models.write_text(json.dumps({
+        "format": "voter-models", "version": 1, "d": 0,
+        "voters": [{"voter_id": "v1", "beta": []}],
+    }))
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1,
+                                   "d": 0, "n_voters": 1, "beta": []}))
+    out = str(workdir / "out.json")
+    assert main(["summarize", "--models", str(models), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: d must be at least 1, got 0\n"
+    assert not os.path.exists(out)
+    assert main(["decide", "--summary", str(summary),
+                 "--alternatives", str(workdir / "alternatives.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d must be at least 1, got 0\n"
+
+
 def test_axioms_swd_output(workdir, capsys):
     assert main(["axioms", "--check", "swd", "--scc", "plurality",
                  "--profile", str(workdir / "profile.csv")]) == 0
@@ -838,6 +858,25 @@ def test_axioms_mc_stability_refuses_a_negative_seed(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed must be nonnegative" in captured.err
+
+
+def test_axioms_mc_stability_out_of_memory_exits_2(workdir, capsys):
+    # 10**15 samples of 3 utilities need 21 PiB, beyond any 47-bit user
+    # address space, so the allocation fails at once and touches nothing.
+    summary = workdir / "unit.json"
+    summary.write_text(json.dumps({"format": "summary-model", "version": 1, "d": 1,
+                                   "n_voters": 1, "beta": [1.0]}))
+    alternatives = workdir / "triple.csv"
+    alternatives.write_text("id,f_1\na,1\nb,0\nc,2\n")
+    code = main(["axioms", "--check", "stability", "--scc", "borda",
+                 "--summary", str(summary), "--alternatives", str(alternatives),
+                 "--subset", "a,b", "--family", "tm", "--mode", "mc",
+                 "--samples", str(10**15)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
 
 
 def test_exact_pl_stability_at_a_wide_utility_spread(workdir, capsys):

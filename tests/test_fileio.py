@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -527,7 +528,7 @@ def test_model_file_uses_17_digit_decimal_text(tmp_path):
         voter_id="v1", beta=(0.1, 0.5), converged=True, iterations=1
     )
     save_voter_models(path, [record], FitConfig())
-    payload = json.loads(open(path).read())
+    payload = json.loads(pathlib.Path(path).read_text())
     assert payload["voters"][0]["beta"] == ["0.10000000000000001", "0.5"]
     assert payload["format"] == "voter-models"
     assert payload["version"] == 1
@@ -554,15 +555,15 @@ def test_model_file_errors(tmp_path):
     with pytest.raises(ValueError, match="dimension"):
         save_voter_models(path, mixed, FitConfig())
 
-    open(path, "w").write("not json")
+    pathlib.Path(path).write_text("not json")
     with pytest.raises(ParseError, match="invalid JSON"):
         load_voter_models(path)
 
-    open(path, "w").write(json.dumps({"format": "other", "version": 1}))
+    pathlib.Path(path).write_text(json.dumps({"format": "other", "version": 1}))
     with pytest.raises(ParseError, match="unexpected format"):
         load_voter_models(path)
 
-    open(path, "w").write(json.dumps({"format": "voter-models", "version": 9}))
+    pathlib.Path(path).write_text(json.dumps({"format": "voter-models", "version": 9}))
     with pytest.raises(ParseError, match="unsupported version"):
         load_voter_models(path)
 
@@ -572,19 +573,19 @@ def test_model_file_errors(tmp_path):
         "d": 2,
         "voters": [{"voter_id": "v", "beta": ["1.0"]}],
     }
-    open(path, "w").write(json.dumps(payload))
+    pathlib.Path(path).write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="dimension"):
         load_voter_models(path)
 
     payload["voters"] = [{"voter_id": "v", "beta": ["1.0", "inf"]}]
-    open(path, "w").write(json.dumps(payload))
+    pathlib.Path(path).write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="non-finite"):
         load_voter_models(path)
 
     # JSON booleans are not reals, although Python's float() takes them.
     for flag in (True, False):
         payload["voters"] = [{"voter_id": "v", "beta": ["1.0", flag]}]
-        open(path, "w").write(json.dumps(payload))
+        pathlib.Path(path).write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="non-numeric"):
             load_voter_models(path)
 
@@ -603,12 +604,13 @@ def test_model_file_errors(tmp_path):
         ({"voter_id": None, "beta": ["1.0"]}, "voter_id"),
         ({"voter_id": [1], "beta": ["1.0"]}, "voter_id"),
         ({"voter_id": "", "beta": ["1.0"]}, "voter_id"),
+        ({"voter_id": "v", "beta": ["1.0"], "iterations": -5}, "'v': iterations"),
     ],
 )
 def test_voter_models_missing_or_mistyped_fields(tmp_path, entry, message):
     path = str(tmp_path / "models.json")
     payload = {"format": "voter-models", "version": 1, "d": 1, "voters": [entry]}
-    open(path, "w").write(json.dumps(payload))
+    pathlib.Path(path).write_text(json.dumps(payload))
     with pytest.raises(ParseError, match=message):
         load_voter_models(path)
 
@@ -618,7 +620,7 @@ def test_voter_models_refuse_a_repeated_voter_id(tmp_path):
     path = str(tmp_path / "models.json")
     voters = [{"voter_id": v, "beta": ["1.0"]} for v in ("v", "w", "v")]
     payload = {"format": "voter-models", "version": 1, "d": 1, "voters": voters}
-    open(path, "w").write(json.dumps(payload))
+    pathlib.Path(path).write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="duplicate voter_id 'v'"):
         load_voter_models(path)
 
@@ -633,6 +635,8 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"voters": [voter], "version": 1.0}, "version must be an integer"),
         ({"voters": [voter], "d": True}, "d must be an integer"),
         ({"voters": [voter], "d": 1.0}, "d must be an integer"),
+        ({"voters": [voter], "d": 0}, "d must be at least 1, got 0"),
+        ({"voters": [voter], "d": -1}, "d must be at least 1, got -1"),
         ({"voters": [voter], "fit": {"l2_penalty": True}}, "non-numeric"),
         ({"voters": [voter], "fit": {"gradient_tolerance": False}}, "non-numeric"),
         ({"voters": [voter], "fit": {"max_iterations": "lots"}}, "max_iterations"),
@@ -643,7 +647,7 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"voters": [voter], "fit": {"gradient_tolerance": "0"}}, "gradient_tolerance"),
     ):
         payload = {"format": "voter-models", "version": 1, "d": 1, **fields}
-        open(path, "w").write(json.dumps(payload))
+        pathlib.Path(path).write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=message):
             load_voter_models(path)
 
@@ -662,12 +666,13 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"beta": ["1.0"], "n_voters": 3, "d": None}, "d must be"),
         ({"beta": [True], "n_voters": 3}, "non-numeric"),
         ({"beta": [False], "n_voters": 3}, "non-numeric"),
+        ({"beta": [], "n_voters": 3, "d": 0}, "d must be at least 1"),
     ],
 )
 def test_summary_model_missing_or_mistyped_fields(tmp_path, fields, message):
     path = str(tmp_path / "summary.json")
     payload = {"format": "summary-model", "version": 1, "d": 1, **fields}
-    open(path, "w").write(json.dumps(payload))
+    pathlib.Path(path).write_text(json.dumps(payload))
     with pytest.raises(ParseError, match=message):
         load_summary_model(path)
 

@@ -197,22 +197,17 @@ def test_fit_separable_data_stays_finite():
 
 def test_fit_is_the_optimum_not_a_stopping_point():
     # Ten comparisons in d=10 are mostly separable, so only the ridge term
-    # bounds beta; any start must still reach the one ridge optimum.
+    # bounds beta; the fit must still reach the one ridge optimum.
     rng = np.random.default_rng(8)
     config = FitConfig()
     separable = 0
     for _ in range(40):
         data = gen_voter_comparisons(rng.standard_normal(10), 10, rng)
-        cold = fit_voter(data, config)
-        start = rng.normal(0.0, 3.0, 10)
-        warm = fit_voter(data, FitConfig(initial_beta=start))
-        gap = np.linalg.norm(warm.beta - cold.beta) / np.linalg.norm(cold.beta)
-        assert gap <= 1e-12
-        for result in (cold, warm):
-            _, grad = objective_and_gradient(result.beta, data, config.l2_penalty)
-            assert np.max(np.abs(grad)) <= config.gradient_tolerance
-            assert result.converged
-        separable += bool((data @ cold.beta > 0).all())
+        result = fit_voter(data, config)
+        _, grad = objective_and_gradient(result.beta, data, config.l2_penalty)
+        assert np.max(np.abs(grad)) <= config.gradient_tolerance
+        assert result.converged
+        separable += bool((data @ result.beta > 0).all())
     assert separable >= 10
 
 
@@ -237,21 +232,22 @@ def test_unpenalized_fit_stays_finite(data):
 
 
 def test_non_finite_objective_raises_numeric_error():
-    # log Phi underflows to -inf at a margin of -1e200
-    with np.errstate(all="ignore"), pytest.raises(NumericError):
-        fit_voter(np.array([[1.0]]), FitConfig(initial_beta=[-1e200]))
+    # The Hessian d * d overflows for one difference d this large, so the
+    # first step from zero is the gradient, whose ridge term overflows too.
+    for scale in (1e300, 1e155):
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            fit_voter(np.array([[scale]]))
 
 
 def test_numeric_error_names_the_first_failing_voter():
-    # Only the first voter's margin is -1e200; the second one's is +1e200,
-    # from where the ridge pulls it back to a finite optimum.
-    config = FitConfig(initial_beta=[-1e200])
+    # Voter 0 fits; voters 1 and 2 both fail, and the error names voter 1.
+    arrays = [np.array([[1.0]]), np.array([[1e300]]), np.array([[1e155]])]
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match="^voter 0: fit produced") as raised:
-            fit_voters([np.array([[1.0]]), np.array([[-1.0]])], config)
-        second = fit_voters([np.array([[-1.0]])], config)[0]
-    assert raised.value.voter == 0
-    assert second.converged and np.isfinite(second.beta).all()
+        with pytest.raises(NumericError, match="^voter 1: fit produced") as raised:
+            fit_voters(arrays)
+        first = fit_voters(arrays[:1])[0]
+    assert raised.value.voter == 1
+    assert first.converged and np.isfinite(first.beta).all()
 
 
 def _same_fit(first: FitResult, second: FitResult) -> bool:
@@ -281,7 +277,7 @@ def _loop_fit(diffs: np.ndarray, config: FitConfig) -> FitResult:
         return value, grad, ratio * (t + ratio)
 
     d = diffs.shape[1]
-    beta = np.zeros(d) if config.initial_beta is None else config.initial_beta.copy()
+    beta = np.zeros(d)
     ridge = 2.0 * l2_penalty * np.eye(d)
     value, grad, curvature = derivatives(beta)
     grad_norm = np.max(np.abs(grad))
@@ -322,14 +318,13 @@ def _loop_fit(diffs: np.ndarray, config: FitConfig) -> FitResult:
 def _voters(draw):
     """Voters of one dimension and mixed sizes, some separable or degenerate.
 
-    Returns them with a start, at zero or far from the optimum, where the
-    Newton step overshoots and the line search halves it more than once.
+    All of one call's differences are scaled by 1 or 100.  Large ones make
+    more Newton steps from zero overshoot, so the line search halves them
+    more than once.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 4))
-    start = draw(st.sampled_from([None, 3.0, 30.0]))
-    if start is not None:
-        start = rng.normal(0.0, start, d)
+    scale = draw(st.sampled_from([1.0, 100.0]))
     arrays = []
     for _ in range(draw(st.integers(1, 7))):
         data = rng.normal(0.0, 1.0, (draw(st.sampled_from([1, 3, 8])), d))
@@ -338,8 +333,8 @@ def _voters(draw):
             data *= np.where(data @ rng.normal(0.0, 1.0, d) < 0, -1.0, 1.0)[:, None]
         elif kind == "zero column":  # a singular Hessian at l2_penalty = 0
             data[:, -1] = 0.0
-        arrays.append(data)
-    return arrays, start
+        arrays.append(scale * data)
+    return arrays
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,12 +344,9 @@ def _voters(draw):
     st.sampled_from([1, 3, 500]),
     st.sampled_from([1e-3, 1e-8, 1e-300]),
 )
-def test_a_voter_fits_the_same_whichever_voters_share_the_call(voters, l2, budget, tol):
+def test_a_voter_fits_the_same_whichever_voters_share_the_call(arrays, l2, budget, tol):
     # A tolerance of 1e-300 is never met, so fits end in the full-step phase.
-    arrays, start = voters
-    config = FitConfig(
-        l2_penalty=l2, max_iterations=budget, gradient_tolerance=tol, initial_beta=start
-    )
+    config = FitConfig(l2_penalty=l2, max_iterations=budget, gradient_tolerance=tol)
     with np.errstate(all="ignore"):
         together = fit_voters(arrays, config)
         alone = [fit_voters([data], config)[0] for data in arrays]
@@ -394,17 +386,10 @@ def test_fit_single_comparison_aligns_with_difference():
     assert direction == pytest.approx(expected, abs=1e-6)
 
 
-def test_fit_deterministic_and_warm_startable():
+def test_fit_is_deterministic():
     rng = np.random.default_rng(2)
     data = rng.normal(0, 1, (40, 3))
-    first = fit_voter(data)
-    second = fit_voter(data)
-    assert np.array_equal(first.beta, second.beta)
-    assert first.final_objective == second.final_objective
-    warm = fit_voter(data, FitConfig(initial_beta=first.beta))
-    assert np.allclose(warm.beta, first.beta, atol=1e-6)
-    with pytest.raises(ValueError, match="initial_beta"):
-        fit_voter(data, FitConfig(initial_beta=np.zeros(7)))
+    assert _same_fit(fit_voter(data), fit_voter(data))
 
 
 def test_fit_objective_decreases_along_newton_path():
@@ -438,8 +423,6 @@ def test_fit_config_validation():
         ("l2_penalty", math.nan),
         ("l2_penalty", math.inf),
         ("l2_penalty", "0.1"),
-        ("initial_beta", [0.0, math.nan]),
-        ("initial_beta", [[0.0, 1.0]]),
     ],
 )
 def test_fit_config_refuses_non_integer_and_non_finite_values(field, value):
@@ -448,10 +431,9 @@ def test_fit_config_refuses_non_integer_and_non_finite_values(field, value):
 
 
 def test_fit_config_normalizes_numeric_types():
-    config = FitConfig(max_iterations=np.int64(9), l2_penalty=0, initial_beta=[1, 2])
+    config = FitConfig(max_iterations=np.int64(9), l2_penalty=0)
     assert type(config.max_iterations) is int and config.max_iterations == 9
     assert type(config.l2_penalty) is float and config.l2_penalty == 0.0
-    assert config.initial_beta.dtype == np.float64
 
 
 def test_fit_result_reports_unconverged_when_budget_tiny():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,6 +27,14 @@ def test_test_only_helpers_are_not_in_the_package():
     assert not hasattr(prefvote.Ranking, "position")
     assert not hasattr(prefvote.Ranking, "prefers")
     assert not hasattr(prefvote.AnonymousProfile, "weight")
+    # Borda scores through the private scc._positional; every fit starts
+    # from zero weights; a process's dimension is len(spec.beta).
+    for module in (prefvote, prefvote.scc):
+        assert not hasattr(module, "positional_scores")
+    assert not hasattr(prefvote.ProcessSpec, "dim")
+    assert [field.name for field in dataclasses.fields(FitConfig)] == [
+        "max_iterations", "gradient_tolerance", "l2_penalty"
+    ]
 
 
 def _run_probe(probe: str) -> str:

@@ -30,6 +30,9 @@ def test_summarize_means_and_validates():
         summarize([])
     with pytest.raises(ValueError, match="dimension"):
         summarize([np.ones(2), np.ones(3)])
+    for empty in (np.empty((3, 0)), [[], []]):
+        with pytest.raises(ValueError, match="at least one feature"):
+            summarize(empty)
 
 
 def test_summary_model_validation():
@@ -37,6 +40,8 @@ def test_summary_model_validation():
         SummaryModel(beta_hat=np.ones((2, 2)), n_voters=1)
     with pytest.raises(ValueError):
         SummaryModel(beta_hat=np.ones(2), n_voters=0)
+    with pytest.raises(ValueError, match="at least one feature"):
+        SummaryModel(beta_hat=np.empty(0), n_voters=2)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             SummaryModel(beta_hat=np.array([bad, 1.0]), n_voters=1)

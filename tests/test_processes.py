@@ -57,8 +57,8 @@ def total_variation(p, q):
 def test_spec_validation():
     with pytest.raises(ValueError, match="family"):
         ProcessSpec(family="probit", beta=(1.0,))
-    spec = ProcessSpec(family="tm", beta=(1.0, 2.0))
-    assert spec.dim == 2
+    spec = ProcessSpec(family="tm", beta=(1, 2))
+    assert spec.beta == (1.0, 2.0) and type(spec.beta[0]) is float
 
 
 @pytest.mark.parametrize("family", ["tm", "pl"])
