@@ -27,7 +27,7 @@ import numpy as np
 
 from .learning import FitConfig
 from .pipeline import SummaryModel
-from .profiles import Alternative, AnonymousProfile, Ranking
+from .profiles import Alternative, AnonymousProfile, Ranking, _to_float
 
 if TYPE_CHECKING:
     from .experiments import AccuracyCurve
@@ -85,10 +85,6 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 #: A CSV body row and the 1-based line it ends on.
 _Row = tuple[int, list[str]]
-
-#: Converted comparison rows: their voter ids, ``(n, d)`` differences and
-#: the lines of those whose chosen and rejected vectors are identical.
-_Block = tuple[list[str], np.ndarray, list[int]]
 
 
 class ParseError(ValueError):
@@ -173,7 +169,7 @@ def _parse_float(token: object, line: int | None = None) -> float:
     if isinstance(token, bool):
         raise ParseError(f"non-numeric value {token!r}", line=line)
     try:
-        value = float(token)  # type: ignore[arg-type]
+        value = _to_float(token)
     except (TypeError, ValueError):
         raise ParseError(f"non-numeric value {token!r}", line=line) from None
     if not math.isfinite(value):
@@ -217,10 +213,12 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     file is the one reported.
 
     Rows come in blocks of ``_BLOCK_ROWS``, each converted by one
-    ``np.loadtxt`` call.  A block that numpy refuses, or whose values fail
-    a check, is read again one row at a time with ``_parse_float``, which
-    either raises the block's first fault or accepts what only
-    ``float()`` reads, such as ``1_0`` or non-ASCII digits.
+    ``np.loadtxt`` call.  A block that numpy does not read as finite
+    reals throughout is read again one row at a time with
+    ``_parse_float``, up to its first faulty token; that either finds
+    the fault or accepts what only ``float()`` reads, such as ``1_0`` or
+    non-ASCII digits.  The differences, their overflow check and the
+    identical rows are then taken once, from whichever values were read.
     """
     rows = _csv_rows(stream, _comparison_header)
     _, header = next(rows)
@@ -228,20 +226,33 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     voters: list[str] = []
     diffs = [np.empty((0, d))]
     for block in _blocks(rows, _BLOCK_ROWS):
-        fault = None
-        converted = _loadtxt_block(block, d)
-        if converted is None:
-            converted, fault = _float_block(block, d)
-        block_voters, block_diffs, identical = converted
-        for line in identical:
+        pairs, fault = _loadtxt_block(block, d), None
+        if pairs is None:
+            pairs, fault = _float_block(block, d)
+        chosen, rejected = pairs[:, :d], pairs[:, d:]
+        with np.errstate(over="ignore"):
+            block_diffs = chosen - rejected
+        # The values are finite, so a difference is only infinite by
+        # overflow; such a row comes before any faulty token's row.
+        clean = len(pairs)
+        overflows = ~np.isfinite(block_diffs)
+        if overflows.any():
+            clean, k = np.argwhere(overflows)[0].tolist()
+            c, r = float(chosen[clean, k]), float(rejected[clean, k])
+            fault = ParseError(
+                f"chosen minus rejected overflows: {c!r} - {r!r}",
+                line=block[clean][0],
+            )
+        identical = (chosen[:clean] == rejected[:clean]).all(axis=1)
+        for k in np.flatnonzero(identical).tolist():
             warnings.warn(
-                f"line {line}: comparison has identical chosen and rejected "
-                "feature vectors; it carries no information",
+                f"line {block[k][0]}: comparison has identical chosen and "
+                "rejected feature vectors; it carries no information",
                 stacklevel=2,
             )
         if fault is not None:
             raise fault
-        voters.extend(block_voters)
+        voters.extend(row[0].strip() for _, row in block)
         diffs.append(block_diffs)
     return ComparisonTable(tuple(voters), np.concatenate(diffs))
 
@@ -276,12 +287,12 @@ def _blocks(rows: Iterator[_Row], size: int) -> Iterator[list[_Row]]:
         yield block
 
 
-def _loadtxt_block(block: list[_Row], d: int) -> _Block | None:
-    """A block converted by numpy, or None.
+def _loadtxt_block(block: list[_Row], d: int) -> np.ndarray | None:
+    """A block's ``(rows, 2d)`` values as numpy reads them, or None.
 
     None means that a row needs the per-row reading: an empty voter id,
     a field that numpy and ``float()`` may read differently, or a value
-    or difference that is not finite.
+    that is not finite.
     """
     voters = [row[0].strip() for _, row in block]
     lines = [",".join(row[1:]) for _, row in block]
@@ -295,48 +306,29 @@ def _loadtxt_block(block: list[_Row], d: int) -> _Block | None:
     except ValueError:
         return None
     # A quoted comma or line break in a field changes the shape.
-    if pairs.shape != (len(block), 2 * d):
+    if pairs.shape != (len(block), 2 * d) or not np.isfinite(pairs).all():
         return None
-    chosen, rejected = pairs[:, :d], pairs[:, d:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diffs = chosen - rejected
-    # A finite difference also has finite operands.
-    if not np.isfinite(diffs).all():
-        return None
-    identical = np.flatnonzero((chosen == rejected).all(axis=1))
-    return voters, diffs, [block[k][0] for k in identical.tolist()]
+    return pairs
 
 
-def _float_block(block: list[_Row], d: int) -> tuple[_Block, ParseError | None]:
-    """A block read row by row with ``_parse_float``, up to its first fault.
+def _float_block(block: list[_Row], d: int) -> tuple[np.ndarray, ParseError | None]:
+    """A block's values read token by token with ``_parse_float``.
 
-    Returns the rows before the fault, converted, and the fault, or None
-    when every row is good.
+    Returns the ``(rows, 2d)`` values of the rows before the first row
+    with an empty voter id or a token that is not a finite real, and
+    that row's fault, or None when every row reads.
     """
-    voters: list[str] = []
     reals: list[list[float]] = []
-    identical: list[int] = []
     fault = None
     for line, row in block:
-        voter = row[0].strip()
         try:
-            if not voter:
+            if not row[0].strip():
                 raise ParseError("empty voter_id", line=line)
-            values = [_parse_float(token, line) for token in row[1:]]
-            for c, r in zip(values[:d], values[d:]):
-                if not math.isfinite(c - r):
-                    raise ParseError(
-                        f"chosen minus rejected overflows: {c!r} - {r!r}", line=line
-                    )
+            reals.append([_parse_float(token, line) for token in row[1:]])
         except ParseError as exc:
             fault = exc
             break
-        if values[:d] == values[d:]:
-            identical.append(line)
-        voters.append(voter)
-        reals.append(values)
-    pairs = np.array(reals, dtype=float).reshape(len(reals), 2 * d)
-    return (voters, pairs[:, :d] - pairs[:, d:], identical), fault
+    return np.array(reals, dtype=float).reshape(len(reals), 2 * d), fault
 
 
 def group_comparisons(table: ComparisonTable) -> dict[str, np.ndarray]:

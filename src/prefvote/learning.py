@@ -83,7 +83,11 @@ class FitResult:
 def objective_and_gradient(
     beta: np.ndarray, data: np.ndarray, l2_penalty: float = 0.0
 ) -> tuple[float, np.ndarray]:
-    """Negative penalized log-likelihood and its gradient at ``beta``."""
+    """Negative penalized log-likelihood and its gradient at ``beta``.
+
+    ``l2_penalty`` is checked as ``FitConfig`` checks it.
+    """
+    l2_penalty = FitConfig(l2_penalty=l2_penalty).l2_penalty
     beta = _finite_array(beta, "beta")
     diffs = _finite_array(data, "comparison differences", ndim=2)
     if diffs.shape[1] != beta.shape[0]:

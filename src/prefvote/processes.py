@@ -185,8 +185,9 @@ def _draw_utilities(
     sample, or one row per sample, shape ``(n, m)``.  Ranking a row ranks
     its columns by decreasing utility; an exact tie goes to the smaller
     column, so column j is above column k > j exactly when
-    ``u[j] >= u[k]``, the same rule a stable argsort of ``-u`` applies,
-    ±0.0 and ±inf included.
+    ``u[j] >= u[k]``.  That is the order a stable argsort of ``-u``
+    gives, ±0.0 and ±inf included, and the one ``estimate_profile`` and
+    ``_borda_scores`` count.
     """
     size = (n, mu.shape[-1])
     # Zero-centred noise plus mu equals a draw around loc=mu bit for bit;
@@ -198,31 +199,6 @@ def _draw_utilities(
         noise = rng.gumbel(0.0, 1.0, size=size)
     noise += mu
     return noise
-
-
-def _ranking_positions(utilities: np.ndarray) -> np.ndarray:
-    """Each row's ranking by decreasing utility as a row of positions.
-
-    Entry ``[r, j]`` of the ``(n, m)`` result, unsigned integers of the
-    profile's position width, is the 0-based place of column j in row r:
-    the number of columns ranked above it.  Each of the m(m-1)/2 column
-    pairs is compared once, with the tie rule of :func:`_draw_utilities`,
-    so the result equals the inverse of a stable argsort of ``-u`` row by
-    row, without sorting any row.  Utilities must not be NaN.
-    """
-    n, m = utilities.shape
-    columns = list(np.ascontiguousarray(utilities.T))
-    # Column j starts at m - 1 - j, as if every later column beat it; each
-    # pair j < k that j wins then moves j up one place and k down one.
-    positions = np.empty((m, n), dtype=np.min_scalar_type(m - 1))
-    positions[:] = np.arange(m - 1, -1, -1)[:, None]
-    above = np.empty(n, dtype=np.uint8)  # 0 or 1, written as booleans
-    for j in range(m - 1):
-        for k in range(j + 1, m):
-            np.greater_equal(columns[j], columns[k], out=above.view(bool))
-            positions[j] -= above
-            positions[k] += above
-    return np.ascontiguousarray(positions.T)
 
 
 def _borda_scores(utilities: np.ndarray) -> np.ndarray:
@@ -307,10 +283,10 @@ def estimate_profile(
     ``_SWAP_TABLE_MAX`` (8) alternatives each draw's ranking is found by
     its rank (see :func:`_ranks`) and the draws are counted by rank, so
     nothing is sorted: the ranks drawn, in increasing order, pick their
-    rows from the cached table of all m! position rows.  Wider sets
-    compare each draw's noisy utilities column pair by column pair into
-    a position row (see :func:`_ranking_positions`) and count equal rows
-    by sorting their keys.  A lone alternative draws nothing.
+    rows from the cached table of all m! position rows.  Wider sets rank
+    each draw by a stable argsort of its negated utilities, invert that
+    order into a position row and count equal rows by sorting their
+    keys.  A lone alternative draws nothing.
     """
     n_samples = _as_count(n_samples, "n_samples")
     alts, mu = _scored_alternatives(alternatives, spec.beta)
@@ -318,17 +294,19 @@ def estimate_profile(
     m = len(alts)
     if m == 1:
         return _from_positions(ids, np.zeros((1, 1), dtype=np.uint8), np.ones(1))
-    utilities = _draw_utilities(spec.family, mu, n_samples, rng)
+    # Ranked by increasing value, stably, the negated utilities rank the
+    # columns by decreasing utility with the tie rule of the draws.
+    negated = _draw_utilities(spec.family, mu, n_samples, rng)
+    np.negative(negated, out=negated)
     if m <= _SWAP_TABLE_MAX:
-        # Ranked by increasing value, the negated utilities rank the
-        # columns by decreasing utility with the tie rule of the draws.
-        ranks = _ranks(np.negative(utilities, out=utilities))
-        counts = np.bincount(ranks, minlength=math.factorial(m))
+        counts = np.bincount(_ranks(negated), minlength=math.factorial(m))
         present = np.flatnonzero(counts)
         return _from_positions(
             ids, _permutation_rows(m)[present], counts[present] / n_samples
         )
-    positions = _ranking_positions(utilities)
+    orders = np.argsort(negated, axis=1, kind="stable")
+    positions = np.empty(orders.shape, dtype=np.min_scalar_type(m - 1))
+    np.put_along_axis(positions, orders, np.arange(m, dtype=positions.dtype), axis=1)
     keys = _row_keys(positions)
     by_key = np.argsort(keys)
     keys = keys[by_key]

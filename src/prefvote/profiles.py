@@ -43,11 +43,19 @@ def _is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _to_float(value: object) -> float:
+    """``float(value)``, with an integer past the float range as a signed inf."""
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf  # type: ignore[operator]
+
+
 def _as_finite(value: object, name: str) -> float:
     """``value`` as a finite Python float; booleans and strings are refused."""
     if not _is_real(value):
         raise ValueError(f"{name} must be a finite real, got {value!r}")
-    number = float(value)
+    number = _to_float(value)
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite real, got {value!r}")
     return number
@@ -86,6 +94,10 @@ def _finite_array(values: object, name: str, ndim: int = 1) -> np.ndarray:
         array = np.asarray(values, dtype=float)
     except (TypeError, ValueError):  # ragged rows or non-numeric entries
         raise ValueError(wanted) from None
+    except OverflowError:  # an integer past the float range
+        raise ValueError(
+            f"{name} must be finite, got an integer past the float range"
+        ) from None
     if array.ndim != ndim:
         raise ValueError(f"{wanted}, got shape {array.shape}")
     if not np.isfinite(array).all():
@@ -330,22 +342,12 @@ def _swap_table(m: int) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row of a C-contiguous 2-D array; keys order rows as their bytes do.
+    """One key per row of a C-contiguous 2-D array: the row's bytes.
 
-    A row of at most 8 bytes, which covers every position row of at most
-    8 alternatives, is keyed by one native ``uint64``: its bytes read as a
-    big-endian number, zero-filled at the low end.  Integers sort and
-    search much faster than byte strings.  A wider row is keyed by its
-    bytes viewed as one opaque byte string.
+    Each key is the row viewed as one opaque byte string, so keys
+    compare, sort and search as the rows' bytes do.
     """
-    width = rows.itemsize * rows.shape[1]
-    if width > 8:
-        return rows.view(np.dtype((np.void, width)))[:, 0]
-    # Reversed into the high end of a little-endian word, a row's first
-    # byte is the key's most significant.
-    padded = np.zeros((len(rows), 8), dtype=np.uint8)
-    padded[:, 8 - width:] = rows.view(np.uint8)[:, ::-1]
-    return padded.view("<u8")[:, 0]
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 def _dominance_relation(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -439,7 +441,7 @@ class AnonymousProfile:
         ids = tuple(sorted(alts))
         index = {alt: j for j, alt in enumerate(ids)}
         orders = np.array([[index[alt] for alt in r.order] for r in rankings])
-        weights = np.array([float(w) for w in support.values()])
+        weights = np.array([_to_float(w) for w in support.values()])
         self._build(ids, np.argsort(orders, axis=1), weights)
 
     @classmethod
@@ -457,9 +459,11 @@ class AnonymousProfile:
         ids, m = tuple(ids), len(ids)
         orders, weights = np.asarray(orders), np.asarray(weights)
         if weights.dtype.kind not in "iuf":
-            bad = [w for w in weights.ravel().tolist() if not _is_real(w)]
+            listed = weights.ravel().tolist()
+            bad = [w for w in listed if not _is_real(w)]
             if bad:
                 raise ValueError(f"weights must be reals, got {bad[0]!r}")
+            weights = np.array([_to_float(w) for w in listed]).reshape(weights.shape)
         weights = weights.astype(float, copy=False)
         if (
             not ids or not all(ids) or list(ids) != sorted(set(ids))
@@ -556,8 +560,7 @@ class AnonymousProfile:
         ranking, whose weight is ``weights[k]``.  Rows are in key order: by
         their bytes, which order rows totally for any m.  The positions
         are unsigned integers of the smallest width that holds m - 1
-        (``uint8`` up to 256 alternatives), so a row of at most 8
-        alternatives fits one ``uint64`` key.
+        (``uint8`` up to 256 alternatives).
         """
         return self._positions, self._weights
 

@@ -743,6 +743,41 @@ def test_summarize_on_out_of_range_fit_block_exits_2(workdir, capsys):
     assert not (workdir / "summary.json").exists()
 
 
+HUGE = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        (
+            {"models.json": json.dumps({
+                "format": "voter-models", "version": 1, "d": 2,
+                "voters": [{"voter_id": "v1", "beta": [HUGE, 0]}],
+            })},
+            ["summarize", "--models", "@models.json", "--out", "@summary.json"],
+        ),
+        (
+            {"summary.json": json.dumps({"format": "summary-model", "version": 1,
+                                         "d": 2, "n_voters": 1, "beta": [HUGE, 0]}),
+             "alternatives.csv": ALTERNATIVES},
+            ["decide", "--summary", "@summary.json", "--alternatives",
+             "@alternatives.csv"],
+        ),
+        (
+            {"models.json": json.dumps({
+                "format": "voter-models", "version": 1, "d": 2,
+                "fit": {"l2_penalty": HUGE},
+                "voters": [{"voter_id": "v1", "beta": ["1", "0"]}],
+            })},
+            ["summarize", "--models", "@models.json", "--out", "@summary.json"],
+        ),
+    ],
+    ids=["voter-beta", "summary-beta", "fit-l2-penalty"],
+)
+def test_model_file_integers_past_the_float_range_exit_2(files, argv):
+    assert assert_data_error(files, argv).startswith("error: non-finite value 1000")
+
+
 def test_model_files_without_features_exit_2(workdir, capsys):
     models, summary = workdir / "models.json", workdir / "summary.json"
     models.write_text(json.dumps({

@@ -423,11 +423,21 @@ def test_fit_config_validation():
         ("l2_penalty", math.nan),
         ("l2_penalty", math.inf),
         ("l2_penalty", "0.1"),
+        pytest.param("l2_penalty", 10**400, id="l2_penalty-past-float-range"),
     ],
 )
 def test_fit_config_refuses_non_integer_and_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         FitConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "penalty", [math.nan, -1.0, True, "x", 10**400],
+    ids=["nan", "negative", "bool", "string", "past-float-range"],
+)
+def test_objective_checks_the_penalty_as_fit_config_does(penalty):
+    with pytest.raises(ValueError, match="l2_penalty"):
+        objective_and_gradient(np.zeros(2), np.ones((1, 2)), l2_penalty=penalty)
 
 
 def test_fit_config_normalizes_numeric_types():

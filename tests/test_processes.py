@@ -7,6 +7,7 @@ import pytest
 from oracles import permutations_exact_profile, sorted_estimate_profile
 from scipy import special
 
+from prefvote import processes
 from prefvote.processes import (
     EXACT_PROFILE_MAX_SIZE,
     ExactProfileUnsupported,
@@ -19,7 +20,6 @@ from prefvote.processes import (
     pairwise_prob,
     _borda_scores,
     _draw_utilities,
-    _ranking_positions,
     _scored_alternatives,
 )
 from prefvote.experiments import ground_truth_winner
@@ -62,7 +62,10 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("family", ["tm", "pl"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, pytest.param(10**400, id="past-float-range")],
+)
 def test_spec_refuses_non_finite_beta(family, bad):
     with pytest.raises(ValueError, match="beta must be finite"):
         ProcessSpec(family=family, beta=(1.0, bad))
@@ -598,17 +601,6 @@ def test_borda_scores_break_exact_ties_toward_the_smaller_column():
     assert _borda_scores(np.array([[1.0, 2.0, 2.0]])).tolist() == [0, 2, 1]
 
 
-@pytest.mark.parametrize("m", range(2, 11))
-def test_ranking_positions_invert_a_stable_sort(m):
-    rng = np.random.default_rng(400 + m)
-    for n in (1, 7, 1000):
-        for utilities in _tie_heavy_utilities(rng, n, m):
-            expected = np.argsort(_stable_orders(utilities), axis=1)
-            positions = _ranking_positions(utilities)
-            assert positions.dtype == np.uint8 and positions.flags.c_contiguous
-            assert np.array_equal(positions, expected)
-
-
 @pytest.mark.parametrize("m", range(2, 9))
 def test_ranks_of_negated_utilities_are_the_ranks_of_their_positions(m):
     # estimate_profile counts draws by these ranks up to 8 alternatives.
@@ -616,7 +608,7 @@ def test_ranks_of_negated_utilities_are_the_ranks_of_their_positions(m):
     rows = _permutation_rows(m)
     for n in (1, 7, 1000):
         for utilities in _tie_heavy_utilities(rng, n, m):
-            positions = _ranking_positions(utilities)
+            positions = np.argsort(_stable_orders(utilities), axis=1)
             ranks = _ranks(-utilities)
             assert ranks.dtype == np.min_scalar_type(math.factorial(m) - 1)
             assert np.array_equal(ranks, _ranks(positions))
@@ -634,7 +626,7 @@ def _assert_same_arrays(profile, reference):
     assert weights.tobytes() == expected_weights.tobytes()
 
 
-@pytest.mark.parametrize("m", [*range(1, 10), 16])
+@pytest.mark.parametrize("m", [*range(1, 13), 16])
 @pytest.mark.parametrize("family", ["tm", "pl"])
 def test_estimate_profile_arrays_equal_the_sorting_builder(family, m):
     for seed in range(3):
@@ -645,6 +637,26 @@ def test_estimate_profile_arrays_equal_the_sorting_builder(family, m):
             spec, alts, 2_000, np.random.default_rng(seed)
         )
         _assert_same_arrays(profile, reference)
+
+
+@pytest.mark.parametrize("m", [9, 10, 16])
+def test_estimate_profile_ranks_wide_sets_by_the_draws_tie_rule(m, monkeypatch):
+    # Past 8 alternatives each draw is ranked by sorting, not by its rank.
+    rng = np.random.default_rng(800 + m)
+    alts, beta, _ = _seeded_instance(800 + m, m)
+    ids = tuple(sorted(a.id for a in alts))
+    for n in (1, 7, 1000):
+        for utilities in _tie_heavy_utilities(rng, n, m):
+            monkeypatch.setattr(
+                processes, "_draw_utilities", lambda *args: utilities.copy()
+            )
+            profile = estimate_profile(ProcessSpec("pl", beta), alts, n, rng)
+            rows, counts = np.unique(
+                _stable_orders(utilities), axis=0, return_counts=True
+            )
+            _assert_same_arrays(
+                profile, AnonymousProfile.from_orders(ids, rows, counts / n)
+            )
 
 
 @pytest.mark.parametrize("m", range(1, 9))
