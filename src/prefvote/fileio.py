@@ -1,7 +1,8 @@
 """File formats: comparison and alternative CSVs, profile files, model JSON.
 
 Formats are deliberately small and strict.  Parsers reject malformed
-input with ``ParseError`` carrying the 1-based line number.  Model files
+input with ``ParseError`` carrying the 1-based line number when it is
+known; a file that is not UTF-8 text is refused without one.  Model files
 store reals as decimal strings with 17 significant digits, which is
 always enough to reproduce the exact double on load, and every file
 records a format name and version.
@@ -112,6 +113,12 @@ class ComparisonTable:
         return len(self.voter_ids)
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
+    """The error for undecodable text; the decoder reads ahead, so no line."""
+    byte = exc.object[exc.start]
+    return ParseError(f"file is not UTF-8 text: cannot decode byte 0x{byte:02x}")
+
+
 def _format_real(value: float) -> str:
     """Decimal text with 17 significant digits; lossless for binary64."""
     if not math.isfinite(value):
@@ -130,7 +137,8 @@ def _csv_rows(
     dropped from the first header cell.  Blank rows are skipped.  A row's
     number is the 1-based line it ends on, and a fault of the CSV layer
     itself, such as a field over the ``csv`` module's size limit, is a
-    ``ParseError`` naming its line.
+    ``ParseError`` naming its line.  Undecodable text is a ``ParseError``
+    with no line.
     """
     reader = csv.reader(stream)
     try:
@@ -159,6 +167,8 @@ def _csv_rows(
             yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from None
 
 
 def _parse_float(token: object, line: int | None = None) -> float:
@@ -540,13 +550,18 @@ def load_summary_model(path: str) -> SummaryModel:
 def load_json_object(path: str, what: str) -> dict:
     """The JSON object in the file at ``path``, which ``what`` names.
 
-    Invalid, too deeply nested or non-object JSON is a ``ParseError``.
+    Undecodable text and invalid, too deeply nested or non-object JSON
+    are a ``ParseError``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            raise ParseError("invalid JSON: an integer has too many digits") from None
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):

@@ -444,42 +444,6 @@ class AnonymousProfile:
         weights = np.array([_to_float(w) for w in support.values()])
         self._build(ids, np.argsort(orders, axis=1), weights)
 
-    @classmethod
-    def from_orders(cls, ids: Sequence[str], orders, weights) -> "AnonymousProfile":
-        """A profile from index rows and their weights.
-
-        ``ids`` are the alternatives in increasing order.  Row k of the
-        ``(K, m)`` integer array ``orders`` ranks them by column index,
-        most preferred first, and weighs ``weights[k]``.  Equal rows are
-        merged, their weights summed exactly rounded (to the float
-        ``math.fsum`` returns, whatever the row order); the weights are
-        checked and renormalized as in the constructor; booleans and
-        strings are not weights.
-        """
-        ids, m = tuple(ids), len(ids)
-        orders, weights = np.asarray(orders), np.asarray(weights)
-        if weights.dtype.kind not in "iuf":
-            listed = weights.ravel().tolist()
-            bad = [w for w in listed if not _is_real(w)]
-            if bad:
-                raise ValueError(f"weights must be reals, got {bad[0]!r}")
-            weights = np.array([_to_float(w) for w in listed]).reshape(weights.shape)
-        weights = weights.astype(float, copy=False)
-        if (
-            not ids or not all(ids) or list(ids) != sorted(set(ids))
-            or orders.dtype.kind not in "iu" or orders.shape[1:] != (m,)
-            or weights.shape != orders.shape[:1] or not len(weights)
-        ):
-            raise ValueError(
-                f"need sorted distinct ids, K > 0 integer rows of length {m}, K weights"
-            )
-        misplaced = np.sort(orders, axis=1) != np.arange(m)
-        if np.count_nonzero(misplaced):
-            row = orders[misplaced.any(axis=1).argmax()].tolist()
-            raise ValueError(f"order row {row} does not rank each of {list(ids)} once")
-        # The inverse of each order row holds every column's position.
-        return cls.__new__(cls)._build(ids, np.argsort(orders, axis=1), weights)
-
     def _build(
         self, ids: tuple[str, ...], positions: np.ndarray, weights: np.ndarray
     ) -> "AnonymousProfile":
@@ -627,7 +591,7 @@ class AnonymousProfile:
 def _from_positions(
     ids: Sequence[str], positions: np.ndarray, weights: np.ndarray
 ) -> AnonymousProfile:
-    """A profile from valid position rows, past ``from_orders``' checks."""
+    """A profile from valid position rows; only the weights are checked."""
     blank = AnonymousProfile.__new__(AnonymousProfile)
     return blank._build(tuple(ids), positions, weights)
 
@@ -654,7 +618,7 @@ def marginalize_profile(
         columns = [j for j, alt in enumerate(profile.ids) if alt in subset]
         positions, weights = profile.position_matrix()
         # A column's position among the kept ones is its rank in the row.
-        # Ranks are valid position rows, so from_orders' checks are skipped.
+        # Ranks are valid position rows, so only the weights need checks.
         ranks = np.argsort(np.argsort(positions[:, columns], axis=1), axis=1)
         last.clear()
         last[subset] = _from_positions(sorted(subset), ranks, weights)

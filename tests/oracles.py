@@ -3,7 +3,8 @@
 Each is the plain, definition-level form of something the package
 computes from its arrays, or, for the two profile builders at the end,
 the earlier sorting implementation whose arrays the package's builders
-must still match byte for byte.  None of them is part of the package.
+must still match byte for byte.  ``profile_from_orders`` builds the
+tests' profiles from index rows.  None of them is part of the package.
 """
 
 import itertools
@@ -17,7 +18,19 @@ from prefvote.processes import (
     _scored_alternatives,
     pairwise_prob,
 )
-from prefvote.profiles import AnonymousProfile, Ranking
+from prefvote.profiles import Ranking, _from_positions
+
+
+def profile_from_orders(ids, orders, weights):
+    """A profile from index rows and their weights.
+
+    ``ids`` are the alternatives in increasing order.  Row k of
+    ``orders`` ranks them by column index, most preferred first, and
+    weighs ``weights[k]``; the inverse of each row holds every column's
+    position.
+    """
+    positions = np.argsort(orders, axis=1)
+    return _from_positions(tuple(ids), positions, np.asarray(weights, dtype=float))
 
 
 def position(ranking, alt):
@@ -115,19 +128,19 @@ def sorted_estimate_profile(spec, alternatives, n_samples, rng):
 
     Each row of utilities is ranked by a stable argsort, the rows are
     lexsorted so that equal ones are adjacent, and the runs are counted
-    and passed to ``from_orders``.
+    and passed to :func:`profile_from_orders`.
     """
     alts, mu = _scored_alternatives(alternatives, spec.beta)
     m, ids = len(alts), [alt.id for alt in alts]
     if m == 1:
-        return AnonymousProfile.from_orders(ids, [[0]], [1.0])
+        return profile_from_orders(ids, [[0]], [1.0])
     utilities = _draw_utilities(spec.family, mu, n_samples, rng)
     orders = np.argsort(-utilities, axis=1, kind="stable")
     rows = orders.astype(np.min_scalar_type(m - 1))
     rows = rows[np.lexsort(rows.T[::-1])]
     starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
     counts = np.diff(np.r_[starts, n_samples])
-    return AnonymousProfile.from_orders(ids, rows[starts], counts / n_samples)
+    return profile_from_orders(ids, rows[starts], counts / n_samples)
 
 
 def permutations_exact_profile(spec, alternatives):
@@ -135,13 +148,13 @@ def permutations_exact_profile(spec, alternatives):
 
     Each order's Plackett-Luce chance is the product of its stage
     chances, with a log-sum-exp where the weights left underflow, and
-    the orders go to ``from_orders`` in permutation order.
+    the orders go to :func:`profile_from_orders` in permutation order.
     """
     alts, mu = _scored_alternatives(alternatives, spec.beta)
     m, ids = len(alts), [alt.id for alt in alts]
     if spec.family == "tm" and m > 1:
         p = pairwise_prob(spec, alts[0], alts[1])
-        return AnonymousProfile.from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
+        return profile_from_orders(ids, [[0, 1], [1, 0]], [p, 1.0 - p])
     perms = np.array(list(itertools.permutations(range(m))))
     w = np.exp(mu - mu.max())[perms]
     left = np.cumsum(w[:, ::-1], axis=1)[:, :0:-1]
@@ -151,4 +164,4 @@ def permutations_exact_profile(spec, alternatives):
         tail = np.where(np.arange(m) >= stages[:, None], mu[perms[rows]], -np.inf)
         tail = np.exp(tail - tail.max(axis=1, keepdims=True))
         chances[rows, stages] = tail[np.arange(len(rows)), stages] / tail.sum(axis=1)
-    return AnonymousProfile.from_orders(ids, perms, np.prod(chances, axis=1))
+    return profile_from_orders(ids, perms, np.prod(chances, axis=1))

@@ -286,15 +286,14 @@ def assert_data_error(files, argv):
     """``main`` exits 2 with a one-line ``error:`` message and no output;
     returns the message.
 
-    ``files`` maps names to contents, written to a fresh directory; an
-    argument of the form ``@name`` stands for that directory's path to
-    ``name``.
+    ``files`` maps names to contents, text or bytes, written to a fresh
+    directory; an argument of the form ``@name`` stands for that
+    directory's path to ``name``.
     """
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8",
-                      newline="") as handle:
-                handle.write(text)
+            data = text if isinstance(text, bytes) else text.encode("utf-8")
+            pathlib.Path(tmp, name).write_bytes(data)
         argv = [os.path.join(tmp, arg[1:]) if arg.startswith("@") else arg
                 for arg in argv]
         out, err = io.StringIO(), io.StringIO()
@@ -339,6 +338,48 @@ def test_oversized_csv_field_is_data_error(files, argv, line):
 def test_deeply_nested_json_is_data_error(argv):
     error = assert_data_error({"deep.json": DEEP_JSON, "a.csv": ALTERNATIVES}, argv)
     assert "nested too deeply" in error
+
+
+# Python refuses to read an integer of more than 4300 digits by default.
+LONG_INTEGER = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ('{"format": "voter-models", "version": 1, "d": 1, "voters": '
+         f'[{{"voter_id": "v", "beta": [{LONG_INTEGER}]}}]}}',
+         ["summarize", "--models", "@long.json", "--out", "@s.json"]),
+        ('{"format": "summary-model", "version": 1, "d": 1, "n_voters": 1, '
+         f'"beta": [{LONG_INTEGER}]}}',
+         ["decide", "--summary", "@long.json", "--alternatives", "@a.csv"]),
+        (f'{{"n_runs": {LONG_INTEGER}}}',
+         ["simulate", "step2", "--config", "@long.json"]),
+    ],
+    ids=["models", "summary", "config"],
+)
+def test_over_long_json_integer_is_data_error(text, argv):
+    error = assert_data_error({"long.json": text, "a.csv": ALTERNATIVES}, argv)
+    assert error == "error: invalid JSON: an integer has too many digits\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"c.csv": b"voter_id,c_1,r_1\nv1,0,1\nv1,\xff,0\n"},
+         ["fit", "--comparisons", "@c.csv", "--out", "@m.json"]),
+        ({"s.json": summary_json(1), "a.csv": b"id,f_1\n\xff,1\n"},
+         ["decide", "--summary", "@s.json", "--alternatives", "@a.csv"]),
+        ({"p.csv": b"weight,ranking\n1,\xff\n"},
+         ["axioms", "--check", "swd", "--scc", "plurality", "--profile", "@p.csv"]),
+        ({"m.json": b'{"format": "voter-models\xff"}'},
+         ["summarize", "--models", "@m.json", "--out", "@s.json"]),
+    ],
+    ids=["comparisons", "alternatives", "profile", "models"],
+)
+def test_undecodable_file_is_data_error(files, argv):
+    error = assert_data_error(files, argv)
+    assert error == "error: file is not UTF-8 text: cannot decode byte 0xff\n"
 
 
 def json_fault(draw, payload):
@@ -831,6 +872,26 @@ def test_axioms_stability_output(workdir, capsys):
     assert "check: stability" in out
     assert "winners_full: a" in out
     assert "stable: true" in out
+
+
+@pytest.mark.parametrize("check", ["swd", "stability"])
+def test_axioms_bucklin_output_ends_with_its_tie_note(workdir, capsys, check):
+    if check == "swd":
+        inputs = ["--profile", str(workdir / "profile.csv")]
+    else:
+        models = str(workdir / "models.json")
+        summary = str(workdir / "summary.json")
+        main(["fit", "--comparisons", str(workdir / "comparisons.csv"),
+              "--out", models])
+        main(["summarize", "--models", models, "--out", summary])
+        inputs = ["--summary", summary,
+                  "--alternatives", str(workdir / "alternatives.csv"),
+                  "--subset", "a,c", "--family", "pl"]
+    capsys.readouterr()
+    assert main(["axioms", "--check", check, "--scc", "bucklin", *inputs]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "note: bucklin ties at the pivotal rank are resolved toward the larger majority"
+    )
 
 
 @pytest.mark.parametrize(

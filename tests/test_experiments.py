@@ -92,6 +92,7 @@ def test_config_validation():
         ("n_runs", True),
         ("d", np.float64(3.0)),
         ("master_seed", 0.0),
+        ("master_seed", -1),  # an integer, but a seed is nonnegative
     ],
 )
 def test_config_rejects_non_integer_values(field, value):
@@ -400,3 +401,7 @@ def test_accuracy_curve_validation():
         AccuracyCurve.from_runs((10, 20), [(0.5,)])
     with pytest.raises(ValueError):
         AccuracyCurve.from_runs((10,), [])
+    with pytest.raises(ValueError, match="disagree on length"):
+        AccuracyCurve((1, 2), (0.5,), ())
+    with pytest.raises(ValueError, match="row length"):
+        AccuracyCurve((1,), (0.5,), ((0.5, 0.5),))

@@ -430,6 +430,33 @@ def test_byte_order_mark_is_dropped_from_the_header(parse, text, view):
         read("\ufeff\ufeff" + text)
 
 
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (parse_comparisons, COMPARISONS_HEADER.encode() + b"v1,1,0,0,\xff\n"),
+        (parse_alternatives, b"id,f_1\nx\xff,1\n"),
+        (parse_profile, b"weight,ranking\n1,a>\xff\n"),
+    ],
+)
+def test_undecodable_csv_is_a_parse_error_without_a_line(parse, data):
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    with pytest.raises(ParseError, match="^file is not UTF-8 text: cannot decode"):
+        parse(stream)
+
+
+@pytest.mark.parametrize("load", [load_voter_models, load_summary_model])
+def test_undecodable_or_over_long_json_is_a_parse_error(tmp_path, load):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(ParseError, match="^file is not UTF-8 text: .* 0xff$"):
+        load(str(path))
+    # Python refuses to read an integer of more than 4300 digits by default.
+    path.write_text('{"format": "summary-model", "version": 1, "d": 1, "beta": [1'
+                    + "0" * 5000 + '], "n_voters": 1}')
+    with pytest.raises(ParseError, match="^invalid JSON: an integer has too many"):
+        load(str(path))
+
+
 def test_character_types_are_alphabetical_and_complete():
     assert len(CHARACTER_TYPES) == 20
     assert list(CHARACTER_TYPES) == sorted(CHARACTER_TYPES)
@@ -554,6 +581,11 @@ def test_model_file_errors(tmp_path):
     ]
     with pytest.raises(ValueError, match="dimension"):
         save_voter_models(path, mixed, FitConfig())
+    infinite = [VoterModelRecord(voter_id="a", beta=(math.inf,), converged=True,
+                                 iterations=1)]
+    with pytest.raises(ValueError, match="cannot serialize non-finite value inf"):
+        save_voter_models(path, infinite, FitConfig())
+    assert not pathlib.Path(path).exists()
 
     pathlib.Path(path).write_text("not json")
     with pytest.raises(ParseError, match="invalid JSON"):
@@ -575,6 +607,10 @@ def test_model_file_errors(tmp_path):
     }
     pathlib.Path(path).write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="dimension"):
+        load_voter_models(path)
+
+    pathlib.Path(path).write_text(json.dumps({**payload, "voters": []}))
+    with pytest.raises(ParseError, match="has no voters"):
         load_voter_models(path)
 
     payload["voters"] = [{"voter_id": "v", "beta": ["1.0", "inf"]}]
@@ -667,6 +703,7 @@ def test_voter_models_mistyped_containers(tmp_path):
         ({"beta": [True], "n_voters": 3}, "non-numeric"),
         ({"beta": [False], "n_voters": 3}, "non-numeric"),
         ({"beta": [], "n_voters": 3, "d": 0}, "d must be at least 1"),
+        ({"beta": ["1.0", "2.0"], "n_voters": 3}, "dimension 2, file declares 1"),
     ],
 )
 def test_summary_model_missing_or_mistyped_fields(tmp_path, fields, message):

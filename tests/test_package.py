@@ -27,6 +27,8 @@ def test_test_only_helpers_are_not_in_the_package():
     assert not hasattr(prefvote.Ranking, "position")
     assert not hasattr(prefvote.Ranking, "prefers")
     assert not hasattr(prefvote.AnonymousProfile, "weight")
+    # Tests build profiles from index rows with oracles.profile_from_orders.
+    assert not hasattr(prefvote.AnonymousProfile, "from_orders")
     # Borda scores through the private scc._positional; every fit starts
     # from zero weights; a process's dimension is len(spec.beta).
     for module in (prefvote, prefvote.scc):

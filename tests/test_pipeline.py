@@ -28,6 +28,8 @@ def test_summarize_means_and_validates():
     assert from_array.n_voters == 2
     with pytest.raises(ValueError):
         summarize([])
+    with pytest.raises(ValueError, match="nonempty"):
+        summarize(np.empty((0, 3)))
     with pytest.raises(ValueError, match="dimension"):
         summarize([np.ones(2), np.ones(3)])
     for empty in (np.empty((3, 0)), [[], []]):

@@ -4,7 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import permutations_exact_profile, sorted_estimate_profile
+from oracles import (
+    permutations_exact_profile,
+    profile_from_orders,
+    sorted_estimate_profile,
+)
 from scipy import special
 
 from prefvote import processes
@@ -655,7 +659,7 @@ def test_estimate_profile_ranks_wide_sets_by_the_draws_tie_rule(m, monkeypatch):
                 _stable_orders(utilities), axis=0, return_counts=True
             )
             _assert_same_arrays(
-                profile, AnonymousProfile.from_orders(ids, rows, counts / n)
+                profile, profile_from_orders(ids, rows, counts / n)
             )
 
 

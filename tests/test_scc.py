@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import fsum_positional_scores, position, prefers
+from oracles import fsum_positional_scores, position, prefers, profile_from_orders
 
 from prefvote import processes, scc
 from prefvote.processes import ProcessSpec, estimate_profile, exact_profile
@@ -116,7 +116,7 @@ def test_positional_scores_equal_fsum_oracle_on_signed_credits(n_rows):
     orders = np.array([rng.permutation(6) for _ in range(n_rows)])
     tiny = 10.0 ** rng.uniform(-300, 0, n_rows - 1) / n_rows
     weights = np.r_[tiny, 1.0 - math.fsum(tiny.tolist())]
-    profile = AnonymousProfile.from_orders(tuple("abcdef"), orders, weights)
+    profile = profile_from_orders(tuple("abcdef"), orders, weights)
     for vector in SIGNED_CREDITS:
         scores = positional_scores(profile, vector)
         expected = fsum_positional_scores(profile, vector)
@@ -296,6 +296,8 @@ def test_apply_scc_unknown_kind_and_singleton():
         assert apply_scc(kind, single) == frozenset({"a"})
     with pytest.raises(ValueError, match="unknown rule"):
         apply_scc("veto", single)
+    with pytest.raises(ValueError, match="at least two alternatives"):
+        copeland_scores(single)
 
 
 def test_winner_sets_never_empty_random():
@@ -690,11 +692,11 @@ def audit_calls(subsets):
 def test_audits_on_one_profile_equal_audits_on_fresh_profiles():
     rng = np.random.default_rng(7)
     for ids, orders, weights, subsets in cache_contract_cases():
-        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        profile = profile_from_orders(ids, orders, weights)
         calls = audit_calls(subsets)
         for k in rng.permutation(len(calls)).tolist():
             check, *args = calls[k]
-            fresh = AnonymousProfile.from_orders(ids, orders, weights)
+            fresh = profile_from_orders(ids, orders, weights)
             assert fresh == profile
             expected = check(args[0], fresh, *args[1:])
             assert check(args[0], profile, *args[1:]) == expected, (ids, calls[k])
@@ -710,7 +712,7 @@ def test_each_rule_is_scored_once_per_profile_and_margin(monkeypatch):
 
     monkeypatch.setattr(scc, "_score", counted)
     for ids, orders, weights, subsets in cache_contract_cases():
-        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        profile = profile_from_orders(ids, orders, weights)
         marginal = marginalize_profile(profile, subsets[0])
         runs.clear()
         for _ in range(2):
@@ -730,11 +732,11 @@ def test_stability_on_a_second_subset_replaces_the_marginal():
     for ids, orders, weights, (first, second) in cache_contract_cases():
         if first == second:
             continue
-        profile = AnonymousProfile.from_orders(ids, orders, weights)
+        profile = profile_from_orders(ids, orders, weights)
         for kind in SCC_KINDS:
             check_profile_stability(kind, profile, first)
             report = check_profile_stability(kind, profile, second)
-            fresh = AnonymousProfile.from_orders(ids, orders, weights)
+            fresh = profile_from_orders(ids, orders, weights)
             assert report == check_profile_stability(kind, fresh, second), (ids, kind)
         # The memory bound: one marginal, the last, and one outcome per rule.
         kept = profile._memo
