@@ -100,30 +100,20 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     with open(args.comparisons, "r", encoding="utf-8", newline="") as handle:
         table = fileio.parse_comparisons(handle)
-    grouped = fileio.group_comparisons(table)
-    if not grouped:
+    if not table.voter_ids:
         raise fileio.ParseError("no comparison records in file")
     try:
-        results = fit_voters(grouped.values(), config)
+        results = fit_voters(fileio.group_comparisons(table), config)
     except NumericError as exc:
-        raise NumericError(list(grouped)[exc.voter]) from None
-    model_records = [
-        fileio.VoterModelRecord(
-            voter_id=voter_id,
-            beta=tuple(result.beta.tolist()),
-            converged=result.converged,
-            iterations=result.iterations,
-        )
-        for voter_id, result in zip(grouped, results)
-    ]
-    fileio.save_voter_models(args.out, model_records, config)
-    print(f"fitted {len(model_records)} voters -> {args.out}", file=sys.stderr)
+        raise NumericError(table.voter_ids[exc.voter]) from None
+    fileio.save_voter_models(args.out, table.voter_ids, results, config)
+    print(f"fitted {len(results)} voters -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    records, _ = fileio.load_voter_models(args.models)
-    model = summarize([record.beta for record in records])
+    _, betas = fileio.load_voter_models(args.models)
+    model = summarize(betas)
     fileio.save_summary_model(args.out, model)
     print(
         f"summarized {model.n_voters} voters -> {args.out}", file=sys.stderr

@@ -26,9 +26,9 @@ from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .learning import FitConfig
+from .learning import FitConfig, FitResult
 from .pipeline import SummaryModel
-from .profiles import Alternative, AnonymousProfile, Ranking, _to_float
+from .profiles import Alternative, AnonymousProfile, Ranking, _finite_array, _to_float
 
 if TYPE_CHECKING:
     from .experiments import AccuracyCurve
@@ -100,17 +100,20 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ComparisonTable:
-    """Comparison rows as arrays: who chose, and chosen minus rejected.
+    """Comparison rows as arrays, grouped by voter: chosen minus rejected.
 
-    Row k of the ``(n, d)`` float array ``diffs`` belongs to
-    ``voter_ids[k]``, in file order; ``len()`` is the number of rows.
+    Each voter is named once in ``voter_ids``, in the order of its first
+    row.  The ``(n, d)`` float array ``diffs`` holds the first voter's
+    ``counts[0]`` rows, then the next voter's, each voter's rows in file
+    order; ``len()`` is the number of rows.
     """
 
     voter_ids: tuple[str, ...]
     diffs: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.voter_ids)
+        return len(self.diffs)
 
 
 def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
@@ -229,11 +232,14 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
     the fault or accepts what only ``float()`` reads, such as ``1_0`` or
     non-ASCII digits.  The differences, their overflow check and the
     identical rows are then taken once, from whichever values were read.
+    Each row's voter is coded as its block is read; at the end one stable
+    sort by code puts each voter's rows together, in file order.
     """
     rows = _csv_rows(stream, _comparison_header)
     _, header = next(rows)
     d = len(header) // 2
-    voters: list[str] = []
+    codes: dict[str, int] = {}
+    voters: list[int] = []
     diffs = [np.empty((0, d))]
     for block in _blocks(rows, _BLOCK_ROWS):
         pairs, fault = _loadtxt_block(block, d), None
@@ -262,9 +268,17 @@ def parse_comparisons(stream: IO[str]) -> ComparisonTable:
             )
         if fault is not None:
             raise fault
-        voters.extend(row[0].strip() for _, row in block)
+        voters.extend(codes.setdefault(row[0].strip(), len(codes)) for _, row in block)
         diffs.append(block_diffs)
-    return ComparisonTable(tuple(voters), np.concatenate(diffs))
+    voter_codes = np.array(voters, dtype=np.intp)
+    # Release the blocks before the reorder, so that at most two copies
+    # of the differences exist at once.
+    diffs = np.concatenate(diffs)
+    return ComparisonTable(
+        tuple(codes),
+        diffs[np.argsort(voter_codes, kind="stable")],
+        np.bincount(voter_codes, minlength=len(codes)),
+    )
 
 
 def _comparison_header(n: int) -> list[str]:
@@ -341,15 +355,13 @@ def _float_block(block: list[_Row], d: int) -> tuple[np.ndarray, ParseError | No
     return np.array(reals, dtype=float).reshape(len(reals), 2 * d), fault
 
 
-def group_comparisons(table: ComparisonTable) -> dict[str, np.ndarray]:
+def group_comparisons(table: ComparisonTable) -> list[np.ndarray]:
     """Each voter's ``(n_v, d)`` difference rows, in file order.
 
-    Voters appear in the order of their first row.
+    One view of ``table.diffs`` per voter, in the order of ``voter_ids``.
     """
-    rows: dict[str, list[int]] = {}
-    for k, voter in enumerate(table.voter_ids):
-        rows.setdefault(voter, []).append(k)
-    return {voter: table.diffs[index] for voter, index in rows.items()}
+    ends = np.cumsum(table.counts).tolist()
+    return [table.diffs[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def parse_alternatives(stream: IO[str]) -> list[Alternative]:
@@ -438,31 +450,26 @@ def encode_mm_alternative(
     return vector
 
 
-@dataclass(frozen=True)
-class VoterModelRecord:
-    """One fitted voter in a model file."""
-
-    voter_id: str
-    beta: tuple[float, ...]
-    converged: bool
-    iterations: int
-
-
 def save_voter_models(
     path: str,
-    records: Sequence[VoterModelRecord],
+    voter_ids: Sequence[str],
+    results: Sequence[FitResult],
     fit_config: FitConfig,
 ) -> None:
-    """Write per-voter weights plus fit metadata as JSON."""
-    if not records:
+    """Write per-voter weights plus fit metadata as JSON.
+
+    ``results[k]`` is the fit of ``voter_ids[k]``, as ``fit_voters``
+    returns them; every beta must be finite and of one dimension.
+    """
+    if not results:
         raise ValueError("need at least one voter model")
-    dims = {len(record.beta) for record in records}
-    if len(dims) > 1:
-        raise ValueError(f"voter models disagree on dimension: {sorted(dims)}")
+    if len(voter_ids) != len(results):
+        raise ValueError(f"{len(voter_ids)} voter ids for {len(results)} fitted voters")
+    betas = _finite_array([result.beta for result in results], "voter models", ndim=2)
     _save_json(
         path,
         VOTER_MODELS_FORMAT,
-        dims.pop(),
+        betas.shape[1],
         fit={
             "l2_penalty": _format_real(fit_config.l2_penalty),
             "gradient_tolerance": _format_real(fit_config.gradient_tolerance),
@@ -470,24 +477,25 @@ def save_voter_models(
         },
         voters=[
             {
-                "voter_id": record.voter_id,
-                "beta": [_format_real(v) for v in record.beta],
-                "converged": record.converged,
-                "iterations": record.iterations,
+                "voter_id": voter_id,
+                "beta": [_format_real(v) for v in beta],
+                "converged": result.converged,
+                "iterations": result.iterations,
             }
-            for record in records
+            for voter_id, beta, result in zip(voter_ids, betas.tolist(), results)
         ],
     )
 
 
-def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
-    """Read a voter-models file; returns (records, fit settings).
+def load_voter_models(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a voter-models file; returns (voter ids, ``(N, d)`` betas).
 
-    The ``fit`` block's settings are checked as ``FitConfig`` checks them;
-    a setting the block leaves out takes its ``FitConfig`` default.
+    Each entry's ``converged`` and ``iterations`` and the ``fit`` block
+    are checked but not returned; the block's settings are checked as
+    ``FitConfig`` checks them.
     """
     payload, d = _load_json(path, VOTER_MODELS_FORMAT)
-    records, seen = [], set()
+    models: dict[str, tuple[float, ...]] = {}
     voters = payload.get("voters", [])
     if not isinstance(voters, list):
         raise ParseError("voters must be a list")
@@ -495,21 +503,20 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
         voter_id = _require(entry, "voter_id", "voter entry")
         if not isinstance(voter_id, str) or not voter_id:
             raise ParseError(f"voter_id must be a nonempty string, got {voter_id!r}")
-        if voter_id in seen:
+        if voter_id in models:
             raise ParseError(f"duplicate voter_id {voter_id!r}")
-        seen.add(voter_id)
         where = f"voter {voter_id!r}"
         beta = _parse_beta(_require(entry, "beta", where), where)
         if len(beta) != d:
             raise ParseError(
                 f"{where} has dimension {len(beta)}, file declares {d}"
             )
-        converged = _parse_bool(entry.get("converged", True), "converged")
+        _parse_bool(entry.get("converged", True), "converged")
         iterations = _parse_int(entry.get("iterations", 0), "iterations")
         if iterations < 0:
             raise ParseError(f"{where}: iterations must be nonnegative")
-        records.append(VoterModelRecord(voter_id, beta, converged, iterations))
-    if not records:
+        models[voter_id] = beta
+    if not models:
         raise ParseError("voter-models file has no voters")
     fit = payload.get("fit", {})
     if not isinstance(fit, dict):
@@ -522,9 +529,10 @@ def load_voter_models(path: str) -> tuple[list[VoterModelRecord], FitConfig]:
     if "max_iterations" in fit:
         settings["max_iterations"] = fit["max_iterations"]
     try:
-        return records, FitConfig(**settings)
+        FitConfig(**settings)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    return tuple(models), np.array(list(models.values()))
 
 
 def save_summary_model(path: str, model: SummaryModel) -> None:

@@ -41,8 +41,8 @@ TM = "tm"
 PL = "pl"
 FAMILIES = (TM, PL)
 
-#: Largest alternative set accepted by exact_profile (m! support blow-up).
-EXACT_PROFILE_MAX_SIZE = 8
+#: Largest alternative set accepted by exact_profile, whose m! rows are tabled.
+EXACT_PROFILE_MAX_SIZE = _SWAP_TABLE_MAX
 
 _TM_NOISE_SCALE = math.sqrt(0.5)
 _SQRT_HALF = math.sqrt(0.5)

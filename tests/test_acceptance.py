@@ -14,6 +14,7 @@ import sys
 import time
 
 import numpy as np
+from childenv import child_env
 from oracles import gaussian_kl
 from scipy import stats
 
@@ -431,12 +432,12 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
 
-    outputs = {}
+    outputs, env = {}, child_env()
     for step in ("step2", "step3"):
         command = [sys.executable, "-m", "prefvote.cli", "simulate", step,
                    "--config", str(config_path), "--seed", "0"]
-        first = subprocess.run(command, capture_output=True, check=True)
-        second = subprocess.run(command, capture_output=True, check=True)
+        first = subprocess.run(command, capture_output=True, check=True, env=env)
+        second = subprocess.run(command, capture_output=True, check=True, env=env)
         outputs[step] = first.stdout == second.stdout and first.stdout
 
     ok = bool(outputs["step2"]) and bool(outputs["step3"])

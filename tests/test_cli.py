@@ -11,6 +11,7 @@ import tempfile
 import warnings
 
 import pytest
+from childenv import child_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,7 +162,7 @@ def test_fit_warns_before_a_later_blocks_error(workdir):
     done = subprocess.run(
         [sys.executable, "-m", "prefvote.cli", "fit",
          "--comparisons", str(bad), "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert done.returncode == 2
     assert not out.exists()
@@ -1017,8 +1018,8 @@ def test_module_runs_as_subprocess(workdir):
     config.write_text(json.dumps(SMALL_CONFIG))
     command = [sys.executable, "-m", "prefvote.cli", "simulate", "step2",
                "--config", str(config), "--seed", "7"]
-    first = subprocess.run(command, capture_output=True)
-    second = subprocess.run(command, capture_output=True)
+    first = subprocess.run(command, capture_output=True, env=child_env())
+    second = subprocess.run(command, capture_output=True, env=child_env())
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"x,mean_accuracy,stderr")

@@ -18,7 +18,6 @@ from prefvote.fileio import (
     MM_FEATURE_NAMES,
     ComparisonTable,
     ParseError,
-    VoterModelRecord,
     encode_mm_alternative,
     format_curve,
     group_comparisons,
@@ -31,7 +30,7 @@ from prefvote.fileio import (
     save_voter_models,
 )
 from prefvote.experiments import AccuracyCurve
-from prefvote.learning import FitConfig, fit_voter
+from prefvote.learning import FitConfig, FitResult, fit_voter
 from prefvote.pipeline import SummaryModel
 
 COMPARISONS_HEADER = "voter_id,c_1,c_2,r_1,r_2\n"
@@ -49,12 +48,15 @@ def test_parse_comparisons_empty_body_is_valid():
     table = parse_comparisons(io.StringIO(COMPARISONS_HEADER))
     assert len(table) == 0
     assert table.diffs.shape == (0, 2)
+    assert table.voter_ids == ()
+    assert group_comparisons(table) == []
 
 
 def test_parse_comparisons_skips_blank_lines():
     text = COMPARISONS_HEADER + "v1,1,0,0,1\n\nv2,0,1,1,0\n"
     table = parse_comparisons(io.StringIO(text))
     assert table.voter_ids == ("v1", "v2")
+    assert table.counts.tolist() == [1, 1]
     assert len(table) == 2
 
 
@@ -130,7 +132,8 @@ def comparisons_oracle(stream):
 
     Each row is checked, warned about and converted before the next is
     read, so its faults, warnings and values are the reference that the
-    block parser must reproduce.
+    block parser must reproduce.  The rows are then grouped by voter,
+    voters in the order of their first row and rows in file order.
     """
     rows = fileio._csv_rows(stream, fileio._comparison_header)
     _, header = next(rows)
@@ -151,7 +154,12 @@ def comparisons_oracle(stream):
         voters.append(voter)
         values.extend(reals)
     pairs = np.frombuffer(values, dtype=float).reshape(len(voters), 2 * d)
-    return ComparisonTable(tuple(voters), pairs[:, :d] - pairs[:, d:])
+    rows = {}
+    for k, voter in enumerate(voters):
+        rows.setdefault(voter, []).append(k)
+    order = [k for voter_rows in rows.values() for k in voter_rows]
+    counts = np.array([len(voter_rows) for voter_rows in rows.values()], dtype=int)
+    return ComparisonTable(tuple(rows), (pairs[:, :d] - pairs[:, d:])[order], counts)
 
 
 def parse_outcome(parser, text):
@@ -164,7 +172,10 @@ def parse_outcome(parser, text):
             result = ("ParseError", str(exc))
         else:
             diffs = table.diffs
-            result = (table.voter_ids, diffs.dtype, diffs.shape, diffs.tobytes())
+            result = (
+                table.voter_ids, diffs.dtype, diffs.shape, diffs.tobytes(),
+                table.counts.tolist(),
+            )
     return result, [(w.category, str(w.message), w.filename) for w in caught]
 
 
@@ -313,13 +324,22 @@ def test_block_parser_reads_many_blocks_like_the_per_row_parser(monkeypatch):
 
 
 def test_group_comparisons_preserves_first_appearance_order():
-    text = COMPARISONS_HEADER + "b,1,0,0,1\na,0,1,1,0\nb,1,1,0,0\n"
-    grouped = group_comparisons(parse_comparisons(io.StringIO(text)))
-    assert list(grouped) == ["b", "a"]
+    text = COMPARISONS_HEADER + "b,1,0,0,1\na,0,1,1,0\nb,1,1,0,0\nc,2,0,0,0\na,0,0,3,0\n"
+    table = parse_comparisons(io.StringIO(text))
+    # each voter once, in the order of its first row; len() counts rows
+    assert table.voter_ids == ("b", "a", "c")
+    assert table.counts.tolist() == [2, 2, 1]
+    assert len(table) == 5
+    grouped = group_comparisons(table)
     # rows stay in file order within a voter
-    assert np.array_equal(grouped["b"], [[1.0, -1.0], [1.0, 1.0]])
-    # chosen (0, 1) minus rejected (1, 0)
-    assert np.array_equal(grouped["a"], [[-1.0, 1.0]])
+    assert [rows.tolist() for rows in grouped] == [
+        [[1.0, -1.0], [1.0, 1.0]],
+        # chosen (0, 1) minus rejected (1, 0)
+        [[-1.0, 1.0], [-3.0, 0.0]],
+        [[2.0, 0.0]],
+    ]
+    # every voter's array is a view of the table, not a copy
+    assert all(np.shares_memory(rows, table.diffs) for rows in grouped)
 
 
 def reference_voter_comparisons(text):
@@ -357,16 +377,17 @@ def test_grouped_differences_equal_previous_path():
     )
     text = header + "\n" + "\n".join(lines) + "\n"
 
-    grouped = group_comparisons(parse_comparisons(io.StringIO(text)))
+    table = parse_comparisons(io.StringIO(text))
+    grouped = group_comparisons(table)
     expected = reference_voter_comparisons(text)
-    assert list(grouped) == list(expected)
-    for voter, diffs in expected.items():
+    assert list(table.voter_ids) == list(expected)
+    assert len(grouped) == len(expected)
+    for rows, diffs in zip(grouped, expected.values()):
         stacked = np.array(diffs)
-        assert grouped[voter].tobytes() == stacked.tobytes()
-        assert grouped[voter].shape == stacked.shape
-        assert np.array_equal(
-            fit_voter(grouped[voter]).beta, fit_voter(stacked).beta
-        )
+        assert np.shares_memory(rows, table.diffs)
+        assert rows.tobytes() == stacked.tobytes()
+        assert rows.shape == stacked.shape
+        assert np.array_equal(fit_voter(rows).beta, fit_voter(stacked).beta)
 
 
 def test_parse_alternatives_golden():
@@ -413,7 +434,9 @@ def test_parse_profile_errors():
         (
             parse_comparisons,
             COMPARISONS_HEADER + "v1,1,0,0,1\nv2,0.5,1,1,0\n",
-            lambda table: (table.voter_ids, table.diffs.tobytes()),
+            lambda table: (
+                table.voter_ids, table.counts.tolist(), table.diffs.tobytes()
+            ),
         ),
         (parse_alternatives, "id,f_1,f_2\nx,1.5,-2\ny,0,3\n", list),
         (parse_profile, "weight,ranking\n0.35,a>b>c\n0.65,b>a>c\n",
@@ -530,31 +553,44 @@ def test_encode_mm_errors():
 ADVERSARIAL_REALS = (0.1, 1 / 3, 1e-300, 5e-324, -0.0, 123456789.123456789)
 
 
+def fit_result(beta, converged=True, iterations=1):
+    return FitResult(
+        beta=np.array(beta, dtype=float),
+        final_objective=0.0,
+        converged=converged,
+        iterations=iterations,
+    )
+
+
 def test_voter_models_round_trip_exact(tmp_path):
     path = str(tmp_path / "models.json")
-    records = [
-        VoterModelRecord(
-            voter_id="v1", beta=ADVERSARIAL_REALS, converged=True, iterations=12
-        ),
-        VoterModelRecord(
-            voter_id="v2",
-            beta=tuple(-v for v in ADVERSARIAL_REALS),
-            converged=False,
-            iterations=500,
-        ),
+    results = [
+        fit_result(ADVERSARIAL_REALS, converged=True, iterations=12),
+        fit_result([-v for v in ADVERSARIAL_REALS], converged=False, iterations=500),
     ]
-    save_voter_models(path, records, FitConfig(l2_penalty=1e-6))
-    loaded, fit = load_voter_models(path)
-    assert loaded == records
-    assert fit == FitConfig(l2_penalty=1e-6)
+    config = FitConfig(max_iterations=600, gradient_tolerance=1e-7, l2_penalty=1e-5)
+    save_voter_models(path, ("v1", "v2"), results, config)
+    voter_ids, betas = load_voter_models(path)
+    assert voter_ids == ("v1", "v2")
+    assert betas.dtype == np.float64 and betas.shape == (2, len(ADVERSARIAL_REALS))
+    expected = np.array([result.beta for result in results])
+    assert betas.tobytes() == expected.tobytes()
+    # the diagnostics and the fit settings are written, though not loaded
+    payload = json.loads(pathlib.Path(path).read_text())
+    assert [(v["converged"], v["iterations"]) for v in payload["voters"]] == [
+        (True, 12), (False, 500)
+    ]
+    fit = payload["fit"]
+    assert FitConfig(
+        max_iterations=fit["max_iterations"],
+        gradient_tolerance=float(fit["gradient_tolerance"]),
+        l2_penalty=float(fit["l2_penalty"]),
+    ) == config
 
 
 def test_model_file_uses_17_digit_decimal_text(tmp_path):
     path = str(tmp_path / "models.json")
-    record = VoterModelRecord(
-        voter_id="v1", beta=(0.1, 0.5), converged=True, iterations=1
-    )
-    save_voter_models(path, [record], FitConfig())
+    save_voter_models(path, ["v1"], [fit_result((0.1, 0.5))], FitConfig())
     payload = json.loads(pathlib.Path(path).read_text())
     assert payload["voters"][0]["beta"] == ["0.10000000000000001", "0.5"]
     assert payload["format"] == "voter-models"
@@ -574,17 +610,14 @@ def test_summary_model_round_trip_exact(tmp_path):
 def test_model_file_errors(tmp_path):
     path = str(tmp_path / "bad.json")
     with pytest.raises(ValueError, match="at least one"):
-        save_voter_models(path, [], FitConfig())
-    mixed = [
-        VoterModelRecord(voter_id="a", beta=(1.0,), converged=True, iterations=1),
-        VoterModelRecord(voter_id="b", beta=(1.0, 2.0), converged=True, iterations=1),
-    ]
-    with pytest.raises(ValueError, match="dimension"):
-        save_voter_models(path, mixed, FitConfig())
-    infinite = [VoterModelRecord(voter_id="a", beta=(math.inf,), converged=True,
-                                 iterations=1)]
-    with pytest.raises(ValueError, match="cannot serialize non-finite value inf"):
-        save_voter_models(path, infinite, FitConfig())
+        save_voter_models(path, [], [], FitConfig())
+    with pytest.raises(ValueError, match="1 voter ids for 2 fitted voters"):
+        save_voter_models(path, ["a"], [fit_result((1.0,))] * 2, FitConfig())
+    mixed = [fit_result((1.0,)), fit_result((1.0, 2.0))]
+    with pytest.raises(ValueError, match="2-dimensional array"):
+        save_voter_models(path, ["a", "b"], mixed, FitConfig())
+    with pytest.raises(ValueError, match="voter models must be finite"):
+        save_voter_models(path, ["a"], [fit_result((math.inf,))], FitConfig())
     assert not pathlib.Path(path).exists()
 
     pathlib.Path(path).write_text("not json")

@@ -1,11 +1,13 @@
 import dataclasses
-import os
 import subprocess
 import sys
 
+import numpy as np
+from childenv import child_env
+
 import prefvote
 from prefvote import fileio
-from prefvote.learning import FitConfig
+from prefvote.learning import FitConfig, FitResult
 
 
 def test_export_list_resolves_without_duplicates():
@@ -34,17 +36,16 @@ def test_test_only_helpers_are_not_in_the_package():
     for module in (prefvote, prefvote.scc):
         assert not hasattr(module, "positional_scores")
     assert not hasattr(prefvote.ProcessSpec, "dim")
+    # Model files are written from FitResults and read back as arrays.
+    assert not hasattr(fileio, "VoterModelRecord")
     assert [field.name for field in dataclasses.fields(FitConfig)] == [
         "max_iterations", "gradient_tolerance", "l2_penalty"
     ]
 
 
 def _run_probe(probe: str) -> str:
-    source = os.path.dirname(os.path.dirname(prefvote.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
@@ -100,9 +101,10 @@ def test_summarize_decide_and_axioms_run_without_scipy(tmp_path):
     # commands, a Thurstone pair probability included, load no scipy module.
     fileio.save_voter_models(
         str(tmp_path / "models.json"),
+        ["v1", "v2"],
         [
-            fileio.VoterModelRecord("v1", (1.0, 0.5), True, 3),
-            fileio.VoterModelRecord("v2", (2.0, -0.5), True, 4),
+            FitResult(np.array([1.0, 0.5]), 0.0, True, 3),
+            FitResult(np.array([2.0, -0.5]), 0.0, True, 4),
         ],
         FitConfig(),
     )

@@ -409,6 +409,15 @@ def test_profile_equality_ignores_insertion_order(split_majority_profile):
     assert AnonymousProfile(shifted) != split_majority_profile
 
 
+def test_profile_repr_lists_rankings_in_order_and_equality_needs_a_profile():
+    profile = AnonymousProfile(
+        {Ranking.from_string("b>a"): 0.25, Ranking.from_string("a>b"): 0.75}
+    )
+    assert repr(profile) == "AnonymousProfile({a>b: 0.75, b>a: 0.25})"
+    assert profile.__eq__(3) is NotImplemented
+    assert profile != 3
+
+
 def test_support_view_is_cached_read_only_and_in_key_order(split_majority_profile):
     view = split_majority_profile.support
     assert split_majority_profile.support is view

@@ -38,7 +38,7 @@ def test_comparison_counters_read_what_the_package_returns():
     table = fileio.parse_comparisons(io.StringIO(text))
     assert len(table) == 3
     grouped = fileio.group_comparisons(table)
-    assert [rows.shape for rows in grouped.values()] == [(2, 1), (1, 1)]
+    assert [rows.shape for rows in grouped] == [(2, 1), (1, 1)]
 
 
 def test_fit_voter_takes_config_second():
