@@ -39,18 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--l2", type=float, default=FitConfig.l2_penalty, help="ridge penalty"
     )
-    fit.add_argument(
-        "--tol",
-        type=float,
-        default=FitConfig.gradient_tolerance,
-        help="gradient inf-norm tolerance",
-    )
-    fit.add_argument(
-        "--max-iter",
-        type=int,
-        default=FitConfig.max_iterations,
-        help="iteration budget per voter",
-    )
     fit.set_defaults(func=_cmd_fit)
 
     summ = sub.add_parser("summarize", help="average voter models into one")
@@ -93,11 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    config = FitConfig(
-        max_iterations=args.max_iter,
-        gradient_tolerance=args.tol,
-        l2_penalty=args.l2,
-    )
+    config = FitConfig(l2_penalty=args.l2)
     with open(args.comparisons, "r", encoding="utf-8", newline="") as handle:
         table = fileio.parse_comparisons(handle)
     if not table.voter_ids:

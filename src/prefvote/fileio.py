@@ -491,8 +491,9 @@ def load_voter_models(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a voter-models file; returns (voter ids, ``(N, d)`` betas).
 
     Each entry's ``converged`` and ``iterations`` and the ``fit`` block
-    are checked but not returned; the block's settings are checked as
-    ``FitConfig`` checks them.
+    are checked but not returned: the block's ``max_iterations`` must be
+    an integer of at least 1, its ``gradient_tolerance`` positive and its
+    ``l2_penalty`` nonnegative.
     """
     payload, d = _load_json(path, VOTER_MODELS_FORMAT)
     models: dict[str, tuple[float, ...]] = {}
@@ -511,8 +512,8 @@ def load_voter_models(path: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise ParseError(
                 f"{where} has dimension {len(beta)}, file declares {d}"
             )
-        _parse_bool(entry.get("converged", True), "converged")
-        iterations = _parse_int(entry.get("iterations", 0), "iterations")
+        _parse_bool(entry.get("converged", True), f"{where}: converged")
+        iterations = _parse_int(entry.get("iterations", 0), f"{where}: iterations")
         if iterations < 0:
             raise ParseError(f"{where}: iterations must be nonnegative")
         models[voter_id] = beta
@@ -521,17 +522,14 @@ def load_voter_models(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     fit = payload.get("fit", {})
     if not isinstance(fit, dict):
         raise ParseError("fit metadata must be a JSON object")
-    settings = {
-        key: _parse_float(fit[key])
-        for key in ("l2_penalty", "gradient_tolerance")
-        if key in fit
-    }
-    if "max_iterations" in fit:
-        settings["max_iterations"] = fit["max_iterations"]
-    try:
-        FitConfig(**settings)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    l2_penalty = _parse_float(fit.get("l2_penalty", 0.0))
+    tolerance = _parse_float(fit.get("gradient_tolerance", 1.0))
+    if _parse_int(fit.get("max_iterations", 1), "max_iterations") < 1:
+        raise ParseError("max_iterations must be at least 1")
+    if not tolerance > 0:
+        raise ParseError("gradient_tolerance must be positive")
+    if l2_penalty < 0:
+        raise ParseError("l2_penalty must be nonnegative")
     return tuple(models), np.array(list(models.values()))
 
 

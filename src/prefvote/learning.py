@@ -12,7 +12,10 @@ separable data, and the fit returns that ridge optimum at float
 resolution.  At lambda = 0 on separable data no optimum exists (Albert
 & Anderson 1984): the likelihood keeps rising along a separating
 direction.  Every fit starts from zero weights, and
-``FitResult.iterations`` counts its Newton steps.
+``FitResult.iterations`` counts its Newton steps.  Where a fit stops is
+part of the solver, not a setting, so its weights depend only on the
+data and lambda; ``FitResult.converged`` says whether the final gradient
+inf-norm is at most 1e-8.
 
 A voter's comparisons are one ``(n, d)`` float array whose row j is
 d_j = chosen_j - rejected_j; the file parser and the simulator produce
@@ -26,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
 from .processes import _LOG_SQRT_2PI, log_normal_cdf
-from .profiles import _as_count, _as_finite, _finite_array
+from .profiles import _as_finite, _finite_array
 
 
 class NumericError(RuntimeError):
@@ -51,22 +54,23 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the per-voter fit."""
+    """The ridge penalty lambda of the per-voter fit.
 
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-8
+    The two class constants belong to the solver, not to a call: every
+    fit takes at most ``max_iterations`` Newton steps, and it reports
+    ``converged`` when its final gradient inf-norm is at most
+    ``gradient_tolerance``.  Neither decides where a fit stops short of
+    that budget, so the weights depend only on the data and the penalty.
+    """
+
+    max_iterations: ClassVar[int] = 500
+    gradient_tolerance: ClassVar[float] = 1e-8
     l2_penalty: float = 1e-6
 
     def __post_init__(self) -> None:
-        max_iterations = _as_count(self.max_iterations, "max_iterations")
-        tolerance = _as_finite(self.gradient_tolerance, "gradient_tolerance")
-        if not tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
         l2_penalty = _as_finite(self.l2_penalty, "l2_penalty")
         if l2_penalty < 0:
             raise ValueError("l2_penalty must be nonnegative")
-        object.__setattr__(self, "max_iterations", max_iterations)
-        object.__setattr__(self, "gradient_tolerance", tolerance)
         object.__setattr__(self, "l2_penalty", l2_penalty)
 
 
@@ -148,24 +152,25 @@ def fit_voters(
 
     Each entry of ``arrays`` is one voter's ``(n, d)`` chosen-minus-rejected
     array.  Damped Newton (Nocedal & Wright, ch. 3): steps are halved to
-    meet the Armijo condition until the gradient inf-norm meets
-    ``gradient_tolerance`` or no halved step lowers the objective at float
-    resolution; then full steps go on while each one lowers the gradient
-    inf-norm.  The step falls back to the gradient (steepest descent) where
-    the Hessian is singular and, only while halving, where the Newton step
-    is not downhill.  For ``l2_penalty`` > 0 the result is thus the unique
-    ridge optimum at float resolution; at 0 on separable data there is
-    none, and the weights are finite but of arbitrary scale.
-    ``iterations`` counts Newton steps (at most ``max_iterations``), and
-    the objective never rises along them beyond float resolution.
-    ``converged`` says whether the final gradient inf-norm meets the
-    tolerance.
+    meet the Armijo condition until no halved step lowers the objective at
+    float resolution; then full steps go on while each one lowers the
+    gradient inf-norm.  The step falls back to the gradient (steepest
+    descent) where the Hessian is singular and, only while halving, where
+    the Newton step is not downhill.  For ``l2_penalty`` > 0 the result is
+    thus the unique ridge optimum at float resolution; at 0 on separable
+    data there is none, and the weights are finite but of arbitrary scale.
+    No tolerance takes part in these choices, so the weights depend only
+    on the data and ``l2_penalty``.  ``iterations`` counts Newton steps (at
+    most ``FitConfig.max_iterations``), and the objective never rises
+    along them beyond float resolution.  ``converged`` says whether the
+    final gradient inf-norm is at most ``FitConfig.gradient_tolerance``.
 
     Voters of the same shape are stacked into blocks and stepped together.
     Every choice above is made per voter, and a voter leaves its block
-    where it would stop alone, so the same data and config give the same
-    result to the bit, whichever voters share the call.  Raises ``NumericError`` naming the
-    position of the first voter whose fit is not finite.
+    where it would stop alone, so the same data and penalty give the same
+    result to the bit, whichever voters share the call.  Raises
+    ``NumericError`` naming the position of the first voter whose fit is
+    not finite.
     """
     if config is None:
         config = FitConfig()
@@ -214,7 +219,7 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
     beta = np.zeros((count, d))
     value, grad, curvature = _derivatives(beta, diffs, l2_penalty)
     grad_norm = np.abs(grad).max(axis=1)
-    backtracking = grad_norm > tolerance
+    backtracking = np.ones(count, dtype=bool)
     voters = np.arange(count)  # block position of each row still stepping
     results: list[FitResult] = [None] * count  # type: ignore[list-item]
 
@@ -239,10 +244,11 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
         point = beta - step
         trial = list(_derivatives(point, diffs, l2_penalty))
         # Halve while the decrease Armijo asks for is finite and resolvable.
-        # The voters in ``armijo`` take a point that meets it.
+        # The voters still ``backtracking`` take a point that meets it; the
+        # others have left the line search for good.
         target = value - _ARMIJO * slope
-        armijo = backtracking & (-math.inf < target) & (target < value)
-        halving = armijo & ~(trial[0] <= target)
+        backtracking &= (-math.inf < target) & (target < value)
+        halving = backtracking & ~(trial[0] <= target)
         length = 1.0
         while np.count_nonzero(halving):
             length /= 2.0
@@ -250,7 +256,7 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
             target = value[rows] - _ARMIJO * length * slope[rows]
             resolvable = (-math.inf < target) & (target < value[rows])
             dropped = rows[~resolvable]  # these take the full-step rule
-            armijo[dropped] = halving[dropped] = False
+            backtracking[dropped] = halving[dropped] = False
             rows, target = rows[resolvable], target[resolvable]
             halved = beta[rows] - length * step[rows]
             found = _derivatives(halved, diffs[rows], l2_penalty)
@@ -259,31 +265,35 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
             halving[done] = False
             for array, source in zip((point, *trial), (halved, *found)):
                 array[done] = source[sufficient]
-        # Past the tolerance, or the Armijo decrease is below float
-        # resolution: only full steps that lower the gradient from here.
-        taken = armijo | (np.abs(trial[1]).max(axis=1) < grad_norm)
+        # Once the Armijo decrease is below float resolution, only full
+        # steps that lower the gradient inf-norm are taken.
+        taken = backtracking | (np.abs(trial[1]).max(axis=1) < grad_norm)
         moving = np.count_nonzero(taken)
         if moving < len(taken):  # the others stop where they are
             finish((~taken).nonzero()[0], iterations)
             if not moving:
                 return results
-            voters, diffs, point, armijo = (
-                voters[taken], diffs[taken], point[taken], armijo[taken]
+            voters, diffs, point, backtracking = (
+                voters[taken], diffs[taken], point[taken], backtracking[taken]
             )
             trial = [array[taken] for array in trial]
         beta, (value, grad, curvature) = point, trial
         grad_norm = np.abs(grad).max(axis=1)
-        backtracking = armijo & (grad_norm > tolerance)
         iterations += 1
     finish(range(len(voters)), iterations)
     return results
 
 
 def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve H step = g per voter; where H is singular the step is g."""
+    """Solve H step = g per voter; where H is singular the step is g.
+
+    H can be singular at l2_penalty = 0, and at a positive penalty where
+    the ridge term is lost in rounding next to huge curvature: three
+    differences (1e20, 1e20) at the default penalty 1e-6.
+    """
     try:
         return np.linalg.solve(hessian, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # H can be singular at l2_penalty = 0
+    except np.linalg.LinAlgError:
         steps = grad.copy()
         for row in range(len(grad)):
             try:

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -75,14 +76,40 @@ def test_fit_summarize_decide_flow(workdir, capsys):
 
 
 def test_fit_flags_recorded(workdir):
+    # The fit block records --l2 and the solver's two constants.
     models = str(workdir / "models.json")
     assert main(["fit", "--comparisons", str(workdir / "comparisons.csv"),
-                 "--out", models, "--l2", "0.001", "--tol", "1e-6",
-                 "--max-iter", "77"]) == 0
+                 "--out", models, "--l2", "0.001"]) == 0
     fit = json.loads(pathlib.Path(models).read_text())["fit"]
-    assert float(fit["l2_penalty"]) == 0.001
-    assert float(fit["gradient_tolerance"]) == 1e-6
-    assert fit["max_iterations"] == 77
+    assert fit == {"l2_penalty": "0.001", "gradient_tolerance": "1e-08",
+                   "max_iterations": 500}
+
+
+def test_fit_takes_only_the_penalty(workdir, capsys):
+    assert main(["fit", "--help"]) == 0
+    options = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+    assert options == ["--comparisons", "--out", "--l2"]
+    for flags in (["--tol", "1e-6"], ["--max-iter", "50"]):
+        assert main(["fit", "--comparisons", str(workdir / "comparisons.csv"),
+                     "--out", str(workdir / "m.json"), *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (workdir / "m.json").exists()
+
+
+def test_summarize_reads_a_fit_block_with_other_solver_settings(workdir, capsys):
+    # Earlier versions took --tol and --max-iter and wrote them here.
+    models = workdir / "models.json"
+    models.write_text(json.dumps({
+        "format": "voter-models", "version": 1, "d": 2,
+        "fit": {"l2_penalty": "9.9999999999999995e-07",
+                "gradient_tolerance": "9.9999999999999995e-07",
+                "max_iterations": 50},
+        "voters": [{"voter_id": "v1", "beta": ["2.5", "-2"],
+                    "converged": True, "iterations": 18}],
+    }))
+    assert main(["summarize", "--models", str(models),
+                 "--out", str(workdir / "summary.json")]) == 0
+    assert capsys.readouterr().err.startswith("summarized 1 voters")
 
 
 def test_numeric_failure_names_the_voter_id(workdir, capsys, monkeypatch):
@@ -197,7 +224,6 @@ def test_byte_order_mark_is_accepted(workdir, capsys):
     [
         (["--l2", "nan"], "l2_penalty"),
         (["--l2", "inf"], "l2_penalty"),
-        (["--tol", "inf"], "gradient_tolerance"),
     ],
 )
 def test_fit_refuses_non_finite_options_before_reading_data(

@@ -38,9 +38,8 @@ def test_test_only_helpers_are_not_in_the_package():
     assert not hasattr(prefvote.ProcessSpec, "dim")
     # Model files are written from FitResults and read back as arrays.
     assert not hasattr(fileio, "VoterModelRecord")
-    assert [field.name for field in dataclasses.fields(FitConfig)] == [
-        "max_iterations", "gradient_tolerance", "l2_penalty"
-    ]
+    # The fit's budget and tolerance are the solver's, not settings.
+    assert [field.name for field in dataclasses.fields(FitConfig)] == ["l2_penalty"]
 
 
 def _run_probe(probe: str) -> str:
