@@ -87,11 +87,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if not table.voter_ids:
         raise fileio.ParseError("no comparison records in file")
     try:
-        results = fit_voters(fileio.group_comparisons(table), config)
+        fit = fit_voters(fileio.group_comparisons(table), config)
     except NumericError as exc:
         raise NumericError(table.voter_ids[exc.voter]) from None
-    fileio.save_voter_models(args.out, table.voter_ids, results, config)
-    print(f"fitted {len(results)} voters -> {args.out}", file=sys.stderr)
+    fileio.save_voter_models(args.out, table.voter_ids, fit, config)
+    print(f"fitted {len(table.voter_ids)} voters -> {args.out}", file=sys.stderr)
     return 0
 
 

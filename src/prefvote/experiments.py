@@ -202,9 +202,7 @@ def _step2_run(config: SyntheticConfig, run_index: int) -> tuple[float, ...]:
     pool_size = max(config.comparisons_grid)
     pools = [gen_voter_comparisons(b, pool_size, rng) for b in true_betas]
     fitted = {
-        count: np.array(
-            [fit.beta for fit in fit_voters([pool[:count] for pool in pools])]
-        )
+        count: fit_voters([pool[:count] for pool in pools]).beta
         for count in config.comparisons_grid
     }
     matches = {count: 0 for count in config.comparisons_grid}

@@ -451,21 +451,18 @@ def encode_mm_alternative(
 
 
 def save_voter_models(
-    path: str,
-    voter_ids: Sequence[str],
-    results: Sequence[FitResult],
-    fit_config: FitConfig,
+    path: str, voter_ids: Sequence[str], fit: FitResult, fit_config: FitConfig
 ) -> None:
     """Write per-voter weights plus fit metadata as JSON.
 
-    ``results[k]`` is the fit of ``voter_ids[k]``, as ``fit_voters``
-    returns them; every beta must be finite and of one dimension.
+    ``fit`` holds the rows that ``fit_voters`` returns, and row k is the
+    fit of ``voter_ids[k]``; every beta must be finite.
     """
-    if not results:
+    betas = _finite_array(fit.beta, "voter models", ndim=2)
+    if not len(betas):
         raise ValueError("need at least one voter model")
-    if len(voter_ids) != len(results):
-        raise ValueError(f"{len(voter_ids)} voter ids for {len(results)} fitted voters")
-    betas = _finite_array([result.beta for result in results], "voter models", ndim=2)
+    if len(voter_ids) != len(betas):
+        raise ValueError(f"{len(voter_ids)} voter ids for {len(betas)} fitted voters")
     _save_json(
         path,
         VOTER_MODELS_FORMAT,
@@ -479,10 +476,12 @@ def save_voter_models(
             {
                 "voter_id": voter_id,
                 "beta": [_format_real(v) for v in beta],
-                "converged": result.converged,
-                "iterations": result.iterations,
+                "converged": converged,
+                "iterations": iterations,
             }
-            for voter_id, beta, result in zip(voter_ids, betas.tolist(), results)
+            for voter_id, beta, converged, iterations in zip(
+                voter_ids, betas.tolist(), fit.converged.tolist(), fit.iterations.tolist()
+            )
         ],
     )
 

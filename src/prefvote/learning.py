@@ -11,22 +11,21 @@ is 2*lambda-strongly convex, so it has one minimizer even on linearly
 separable data, and the fit returns that ridge optimum at float
 resolution.  At lambda = 0 on separable data no optimum exists (Albert
 & Anderson 1984): the likelihood keeps rising along a separating
-direction.  Every fit starts from zero weights, and
-``FitResult.iterations`` counts its Newton steps.  Where a fit stops is
+direction.  Every fit starts from zero weights, and where it stops is
 part of the solver, not a setting, so its weights depend only on the
-data and lambda; ``FitResult.converged`` says whether the final gradient
-inf-norm is at most 1e-8.
+data and lambda.
 
 A voter's comparisons are one ``(n, d)`` float array whose row j is
-d_j = chosen_j - rejected_j; the file parser and the simulator produce
-exactly that.  ``fit_voters`` fits many voters in one call, stepping
-voters of the same shape together; a voter's result does not depend on
-which other voters share its call, bit for bit, and ``fit_voter`` is the
-call with one voter.
+d_j = chosen_j - rejected_j, as the file parser and the simulator give.
+``fit_voters`` fits many voters of one d into one ``FitResult`` of
+arrays, ``beta`` ``(V, d)`` and the rest ``(V,)``; ``fit_voter`` fits
+one into its row, ``beta`` ``(d,)`` and three scalars.  A voter's row
+does not depend on which other voters share its call, bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterable
@@ -76,12 +75,16 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted weights plus convergence diagnostics."""
+    """Fitted weights plus convergence diagnostics, of one voter or many.
+
+    ``fit_voters``: ``beta`` ``(V, d)``, the rest ``(V,)``, row k for voter k.
+    ``fit_voter``: one row, ``beta`` ``(d,)`` then a float, a bool and an int.
+    """
 
     beta: np.ndarray
-    final_objective: float
-    converged: bool
-    iterations: int
+    final_objective: np.ndarray | float
+    converged: np.ndarray | bool
+    iterations: np.ndarray | int
 
 
 def objective_and_gradient(
@@ -141,13 +144,15 @@ _BLOCK = 64
 
 
 def fit_voter(data: np.ndarray, config: FitConfig | None = None) -> FitResult:
-    """Fit one voter's utility weights: ``fit_voters([data], config)[0]``."""
-    return fit_voters([data], config)[0]
+    """Fit one voter's utility weights: row 0 of ``fit_voters([data], config)``."""
+    fit = fit_voters([data], config)
+    row = fit.final_objective[0], fit.converged[0], fit.iterations[0]
+    return FitResult(fit.beta[0], float(row[0]), bool(row[1]), int(row[2]))
 
 
 def fit_voters(
     arrays: Iterable[np.ndarray], config: FitConfig | None = None
-) -> list[FitResult]:
+) -> FitResult:
     """Fit each voter's utility weights by penalized maximum likelihood.
 
     Each entry of ``arrays`` is one voter's ``(n, d)`` chosen-minus-rejected
@@ -159,18 +164,16 @@ def fit_voters(
     the Newton step is not downhill.  For ``l2_penalty`` > 0 the result is
     thus the unique ridge optimum at float resolution; at 0 on separable
     data there is none, and the weights are finite but of arbitrary scale.
-    No tolerance takes part in these choices, so the weights depend only
-    on the data and ``l2_penalty``.  ``iterations`` counts Newton steps (at
-    most ``FitConfig.max_iterations``), and the objective never rises
-    along them beyond float resolution.  ``converged`` says whether the
-    final gradient inf-norm is at most ``FitConfig.gradient_tolerance``.
+    ``iterations`` counts the Newton steps, along which the objective
+    never rises beyond float resolution; ``FitConfig`` bounds them and
+    sets the gradient tolerance that ``converged`` reports against.
 
     Voters of the same shape are stacked into blocks and stepped together.
     Every choice above is made per voter, and a voter leaves its block
     where it would stop alone, so the same data and penalty give the same
-    result to the bit, whichever voters share the call.  Raises
-    ``NumericError`` naming the position of the first voter whose fit is
-    not finite.
+    row to the bit, whichever voters share the call.  Raises ``ValueError``
+    if the voters differ in d, and ``NumericError`` naming the position of
+    the first voter whose fit is not finite.
     """
     if config is None:
         config = FitConfig()
@@ -178,17 +181,20 @@ def fit_voters(
     shapes: dict[tuple[int, ...], list[int]] = {}
     for index, diffs in enumerate(checked):
         shapes.setdefault(diffs.shape, []).append(index)
-    results: list[FitResult] = [None] * len(checked)  # type: ignore[list-item]
+    dims = sorted({d for _, d in shapes})
+    if len(dims) > 1:
+        raise ValueError(f"voters of one call need one dimension d, got {dims}")
+    count, d = len(checked), dims[0] if dims else 0
+    fit = FitResult(np.empty((count, d)), np.empty(count), np.empty(count, bool),
+                    np.empty(count, int))
     for members in shapes.values():
         for start in range(0, len(members), _BLOCK):
-            block = members[start : start + _BLOCK]
-            stacked = np.stack([checked[index] for index in block])
-            for index, result in zip(block, _fit_block(stacked, config)):
-                results[index] = result
-    for index, result in enumerate(results):
-        if not (math.isfinite(result.final_objective) and np.isfinite(result.beta).all()):
-            raise NumericError(index)
-    return results
+            block = np.array(members[start : start + _BLOCK])
+            _fit_block(np.stack([checked[i] for i in block]), config, fit, block)
+    finite = np.isfinite(fit.final_objective) & np.isfinite(fit.beta).all(axis=1)
+    if not finite.all():
+        raise NumericError(int(np.argmin(finite)))
+    return fit
 
 
 def _comparison_array(data: np.ndarray) -> np.ndarray:
@@ -205,13 +211,17 @@ def _comparison_array(data: np.ndarray) -> np.ndarray:
     return diffs
 
 
-def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
-    """``fit_voters`` on one ``(V, n, d)`` stack of voters.
+@np.errstate(over="ignore", invalid="ignore")
+def _fit_block(
+    diffs: np.ndarray, config: FitConfig, fit: FitResult, voters: np.ndarray
+) -> None:
+    """``fit_voters`` on one ``(V, n, d)`` stack, whose rows of ``fit`` are ``voters``.
 
-    The stack keeps only the voters still stepping, so all of them have
-    taken ``iterations`` steps.  Every voter's first trial point is its
-    full step: the first point its line search tries, and the only one
-    the full-step rule does.
+    A voter's row is written when it stops; overflow on the way is silent,
+    since trial points and rows must end finite.  The stack keeps only the
+    voters still stepping, so all have taken ``iterations`` steps.  Every
+    voter's first trial point is its full step: the first point its line
+    search tries, and the only one the full-step rule does.
     """
     count, _, d = diffs.shape
     l2_penalty, tolerance = config.l2_penalty, config.gradient_tolerance
@@ -220,17 +230,13 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
     value, grad, curvature = _derivatives(beta, diffs, l2_penalty)
     grad_norm = np.abs(grad).max(axis=1)
     backtracking = np.ones(count, dtype=bool)
-    voters = np.arange(count)  # block position of each row still stepping
-    results: list[FitResult] = [None] * count  # type: ignore[list-item]
 
-    def finish(rows: Iterable[int], iterations: int) -> None:
-        for row in rows:
-            results[voters[row]] = FitResult(
-                beta=beta[row].copy(),
-                final_objective=float(value[row]),
-                converged=bool(grad_norm[row] <= tolerance),
-                iterations=iterations,
-            )
+    def finish(stopped: np.ndarray | slice, iterations: int) -> None:
+        rows = voters[stopped]
+        fit.beta[rows] = beta[stopped]
+        fit.final_objective[rows] = value[stopped]
+        fit.converged[rows] = grad_norm[stopped] <= tolerance
+        fit.iterations[rows] = iterations
 
     iterations = 0
     while iterations < config.max_iterations:
@@ -270,9 +276,9 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
         taken = backtracking | (np.abs(trial[1]).max(axis=1) < grad_norm)
         moving = np.count_nonzero(taken)
         if moving < len(taken):  # the others stop where they are
-            finish((~taken).nonzero()[0], iterations)
+            finish(~taken, iterations)
             if not moving:
-                return results
+                return
             voters, diffs, point, backtracking = (
                 voters[taken], diffs[taken], point[taken], backtracking[taken]
             )
@@ -280,8 +286,7 @@ def _fit_block(diffs: np.ndarray, config: FitConfig) -> list[FitResult]:
         beta, (value, grad, curvature) = point, trial
         grad_norm = np.abs(grad).max(axis=1)
         iterations += 1
-    finish(range(len(voters)), iterations)
-    return results
+    finish(slice(None), iterations)
 
 
 def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -296,8 +301,6 @@ def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         steps = grad.copy()
         for row in range(len(grad)):
-            try:
+            with contextlib.suppress(np.linalg.LinAlgError):
                 steps[row] = np.linalg.solve(hessian[row], grad[row])
-            except np.linalg.LinAlgError:
-                pass
         return steps

@@ -127,6 +127,47 @@ def test_numeric_failure_names_the_voter_id(workdir, capsys, monkeypatch):
     assert not out.exists()
 
 
+#: Six comparisons in d = 10, from a generated crash-dilemma file.  At
+#: --l2 0 they are separable, and the fit's trial points overflow on the
+#: way to finite weights.
+SEPARABLE_AT_L2_0 = [
+    [1, 0, -1, 0, 0, 1, 0, 0, 0, 3],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 3],
+    [1, 0, 0, -1, 0, 0, -1, 0, 1, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 2],
+    [0, 1, 0, -2, 0, 0, 0, 1, 0, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "rows, flags, code, stderr",
+    [
+        (["v1,1e300,0"], [], 3,
+         "error: voter 'v1': fit produced a non-finite objective or weights\n"),
+        ([",".join(map(str, ["v1"] + diff + [0] * 10)) for diff in SEPARABLE_AT_L2_0],
+         ["--l2", "0"], 0, "fitted 1 voters -> {out}\n"),
+    ],
+    ids=["overflowing-row", "separable-at-l2-0"],
+)
+def test_fit_prints_only_its_outcome_to_stderr(workdir, rows, flags, code, stderr):
+    # Overflow inside the fit is expected and handled: no numpy warning
+    # may reach the user, under Python's default warning filters.
+    d = len(rows[0].split(",")) // 2
+    header = ",".join(["voter_id"] + [f"c_{k}" for k in range(1, d + 1)]
+                      + [f"r_{k}" for k in range(1, d + 1)])
+    comparisons = workdir / "overflow.csv"
+    comparisons.write_text("\n".join([header] + rows) + "\n")
+    out = workdir / "m.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "prefvote.cli", "fit",
+         "--comparisons", str(comparisons), "--out", str(out), *flags],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (done.returncode, done.stderr) == (code, stderr.format(out=out))
+    assert out.exists() == (code == 0)
+
+
 def test_decide_single_alternative(workdir, capsys):
     (workdir / "one.csv").write_text("id,f_1,f_2\nonly,1,2\n")
     summary = str(workdir / "summary.json")

@@ -30,7 +30,7 @@ from prefvote.fileio import (
     save_voter_models,
 )
 from prefvote.experiments import AccuracyCurve
-from prefvote.learning import FitConfig, FitResult, fit_voter
+from prefvote.learning import FitConfig, FitResult, fit_voter, fit_voters
 from prefvote.pipeline import SummaryModel
 
 COMPARISONS_HEADER = "voter_id,c_1,c_2,r_1,r_2\n"
@@ -553,28 +553,30 @@ def test_encode_mm_errors():
 ADVERSARIAL_REALS = (0.1, 1 / 3, 1e-300, 5e-324, -0.0, 123456789.123456789)
 
 
-def fit_result(beta, converged=True, iterations=1):
+def fit_result(betas, converged=None, iterations=None):
+    """``fit_voters``' result for the rows ``betas``."""
+    count = len(betas)
     return FitResult(
-        beta=np.array(beta, dtype=float),
-        final_objective=0.0,
-        converged=converged,
-        iterations=iterations,
+        beta=np.array(betas, dtype=float),
+        final_objective=np.zeros(count),
+        converged=np.array([True] * count if converged is None else converged),
+        iterations=np.array([1] * count if iterations is None else iterations),
     )
 
 
 def test_voter_models_round_trip_exact(tmp_path):
     path = str(tmp_path / "models.json")
-    results = [
-        fit_result(ADVERSARIAL_REALS, converged=True, iterations=12),
-        fit_result([-v for v in ADVERSARIAL_REALS], converged=False, iterations=500),
-    ]
+    fit = fit_result(
+        [ADVERSARIAL_REALS, [-v for v in ADVERSARIAL_REALS]],
+        converged=[True, False],
+        iterations=[12, 500],
+    )
     config = FitConfig(l2_penalty=1e-5)
-    save_voter_models(path, ("v1", "v2"), results, config)
+    save_voter_models(path, ("v1", "v2"), fit, config)
     voter_ids, betas = load_voter_models(path)
     assert voter_ids == ("v1", "v2")
     assert betas.dtype == np.float64 and betas.shape == (2, len(ADVERSARIAL_REALS))
-    expected = np.array([result.beta for result in results])
-    assert betas.tobytes() == expected.tobytes()
+    assert betas.tobytes() == fit.beta.tobytes()
     # the diagnostics and the fit settings are written, though not loaded
     payload = json.loads(pathlib.Path(path).read_text())
     assert [(v["converged"], v["iterations"]) for v in payload["voters"]] == [
@@ -588,7 +590,7 @@ def test_voter_models_round_trip_exact(tmp_path):
 
 def test_model_file_uses_17_digit_decimal_text(tmp_path):
     path = str(tmp_path / "models.json")
-    save_voter_models(path, ["v1"], [fit_result((0.1, 0.5))], FitConfig())
+    save_voter_models(path, ["v1"], fit_result([(0.1, 0.5)]), FitConfig())
     payload = json.loads(pathlib.Path(path).read_text())
     assert payload["voters"][0]["beta"] == ["0.10000000000000001", "0.5"]
     assert payload["format"] == "voter-models"
@@ -608,14 +610,15 @@ def test_summary_model_round_trip_exact(tmp_path):
 def test_model_file_errors(tmp_path):
     path = str(tmp_path / "bad.json")
     with pytest.raises(ValueError, match="at least one"):
-        save_voter_models(path, [], [], FitConfig())
+        save_voter_models(path, [], fit_voters([]), FitConfig())
     with pytest.raises(ValueError, match="1 voter ids for 2 fitted voters"):
-        save_voter_models(path, ["a"], [fit_result((1.0,))] * 2, FitConfig())
-    mixed = [fit_result((1.0,)), fit_result((1.0, 2.0))]
+        save_voter_models(path, ["a"], fit_result([(1.0,)] * 2), FitConfig())
+    with pytest.raises(ValueError, match="3 voter ids for 2 fitted voters"):
+        save_voter_models(path, ["a", "b", "c"], fit_result([(1.0,)] * 2), FitConfig())
     with pytest.raises(ValueError, match="2-dimensional array"):
-        save_voter_models(path, ["a", "b"], mixed, FitConfig())
+        save_voter_models(path, ["a"], fit_voter(np.ones((1, 2))), FitConfig())
     with pytest.raises(ValueError, match="voter models must be finite"):
-        save_voter_models(path, ["a"], [fit_result((math.inf,))], FitConfig())
+        save_voter_models(path, ["a"], fit_result([(math.inf,)]), FitConfig())
     assert not pathlib.Path(path).exists()
 
     pathlib.Path(path).write_text("not json")

@@ -222,11 +222,18 @@ def test_fit_stops_by_its_rule_not_its_budget(l2, monkeypatch):
         for d, n in [(2, 3), (10, 10), (10, 30), (23, 10), (23, 100)] * 6
     ] + [rng.normal(0.0, 1.0, (40, 3)) for _ in range(6)]
     config = FitConfig(l2_penalty=l2)
-    default = fit_voters(arrays, config)
+    groups: dict[int, list[np.ndarray]] = {}  # one call per dimension d
+    for data in arrays:
+        groups.setdefault(data.shape[1], []).append(data)
+    default = {d: fit_voters(group, config) for d, group in groups.items()}
     monkeypatch.setattr(FitConfig, "max_iterations", 10 * FitConfig.max_iterations)
-    assert all(map(_same_fit, default, fit_voters(arrays, config)))
-    assert all(result.iterations < FitConfig.max_iterations for result in default)
-    separable = [bool((data @ fit.beta > 0).all()) for data, fit in zip(arrays, default)]
+    assert all(_same_fit(fit, fit_voters(groups[d], config)) for d, fit in default.items())
+    assert all((fit.iterations < FitConfig.max_iterations).all() for fit in default.values())
+    separable = [
+        bool((data @ beta > 0).all())
+        for d, fit in default.items()
+        for data, beta in zip(groups[d], fit.beta)
+    ]
     assert 5 <= sum(separable) <= len(arrays) - 5
 
 
@@ -274,31 +281,49 @@ def test_non_finite_objective_raises_numeric_error():
     # The Hessian d * d overflows for one difference d this large, so the
     # first step from zero is the gradient, whose ridge term overflows too.
     for scale in (1e300, 1e155):
-        with np.errstate(all="ignore"), pytest.raises(NumericError):
+        with pytest.raises(NumericError):
             fit_voter(np.array([[scale]]))
 
 
 def test_numeric_error_names_the_first_failing_voter():
     # Voter 0 fits; voters 1 and 2 both fail, and the error names voter 1.
     arrays = [np.array([[1.0]]), np.array([[1e300]]), np.array([[1e155]])]
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericError, match="^voter 1: fit produced") as raised:
-            fit_voters(arrays)
-        first = fit_voters(arrays[:1])[0]
+    with pytest.raises(NumericError, match="^voter 1: fit produced") as raised:
+        fit_voters(arrays)
+    first = fit_voters(arrays[:1])
     assert raised.value.voter == 1
-    assert first.converged and np.isfinite(first.beta).all()
+    assert first.converged.all() and np.isfinite(first.beta).all()
+
+
+def test_fit_voters_refuses_voters_of_different_dimensions():
+    arrays = [np.ones((3, 2)), np.ones((4, 2)), np.ones((3, 5))]
+    with pytest.raises(ValueError, match=r"one dimension d, got \[2, 5\]"):
+        fit_voters(arrays)
+
+
+def _bits(fit: FitResult) -> list[tuple]:
+    """Dtype, shape and bytes of all four fields, of one row or many."""
+    fields = (fit.beta, fit.final_objective, fit.converged, fit.iterations)
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, fields)]
 
 
 def _same_fit(first: FitResult, second: FitResult) -> bool:
     """Equal to the bit in all four fields."""
-    return (
-        first.beta.tobytes() == second.beta.tobytes()
-        and first.final_objective.hex() == second.final_objective.hex()
-        and first.converged == second.converged
-        and first.iterations == second.iterations
+    return _bits(first) == _bits(second)
+
+
+def _row(fit: FitResult, k: int) -> FitResult:
+    """Row k of ``fit_voters``' result, in ``fit_voter``'s types."""
+    return FitResult(
+        fit.beta[k],
+        float(fit.final_objective[k]),
+        bool(fit.converged[k]),
+        int(fit.iterations[k]),
     )
 
 
+# The package's fit silences the same overflows; the reference must too.
+@np.errstate(over="ignore", invalid="ignore")
 def _loop_fit(diffs: np.ndarray, config: FitConfig) -> FitResult:
     """The one-voter Newton loop that the stacked one replaced: the reference.
 
@@ -390,12 +415,14 @@ ZERO_COLUMN[:, 1] = 0.0
 @example(arrays=[ZERO_COLUMN], l2=0.0, budget=500)
 def test_a_voter_fits_the_same_whichever_voters_share_the_call(arrays, l2, budget):
     config = FitConfig(l2_penalty=l2)
-    with patch.object(FitConfig, "max_iterations", budget), np.errstate(all="ignore"):
+    with patch.object(FitConfig, "max_iterations", budget):
         together = fit_voters(arrays, config)
-        alone = [fit_voters([data], config)[0] for data in arrays]
+        alone = [fit_voter(data, config) for data in arrays]
         loop = [_loop_fit(data, config) for data in arrays]
-    assert all(map(_same_fit, together, alone))
-    assert all(map(_same_fit, alone, loop))
+    assert together.beta.shape == (len(arrays), arrays[0].shape[1])
+    rows = [_row(together, k) for k in range(len(arrays))]
+    assert all(map(_same_fit, rows, alone))
+    assert all(map(_same_fit, rows, loop))
 
 
 def test_fit_voters_splits_large_groups_into_blocks():
@@ -406,9 +433,11 @@ def test_fit_voters_splits_large_groups_into_blocks():
     arrays[1:1] = [rng.normal(0.0, 1.0, (9, 4))]
     arrays.append(rng.normal(0.0, 1.0, (2, 4)))
     together = fit_voters(arrays)
-    assert len(together) == len(arrays)
-    assert all(_same_fit(fit, fit_voter(data)) for data, fit in zip(arrays, together))
-    assert fit_voters([]) == []
+    assert together.beta.shape == (len(arrays), 4)
+    assert all(_same_fit(_row(together, k), fit_voter(data)) for k, data in enumerate(arrays))
+    empty = fit_voters([])
+    assert empty.beta.shape == (0, 0)
+    assert [field.shape for field in (empty.final_objective, empty.converged)] == [(0,), (0,)]
 
 
 def test_fit_takes_newton_steps_when_the_slope_underflows():

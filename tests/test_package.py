@@ -101,10 +101,12 @@ def test_summarize_decide_and_axioms_run_without_scipy(tmp_path):
     fileio.save_voter_models(
         str(tmp_path / "models.json"),
         ["v1", "v2"],
-        [
-            FitResult(np.array([1.0, 0.5]), 0.0, True, 3),
-            FitResult(np.array([2.0, -0.5]), 0.0, True, 4),
-        ],
+        FitResult(
+            np.array([[1.0, 0.5], [2.0, -0.5]]),
+            np.zeros(2),
+            np.array([True, True]),
+            np.array([3, 4]),
+        ),
         FitConfig(),
     )
     (tmp_path / "alternatives.csv").write_text("id,f_1,f_2\na,3,0\nb,-3,0\nc,0,-1\n")

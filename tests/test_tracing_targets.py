@@ -5,11 +5,14 @@ entry of its ``TARGETS``; a renamed or deleted function would otherwise
 surface only in the slow benchmark self-tests.
 """
 
+import collections
 import importlib
 import importlib.util
 import inspect
 import io
 from pathlib import Path
+
+import numpy as np
 
 from prefvote import experiments, fileio, learning, processes, scc
 
@@ -45,6 +48,22 @@ def test_fit_voter_takes_config_second():
     # _count_fit reads the FitConfig from args[1].
     parameters = list(inspect.signature(learning.fit_voter).parameters)
     assert parameters[1] == "config"
+
+
+def test_fit_counter_reads_what_fit_voter_returns():
+    # _count_fit adds up one voter's iterations, budget hit and
+    # convergence; a row of arrays in their place would fail here.
+    data = np.array([[1.0, 0.0], [0.5, 1.0], [-1.0, 2.0]])
+    config = learning.FitConfig()
+    result = learning.fit_voter(data, config)
+    counts = collections.defaultdict(int)
+    _load_tracing()._count_fit(counts, (data, config), {}, result)
+    assert dict(counts) == {
+        "learning.iterations": result.iterations,
+        "learning.max_iteration_hits": 0,
+        "learning.nonconverged": int(not result.converged),
+    }
+    assert all(type(value) is int for value in counts.values())
 
 
 def test_span_namers_and_sample_counter_read_these_positions():
